@@ -9,7 +9,9 @@ Run from the root of a checkout: the library is imported from ``src/``.
 This process computes the expected results with the benchmark's own oracles,
 times set-up in several fresh interpreters, then runs the workload in one
 more fresh process (``worker.py``: one closed-loop caller, no extra threads)
-and prints each metric by name with its unit.  The last line of standard
+and prints each metric by name with its unit.  Timings are each operation's
+best time over the run's rounds, scaled by the best time of fixed
+reference work timed between the same rounds.  The last line of standard
 output is one JSON object: ``correct``, ``attempted``, ``failed`` and
 ``metrics``, the end-to-end metrics with ``--trace 0`` and the per-layer
 metrics with ``--trace 1``.  ``--workload all`` runs every workload untraced
@@ -27,7 +29,7 @@ import time
 from pathlib import Path
 
 import workloads
-from worker import best_times
+from worker import NOMINAL_S, REFERENCE_KINDS, best_times
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -88,7 +90,10 @@ def run_workload(args: argparse.Namespace) -> dict:
         print(f"{args.workload}: {res['spans']} spans in {res['spans_file']}")
     else:
         lat, n = res["latencies"], res["round"]
-        best = best_times(lat, n)
+        # best times at the reference's nominal speed (see worker.make_reference)
+        nominal = sum(NOMINAL_S[k] for k in REFERENCE_KINDS[args.workload])
+        speed = nominal / min(res["reference"])
+        best = [t * speed for t in best_times(lat, n)]
         values = {
             "setup_s": statistics.median(setups),
             "throughput_ops_s": n / sum(best),
@@ -100,7 +105,9 @@ def run_workload(args: argparse.Namespace) -> dict:
         q = statistics.quantiles(lat, n=10, method="inclusive")
         print(f"{args.workload}: {len(lat) // n} rounds of {n} operations; over every attempt "
               f"{len(lat) / sum(lat):.4g} ops/s, p50 {1e3 * statistics.median(lat):.4g} ms, "
-              f"p90 {1e3 * q[8]:.4g} ms; set-up probes {', '.join(f'{s:.3f}' for s in setups)} s")
+              f"p90 {1e3 * q[8]:.4g} ms; unscaled best times {n * speed / sum(best):.4g} ops/s; "
+              f"reference best {1e3 * min(res['reference']):.4g} ms (nominal {1e3 * nominal:.4g}); "
+              f"set-up probes {', '.join(f'{s:.3f}' for s in setups)} s")
     result["metrics"] = metrics
     for name, m in metrics.items():
         print(f"{args.workload}  {name:28s} {m['value']:.6g} {m['unit']}")

@@ -155,7 +155,7 @@ def test_cli_checks_reject_wrong_reports():
     assert not _check(op, (0, bad), exps[op.id])
 
     # a bound report whose bound is offset by 1e-3 is rejected
-    op = by_id["bound-r"]
+    op = by_id["bound-r#0"]
     e = exps[op.id]
     code = 0 if e["passes"] else 2
     report = {"result": {"integral": e["integral"], "bound": e["bound"]}}

@@ -11,9 +11,9 @@ before the interpreter started.
 Otherwise the expected results arrive as JSON on stdin (the caller computes
 them with the oracles, outside this process, so their memory and time do not
 show here), the rounds run for ``--seconds``, and one JSON object with the
-latencies, counts and peak RSS goes to stdout.  With ``--trace 1`` the first
-half of the time runs untraced and the second half under the tracer, and the
-per-layer figures come from the second half.
+latencies, the reference times, counts and peak RSS goes to stdout.  With
+``--trace 1`` the first half of the time runs untraced and the second half
+under the tracer, and the per-layer figures come from the second half.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 import oracles as orc
 import workloads
@@ -121,6 +123,67 @@ def _checked(op, out, exp: dict) -> bool:
         return False
 
 
+# -- reference work ----------------------------------------------------------------
+#
+# The host's speed drifts by a fifth or more over minutes, and an operation's
+# best time drifts with it.  After every round the worker times fixed work that
+# shares no code with fuzzyhh, and ``run.py`` scales the best times by the
+# reference's best time in the same run.  Scalar Python code and large-array
+# numpy code slow down by different amounts in the same stretch, so each
+# workload's reference does the kind of work its operations do.
+
+#: The kinds of reference work timed after each round of a workload.
+REFERENCE_KINDS = {
+    "monotone-integrals": ("scalar",),  # nested bisection over scalar evaluate calls
+    "grid-integrals": ("array",),  # 1e6-point evaluation and sorting
+    "bound-solve": ("scalar",),  # scalar case equations, no integrand
+    "cli-session": ("scalar", "array"),  # both, through the commands
+}
+#: Best time of each kind of reference work on a quiet machine (Xeon at 2.1
+#: GHz, Python 3.11, numpy 2.4); scaled times read at this speed.
+NOMINAL_S = {"scalar": 0.004, "array": 0.019}
+
+#: The scalar reference's expression tree, ``0.5*x + sin(3*x)``.
+_REF_TREE = ("+", ("*", ("c", 0.5), ("x",)), ("sin", ("*", ("c", 3.0), ("x",))))
+
+
+def _ref_eval(node, x: float) -> float:
+    op = node[0]
+    if op == "x":
+        return x
+    if op == "c":
+        return node[1]
+    a = _ref_eval(node[1], x)
+    if op == "sin":
+        return math.sin(a)
+    b = _ref_eval(node[2], x)
+    return a + b if op == "+" else a * b
+
+
+def make_reference(workload: str):
+    """The reference work of ``workload`` as a function of no arguments.
+
+    Scalar: a recursive evaluation of a small expression tree at 6 000
+    points.  Array: a 1e6-point array filled, summed, passed through sin and
+    sorted in place; the array is allocated once, here, so it adds a
+    constant 7.6 MB to the peak resident set and no page faults later."""
+    kinds = REFERENCE_KINDS[workload]
+    array = np.empty(1_000_000) if "array" in kinds else None
+
+    def reference() -> None:
+        if "scalar" in kinds:
+            s = 0.0
+            for i in range(6000):
+                s += _ref_eval(_REF_TREE, i * 1e-3)
+        if array is not None:
+            array.fill(7e-6)
+            np.cumsum(array, out=array)
+            np.sin(array, out=array)
+            array.sort()
+
+    return reference
+
+
 # -- the timed loop ------------------------------------------------------------------
 
 
@@ -135,14 +198,15 @@ def best_times(latencies: list[float], round_size: int) -> list[float]:
     return [min(latencies[i::round_size]) for i in range(round_size)]
 
 
-def run_rounds(fz, ops, expected, seconds: float, min_ops: int, tracer=None):
+def run_rounds(fz, ops, expected, seconds: float, min_ops: int, reference, tracer=None):
     """Whole rounds until ``seconds`` have passed and ``min_ops`` were attempted.
 
     Successive rounds run on alternate CPUs: on a VM each virtual CPU slows
     down and recovers on its own, so the best time of an operation then
-    draws on both.  With a tracer, each operation's spans carry its index in
-    this run."""
+    draws on both.  After each round ``reference()`` is timed on the same
+    CPU.  With a tracer, each operation's spans carry its index in this run."""
     latencies: list[float] = []
+    refs: list[float] = []
     failed = 0
     unexpected: list[str] = []
     clock = time.perf_counter
@@ -163,8 +227,11 @@ def run_rounds(fz, ops, expected, seconds: float, min_ops: int, tracer=None):
                 failed += 1
                 if op.fault is None:
                     unexpected.append(f"{op.id}: {out!r}"[:300])
+        t0 = clock()
+        reference()
+        refs.append(clock() - t0)
         if clock() - start >= seconds and len(latencies) >= min_ops:
-            return latencies, failed, unexpected
+            return latencies, refs, failed, unexpected
 
 
 def peak_rss_mb() -> float:
@@ -200,24 +267,28 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("expectations do not match the generated operations")
 
     out: dict = {"ready": ready, "round": len(ops)}
+    reference = make_reference(args.workload)
     # one untimed round first, so that lazy imports and first-call costs stay
     # out of the figures; its operations are checked but not counted
-    run_rounds(fz, ops, expected, 0.0, 1)
+    run_rounds(fz, ops, expected, 0.0, 1, reference)
     if args.trace == 0:
-        lat, failed, unexpected = run_rounds(fz, ops, expected, args.seconds, MIN_OPS)
-        out.update(latencies=lat, attempted=len(lat), failed=failed, unexpected=unexpected)
+        lat, refs, failed, unexpected = run_rounds(fz, ops, expected, args.seconds, MIN_OPS,
+                                                   reference)
+        out.update(latencies=lat, reference=refs, attempted=len(lat), failed=failed,
+                   unexpected=unexpected)
     else:
         import tracing  # only the traced run pays for it
 
         half = args.seconds / 2.0
-        plain, failed0, unexpected0 = run_rounds(fz, ops, expected, half, 1)
+        plain, refs0, failed0, unexpected0 = run_rounds(fz, ops, expected, half, 1, reference)
         tracer = tracing.Tracer()
         tracer.install()
-        traced, failed1, unexpected1 = run_rounds(fz, ops, expected, half, 1, tracer)
+        traced, refs1, failed1, unexpected1 = run_rounds(fz, ops, expected, half, 1, reference, tracer)
         layers = tracer.layer_metrics(len(traced))
         n = len(ops)
+        # each half at the machine speed its own reference times measured
         layers["trace.overhead_pct"] = 100.0 * (
-            sum(best_times(traced, n)) / sum(best_times(plain, n)) - 1.0)
+            sum(best_times(traced, n)) / min(refs1) / (sum(best_times(plain, n)) / min(refs0)) - 1.0)
         layers.update(tracing.sloc(SRC))
         spans_file = HERE / "out" / f"spans-{args.workload}-seed{args.seed}.csv.gz"
         tracer.write(spans_file)
