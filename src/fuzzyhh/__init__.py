@@ -1,7 +1,8 @@
 """Sugeno integrals on real intervals and their generalized-preinvex upper bounds.
 
 The package splits into a measure layer (intervals, level-set distribution
-functions), the integral itself (fixed-point and sup-min routes), sampling
+functions), the integral itself (a monotone crossing search and an exact
+grid sup-min, with fixed-point and threshold-sweep oracles), sampling
 checkers for generalized-convexity hypotheses, the bound equations with their
 case dispatch, a small expression DSL, and a CLI that ties them together.
 """

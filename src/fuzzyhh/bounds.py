@@ -61,6 +61,7 @@ __all__ = [
     "alpha_m_bound",
     "classical_hh_r_rhs",
     "classical_hh_preinvex",
+    "endpoint_bound",
     "FuzzyHHReport",
     "verify_fuzzy_hh",
 ]
@@ -372,6 +373,36 @@ def classical_hh_preinvex(f: ScalarFunction, iv: InvexInterval) -> tuple[float, 
     return lhs, rhs
 
 
+def endpoint_bound(
+    f: ScalarFunction,
+    iv: InvexInterval,
+    r: float | None = None,
+    alpha: float | None = None,
+    m: float | None = None,
+) -> BoundResult:
+    """Evaluate f's endpoint scalars on [a, a + L] and solve the selected route.
+
+    The scaled-argument route also evaluates fscaled = f((a + L)/m), raising
+    ``DomainEscape`` when that point lies outside f's declared domain.
+    """
+    fa = float(f.evaluate(iv.a))
+    fend = float(f.evaluate(iv.end))
+    if r is not None:
+        return r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r))
+    if alpha is None or m is None:
+        raise ValueError("select a route: r, or alpha and m")
+    point = iv.end / m
+    if not f.domain.contains(point, slack=1e-12):
+        raise DomainEscape(
+            f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
+            f"[{f.domain.lo:g}, {f.domain.hi:g}]"
+        )
+    fscaled = float(f.evaluate(f.domain.clip(point)))
+    return alpha_m_bound(
+        BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, alpha=alpha, m=m, fscaled=fscaled)
+    )
+
+
 @dataclass(frozen=True)
 class FuzzyHHReport:
     """Integral vs bound, with margin = bound - integral."""
@@ -393,28 +424,12 @@ def verify_fuzzy_hh(
 ) -> FuzzyHHReport:
     """End-to-end check that the Sugeno integral stays below its bound.
 
-    Computes the integral over [a, a + L], evaluates the endpoint scalars,
-    dispatches the matching bound, and passes iff margin >= -tol.  The caller
-    is responsible for having certified the convexity hypothesis; this
-    routine only composes the two computations.
+    Computes the integral over [a, a + L], then ``endpoint_bound`` for the
+    selected route, and passes iff margin >= -tol.  The caller is
+    responsible for having certified the convexity hypothesis; this routine
+    only composes the two computations.
     """
     integral = sugeno_integral(f, iv.domain, grid=grid)
-    fa = float(f.evaluate(iv.a))
-    fend = float(f.evaluate(iv.end))
-    if r is not None:
-        bound = r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r))
-    else:
-        if alpha is None or m is None:
-            raise ValueError("select a route: r, or alpha and m")
-        point = iv.end / m
-        if not f.domain.contains(point, slack=1e-12):
-            raise DomainEscape(
-                f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
-                f"[{f.domain.lo:g}, {f.domain.hi:g}]"
-            )
-        fscaled = float(f.evaluate(f.domain.clip(point)))
-        bound = alpha_m_bound(
-            BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, alpha=alpha, m=m, fscaled=fscaled)
-        )
+    bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
     margin = bound.bound - integral.value
     return FuzzyHHReport(integral, bound, margin, margin >= -tol)

@@ -23,13 +23,11 @@ from typing import Any
 
 from . import golden
 from .bounds import (
-    BoundInputs,
     NoRoot,
     RZero,
     MissingScaledValue,
     DivisionByZero,
-    alpha_m_bound,
-    r_preinvex_bound,
+    endpoint_bound,
     verify_fuzzy_hh,
 )
 from .convexity import (
@@ -355,29 +353,25 @@ def _run_reproduce(ns: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _sweep_row(ns: argparse.Namespace, param: str, value: float) -> dict[str, Any]:
+def _sweep_integral(ns: argparse.Namespace, iv: InvexInterval) -> tuple[Any, float]:
+    f = _build_function(ns, iv.domain)
+    return f, sugeno_integral(f, iv.domain, grid=ns.grid).value
+
+
+def _sweep_row(ns: argparse.Namespace, param: str, value: float,
+               fixed: tuple[Any, float] | None) -> dict[str, Any]:
+    """One CSV row; ``fixed`` is (f, integral) when the sweep leaves eta_len alone."""
     eta_len = value if param == "eta-len" else _eta_len(ns)
     iv = InvexInterval(ns.a, eta_len)
-    f = _build_function(ns, iv.domain)
     r = value if param == "r" else ns.r
     alpha = value if param == "alpha" else ns.alpha
     m = value if param == "m" else ns.m
     if r is None and (alpha is None or m is None):
         raise ValueError(f"sweep over {param!r} needs the other route flags fixed "
                          "(--r, or --alpha and --m)")
-    integral = sugeno_integral(f, iv.domain, grid=ns.grid).value
-    fa = float(f(iv.a))
-    fend = float(f(iv.end))
+    f, integral = fixed or _sweep_integral(ns, iv)
     try:
-        if r is not None:
-            bound = r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=eta_len, r=r))
-        else:
-            point = iv.end / m
-            if not f.domain.contains(point, slack=1e-12):
-                raise DomainEscape(f"(a + eta_len)/m = {point:g} outside f's domain")
-            fscaled = float(f(f.domain.clip(point)))
-            bound = alpha_m_bound(BoundInputs(fa=fa, fend=fend, eta_len=eta_len,
-                                              alpha=alpha, m=m, fscaled=fscaled))
+        bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
         return {"param": value, "integral": integral, "beta": bound.beta,
                 "bound": bound.bound, "case": bound.case.value}
     except NoRoot:
@@ -387,11 +381,15 @@ def _sweep_row(ns: argparse.Namespace, param: str, value: float) -> dict[str, An
 
 def _run_sweep(ns: argparse.Namespace) -> int:
     values = [float(v) for v in ns.values.split(",") if v.strip() != ""]
+    fixed = None
+    if values and ns.param != "eta-len":
+        # only eta_len moves the interval, so one integral serves every row
+        fixed = _sweep_integral(ns, InvexInterval(ns.a, _eta_len(ns)))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["param", "integral", "beta", "bound", "case"])
     writer.writeheader()
     for value in values:
-        writer.writerow(_sweep_row(ns, ns.param, value))
+        writer.writerow(_sweep_row(ns, ns.param, value, fixed))
     payload = buf.getvalue()
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:

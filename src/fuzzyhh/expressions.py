@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Monotonicity, RealInterval, ScalarFunction
+from .measure import Monotonicity, RealInterval, ScalarFunction, follows
 
 __all__ = [
     "ExprSyntaxError",
@@ -352,12 +352,9 @@ def detect_monotonicity(ev, domain: RealInterval, n: int = 2049) -> Monotonicity
     if domain.length() == 0.0:
         return Monotonicity.INCREASING
     ys = np.asarray(ev(domain.grid(n)), dtype=float)
-    dy = np.diff(ys)
-    slack = 1e-11 * max(1.0, float(np.max(np.abs(ys))))
-    if np.all(dy >= -slack):
-        return Monotonicity.INCREASING
-    if np.all(dy <= slack):
-        return Monotonicity.DECREASING
+    for mono in (Monotonicity.INCREASING, Monotonicity.DECREASING):
+        if follows(ys, mono):
+            return mono
     return Monotonicity.UNKNOWN
 
 

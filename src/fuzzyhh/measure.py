@@ -31,6 +31,7 @@ __all__ = [
     "MonotoneClosedForm",
     "GridScan",
     "DistributionProfile",
+    "follows",
     "constant_function",
     "power_function",
     "power_affine_function",
@@ -119,6 +120,22 @@ class Monotonicity(enum.Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
     UNKNOWN = "unknown"
+
+
+def follows(ys: np.ndarray, monotonicity: Monotonicity) -> bool:
+    """Whether an ordered sample ``ys`` is weakly monotone in the given sense.
+
+    Steps against the direction are forgiven up to a relative slack of
+    ``1e-11 * max(1, max |y|)``, so rounding noise on flat stretches does not
+    break a constant's or a plateau's hint.  ``UNKNOWN`` never follows.
+    """
+    if monotonicity is Monotonicity.UNKNOWN:
+        return False
+    dy = np.diff(ys)
+    slack = 1e-11 * max(1.0, float(np.max(np.abs(ys))))
+    if monotonicity is Monotonicity.INCREASING:
+        return bool(np.all(dy >= -slack))
+    return bool(np.all(dy <= slack))
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,34 @@
 """Sugeno integrals of non-negative functions on real intervals.
 
 The integral is sup over beta >= 0 of min(beta, F(beta)), where F is the
-level-set distribution function.  Two computational routes are exposed:
+level-set distribution function.  ``sugeno_integral`` (``method="auto"``)
+finds that sup as one crossing search in one of two forms:
+
+* **Monotone form**, for f declared increasing or decreasing.  The sup sits
+  where f(x) crosses hi - x (f increasing) or x - lo (f decreasing).  f is
+  evaluated once, vectorised, on a 4097-point grid of [lo, hi]; the cell
+  where the sign of the gap changes is re-gridded with 4097 points until it
+  is narrower than ``tol``.  For increasing f, the cell [x_l, x_r] gives
+  the value max(hi - x_r, f(x_l)); for decreasing f, max(x_l - lo, f(x_r)).
+  Constants, plateaus and jumps are exact in this form, so no fallback is
+  needed.  ``residual`` is the final cell width.  A sample that breaks the
+  declared monotonicity hands the call over to the grid form.
+
+* **Grid form**, for every other f.  The sup over *all* thresholds of the
+  midpoint-sampled function, ``sugeno_supmin_exact``: the n-point sample is
+  sorted once and the crossing of the sorted sample with the levels
+  j * mu / n is binary-searched.  ``residual`` is the cell measure mu / n.
+
+Two more routes stay as oracles and as opt-in methods:
 
 * ``sugeno_fixed_point`` solves F(beta) = beta by bisection on the diagonal
-  gap h(beta) = F(beta) - beta.  F is non-increasing and h is strictly
-  decreasing, so the crossing is unique; when F is continuous there the
-  crossing is a genuine fixed point and the residual |F(beta) - beta| is tiny.
-  When F jumps across the diagonal (plateaus of f) there is no fixed point,
-  the residual stays large, and ``NoSignChange`` is raised.
+  gap h(beta) = F(beta) - beta, with F from a ``DistributionProfile``.
+  When F jumps across the diagonal (plateaus of f) there is no fixed point
+  and ``NoSignChange`` is raised.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
   sweep against a midpoint-grid distribution.  It is deliberately plain: it
-  serves as the independent oracle for the fixed-point route.
-
-``sugeno_integral`` dispatches: fixed point first, falling back to the
-sup-min form on the grid sample when no fixed point exists.  The fallback
-takes the sup over *all* thresholds of the gridded function in closed form
-(``sugeno_supmin_exact``), which is what makes constants come out exact
-rather than threshold-sweep accurate.
+  serves as an independent, assumption-free oracle.
 
 Everything here is pure and re-entrant; results are deterministic.
 """
@@ -37,6 +47,7 @@ from .measure import (
     MonotoneClosedForm,
     RealInterval,
     ScalarFunction,
+    follows,
 )
 
 __all__ = [
@@ -50,6 +61,10 @@ __all__ = [
     "sugeno_supmin_exact",
     "sugeno_integral",
 ]
+
+#: Points per round of the monotone crossing search; the first round's grid
+#: is also the point set of ``ScalarFunction.min_on`` and ``max_on``.
+CROSSING_POINTS = 4097
 
 
 class SugenoError(Exception):
@@ -73,8 +88,11 @@ class IntegralMethod(enum.Enum):
 class SugenoResult:
     """Integral value plus how it was obtained.
 
-    ``residual`` is |F(value) - value| for the fixed-point route and the
-    threshold/grid spacing for the sup-min route.
+    ``residual`` is the width of the final crossing cell for the monotone
+    form of ``sugeno_integral`` and |F(value) - value| for
+    ``sugeno_fixed_point``, both reported as ``FIXED_POINT``; it is the grid
+    cell measure mu / n for ``sugeno_supmin_exact`` and the threshold spacing
+    for ``sugeno_supmin``, both reported as ``SUPMIN_GRID``.
     """
 
     value: float
@@ -158,19 +176,73 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
 
         max over j in 1..n of min(j-th largest sample, j * mu / n),
 
-    so no threshold sweep (and no sweep resolution loss) is involved.  Used
-    by the dispatcher when the fixed-point route reports a diagonal jump;
-    e.g. constants come out exactly min(k, mu).
+    so no threshold sweep (and no sweep resolution loss) is involved.  The
+    grid form of ``sugeno_integral``; e.g. constants come out exactly
+    min(k, mu).
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))[::-1]
-    levels = (np.arange(1, n + 1) / n) * mu
-    value = float(np.max(np.minimum(values, levels)))
-    return SugenoResult(max(value, 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+    values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
+    return SugenoResult(max(_sorted_supmin(values, mu), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+
+
+def _sorted_supmin(values: np.ndarray, mu: float) -> float:
+    """max over j of min(v_j, j * mu / n) for v the descending ``values``.
+
+    v_j does not grow and the level j * mu / n does not shrink with j, so
+    the j with v_j >= level form a prefix 1..k.  The max is then the larger
+    of the last level inside the prefix and the first sample past it, which
+    are the same floats the full elementwise minimum would pick.
+    """
+    desc = values[::-1]
+    n = desc.size
+    k, past = 0, n
+    while k < past:
+        mid = (k + past) // 2
+        if desc[mid] >= ((mid + 1) / n) * mu:
+            k = mid + 1
+        else:
+            past = mid
+    best = (k / n) * mu if k else -np.inf
+    if k < n:
+        best = max(best, float(desc[k]))
+    return float(best)
+
+
+def _monotone_crossing(
+    f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray, tol: float
+) -> SugenoResult | None:
+    """Monotone form of the integral, from the first round's sample (xs, ys).
+
+    Returns None when a round's sample breaks the declared monotonicity.
+    """
+    increasing = f.monotonicity is Monotonicity.INCREASING
+    lo, hi = A.lo, A.hi
+    width = np.inf
+    while True:
+        if not follows(ys, f.monotonicity):
+            return None
+        # samples before the crossing: f under hi - x (increasing) or f at
+        # or over x - lo (decreasing); k is the first sample past it
+        near = ys < hi - xs if increasing else ys >= xs - lo
+        k = int(np.argmin(near)) if not near.all() else xs.size
+        i, j = max(k - 1, 0), min(k, xs.size - 1)
+        x_l, x_r, f_l, f_r = float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j])
+        if x_r - x_l <= tol or x_r - x_l >= width:
+            break
+        width = x_r - x_l
+        xs = np.linspace(x_l, x_r, CROSSING_POINTS)
+        ys = np.asarray(f.evaluate(xs), dtype=float)
+    value = max(hi - x_r, f_l) if increasing else max(x_l - lo, f_r)
+    return SugenoResult(min(max(value, 0.0), hi - lo), IntegralMethod.FIXED_POINT, x_r - x_l)
+
+
+def _require_non_negative(low: float, A: RealInterval) -> None:
+    if low < -1e-12:
+        raise NegativeFunction(f"integrand reaches {low:g} on [{A.lo:g}, {A.hi:g}]")
 
 
 def sugeno_integral(
@@ -182,29 +254,35 @@ def sugeno_integral(
 ) -> SugenoResult:
     """Integrate f over A, reporting which route produced the value.
 
-    ``method`` is "auto" (fixed point with sup-min fallback), "fixedpoint"
-    (no fallback; ``NoSignChange`` propagates) or "supmin" (oracle sweep).
-    The distribution strategy is closed-form inversion when f carries a
-    monotonicity hint, otherwise a grid scan of ``grid`` cells.
+    ``method`` is "auto" (the monotone crossing form when f carries a
+    monotonicity hint, else the exact sup-min of a ``grid``-cell sample),
+    "fixedpoint" (``sugeno_fixed_point`` on a closed-form or ``grid``-cell
+    distribution; ``NoSignChange`` propagates) or "supmin" (oracle sweep).
+    ``tol`` is the final crossing cell width of the monotone form and the
+    bisection tolerance of the fixed-point route.
     """
     if method not in ("auto", "fixedpoint", "supmin"):
         raise ValueError(f"unknown method {method!r}")
-    low = f.min_on(A)
-    if low < -1e-12:
-        raise NegativeFunction(f"integrand reaches {low:g} on [{A.lo:g}, {A.hi:g}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if method == "auto" and f.monotonicity is not Monotonicity.UNKNOWN:
+        xs = A.grid(CROSSING_POINTS)
+        ys = np.asarray(f.evaluate(xs), dtype=float)
+        _require_non_negative(float(np.min(ys)), A)
+        if float(np.max(ys)) <= 0.0:
+            return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
+        res = _monotone_crossing(f, A, xs, ys, tol)
+        return res if res is not None else sugeno_supmin_exact(f, A, grid)
+    _require_non_negative(f.min_on(A), A)
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
     if f.max_on(A) <= 0.0:
         # sampled sup is zero: every positive level set is empty
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
+    if method == "auto":
+        return sugeno_supmin_exact(f, A, grid)
     if f.monotonicity is Monotonicity.UNKNOWN:
         strategy: MonotoneClosedForm | GridScan = GridScan(grid)
     else:
         strategy = MonotoneClosedForm()
-    profile = DistributionProfile(f, A, strategy)
-    try:
-        return sugeno_fixed_point(profile, tol)
-    except NoSignChange:
-        if method == "fixedpoint":
-            raise
-        return sugeno_supmin_exact(f, A, grid)
+    return sugeno_fixed_point(DistributionProfile(f, A, strategy), tol)
