@@ -10,7 +10,6 @@ case dispatch, a small expression DSL, and a CLI that ties them together.
 from .measure import (
     GridScan,
     InvalidThreshold,
-    LebesgueMeasure,
     MeasureError,
     Monotonicity,
     MonotoneClosedForm,

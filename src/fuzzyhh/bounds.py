@@ -13,15 +13,16 @@ min(beta, L).  The equations consume only the scalars
 so the solvers are fully decoupled from function evaluation;
 ``verify_fuzzy_hh`` composes them with the integral.
 
-Power-mean route (r != 0), dispatched on the sign of r and on which endpoint
-is larger.  For r > 0:
+Power-mean route (r != 0), dispatched on which endpoint is larger.  The
+majorant ((1-t)*fa^r + t*fend^r)^(1/r) has level sets of measure
+L*(fend^r - beta^r)/(fend^r - fa^r) (increasing) or its complement
+(decreasing), for either sign of r, so:
 
     increasing (fend > fa):  beta*(fend^r - fa^r) + L*beta^r - L*fend^r = 0
     decreasing (fend < fa):  beta*(fend^r - fa^r) - L*beta^r + L*fa^r   = 0
 
-For r < 0 the two equations swap roles (increasing pairs with the fa-form,
-decreasing with the fend-form).  Equal endpoints collapse the majorant to a
-constant and the bound to min(fa, L) with no equation at all.
+The sign of r only picks the case label.  Equal endpoints collapse the
+majorant to a constant and the bound to min(fa, L) with no equation at all.
 
 Scaled-argument route (alpha, m in (0, 1]):
 
@@ -185,11 +186,14 @@ def solve_beta(
     """Bracketed bisection for G(beta) = 0; returns (root, residual, bracket).
 
     If G changes sign on the hint bracket the root is bisected there;
-    otherwise [0, scan_hi] is scanned in 10_000 equal cells for the first
-    sign change.  Endpoints where G is singular (e.g. beta**r at 0 for
-    r < 0) are nudged inward.  Bisection runs to machine precision, so the
-    reported residual is far below ``tol`` for well-scaled equations;
-    ``NoRoot`` is raised when no sign change exists anywhere on the scan.
+    otherwise G is evaluated once on the 10_001 points of [0, scan_hi]
+    (10_000 equal cells) and the first cell with an exact zero or a sign
+    change between finite values is bisected.  G must therefore evaluate
+    elementwise on a float64 array; non-finite values count as no value.
+    Endpoints where G is singular (e.g. beta**r at 0 for r < 0) are nudged
+    inward.  Bisection runs to machine precision, so the reported residual
+    is far below ``tol`` for well-scaled equations; ``NoRoot`` is raised when
+    no sign change exists anywhere on the scan.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -224,17 +228,23 @@ def solve_beta(
     # crossing, when one exists, is the root that matters.
 
     xs = np.linspace(0.0, scan_hi, SCAN_CELLS + 1)
-    gs = np.array([_eval_safe(G, x) for x in xs])
+    with np.errstate(all="ignore"):
+        gs = np.asarray(G(xs), dtype=float)
     finite = np.isfinite(gs)
-    for i in range(SCAN_CELLS):
-        if finite[i] and gs[i] == 0.0:
+    pos = gs > 0.0
+    # first cell whose left end is an exact zero or whose finite ends differ in sign
+    hits = np.flatnonzero(
+        (gs[:-1] == 0.0) | (finite[:-1] & finite[1:] & (pos[:-1] != pos[1:]))
+    )
+    if hits.size:
+        i = int(hits[0])
+        if gs[i] == 0.0:
             return float(xs[i]), 0.0, (float(xs[i]), float(xs[i + 1]))
-        if finite[i] and finite[i + 1] and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            root, residual = _bisect_cell(
-                G, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1])
-            )
-            return root, residual, (float(xs[i]), float(xs[i + 1]))
-    if finite[-1] and gs[-1] == 0.0:
+        root, residual = _bisect_cell(
+            G, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1])
+        )
+        return root, residual, (float(xs[i]), float(xs[i + 1]))
+    if gs[-1] == 0.0:
         return float(xs[-1]), 0.0, (float(xs[-2]), float(xs[-1]))
     raise NoRoot(
         f"no sign change on [0, {scan_hi:g}] ({SCAN_CELLS} cells): "
@@ -245,9 +255,10 @@ def solve_beta(
 def r_preinvex_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
     """Power-mean route bound: solve the dispatched case equation on [0, L].
 
-    Dispatch is on sign(r) and on which endpoint value is larger; equal
-    endpoints (within 1e-12) short-circuit to the constant-majorant bound
-    min(fa, L).  For r < 0 both endpoint values must be strictly positive.
+    Increasing endpoints take the fend-form equation and decreasing ones the
+    fa-form, for either sign of r; equal endpoints (within 1e-12)
+    short-circuit to the constant-majorant bound min(fa, L).  For r < 0 both
+    endpoint values must be strictly positive.
     """
     r = inputs.r
     if r is None:
@@ -272,12 +283,11 @@ def r_preinvex_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
     def g_a_form(b: float) -> float:
         return b * diff - eta * b**r + eta * far
 
+    G = g_end_form if increasing else g_a_form
     if r > 0:
         case = BoundCase.R_POS_INCREASING if increasing else BoundCase.R_POS_DECREASING
-        G = g_end_form if increasing else g_a_form
     else:
         case = BoundCase.R_NEG_INCREASING if increasing else BoundCase.R_NEG_DECREASING
-        G = g_a_form if increasing else g_end_form
 
     scan_hi = max(eta, fa, fend)
     beta, residual, bracket = solve_beta(G, (0.0, eta), tol, scan_hi=scan_hi)

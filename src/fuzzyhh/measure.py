@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "StrategyMismatch",
     "InvalidThreshold",
     "RealInterval",
-    "LebesgueMeasure",
     "Monotonicity",
     "ScalarFunction",
     "MonotoneClosedForm",
@@ -85,33 +84,6 @@ class RealInterval:
     def grid(self, n: int) -> np.ndarray:
         """``n`` evenly spaced points including both endpoints."""
         return np.linspace(self.lo, self.hi, n)
-
-
-class LebesgueMeasure:
-    """Length measure on real intervals and finite unions of them.
-
-    The instance is stateless; it exists so callers can pass "the measure"
-    around as a value.  Only interval-level machinery is supported.
-    """
-
-    def measure(self, interval: RealInterval) -> float:
-        return interval.length()
-
-    def measure_union(self, intervals: Sequence[RealInterval]) -> float:
-        """Measure of a finite union, overlaps counted once."""
-        spans = sorted((iv.lo, iv.hi) for iv in intervals)
-        total = 0.0
-        cur_lo = cur_hi = None
-        for lo, hi in spans:
-            if cur_hi is None or lo > cur_hi:
-                if cur_hi is not None:
-                    total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        if cur_hi is not None:
-            total += cur_hi - cur_lo
-        return total
 
 
 class Monotonicity(enum.Enum):

@@ -104,8 +104,9 @@ def sugeno_fixed_point(profile: DistributionProfile, tol: float = 1e-9) -> Sugen
     """Solve F(beta) = beta on [0, mu(A)] by bisection.
 
     Raises ``NoSignChange`` when the residual at the located crossing stays
-    macroscopic, which signals a jump of F across the diagonal (no fixed
-    point exists); callers should fall back to the sup-min form.
+    macroscopic even once the bracket is two adjacent floats, which signals
+    a jump of F across the diagonal (no fixed point exists); callers should
+    fall back to the sup-min form.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -127,21 +128,24 @@ def sugeno_fixed_point(profile: DistributionProfile, tol: float = 1e-9) -> Sugen
         )
     if g_hi == 0.0:
         return SugenoResult(hi, IntegralMethod.FIXED_POINT, 0.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    residual = abs(gap(root))
     plateau_tol = max(100.0 * tol, 8.0 * profile.resolution())
-    if residual > plateau_tol:
-        raise NoSignChange(
-            f"no fixed point: |F(b) - b| = {residual:.3g} at b = {root:.6g} "
-            "(distribution jumps across the diagonal)"
-        )
-    return SugenoResult(root, IntegralMethod.FIXED_POINT, residual)
+    # A steep F leaves a large gap at width tol too; only a bracket of two
+    # adjacent floats (width 0) tells it apart from a jump.
+    for width in (tol, 0.0):
+        while hi - lo > width and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        root = 0.5 * (lo + hi)
+        residual = abs(gap(root))
+        if residual <= plateau_tol:
+            return SugenoResult(root, IntegralMethod.FIXED_POINT, residual)
+    raise NoSignChange(
+        f"no fixed point: |F(b) - b| = {residual:.3g} at b = {root:.6g} "
+        "(distribution jumps across the diagonal)"
+    )
 
 
 def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
@@ -178,7 +182,8 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
 
     so no threshold sweep (and no sweep resolution loss) is involved.  The
     grid form of ``sugeno_integral``; e.g. constants come out exactly
-    min(k, mu).
+    min(k, mu).  Raises ``NegativeFunction`` when the smallest sample is
+    below -1e-12.
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
@@ -186,6 +191,7 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
+    _require_non_negative(float(values[0]), A)
     return SugenoResult(max(_sorted_supmin(values, mu), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
 
 

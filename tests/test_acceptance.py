@@ -228,12 +228,29 @@ def test_criterion_6_tight_family_margins_and_residuals():
             g = beta * (fend**r - fa**r) - eta * beta**r + eta * fa**r
         worst_residual = max(worst_residual, abs(g))
         assert abs(g) <= 1e-9
+    # r < 0 and falling families: the bound is the Sugeno integral of the
+    # majorant ((1-t)*fa^r + t*fend^r)^(1/r), integrated as a function of its own
+    worst_gap = 0.0
+    for k in range(100):
+        r = rng.uniform(0.25, 3.0) * (-1.0 if k % 4 >= 2 else 1.0)
+        c = rng.uniform(0.05, 1.0) * (-1.0 if k % 2 else 1.0)
+        d = max(0.0, -c) + rng.uniform(0.05, 1.0)  # c*x + d >= 0.05 on [0, 1]
+        f = affine_root_function(c, d, r, UNIT)
+        rep = verify_fuzzy_hh(f, iv, r=r)
+        fa, fend = float(f(0.0)), float(f(1.0))
+        majorant = affine_root_function(fend**r - fa**r, fa**r, r, UNIT)
+        expected = sugeno_integral(majorant, UNIT)
+        gap = abs(rep.bound.bound - expected.value)
+        worst_margin = min(worst_margin, rep.margin)
+        worst_gap = max(worst_gap, gap)
+        assert rep.margin >= -1e-6 and gap <= 1e-9 + expected.residual
     elapsed = time.monotonic() - t0
     ok = worst_margin >= -1e-6 and worst_residual <= 1e-9 and elapsed < 60.0
     report(
-        "6 (exactly-tight family, 100 functions)",
+        "6 (exactly-tight family, 200 functions)",
         ok,
-        f"worst margin={worst_margin:.2e}, worst residual={worst_residual:.2e}, {elapsed:.1f}s",
+        f"worst margin={worst_margin:.2e}, worst residual={worst_residual:.2e}, "
+        f"worst majorant gap={worst_gap:.2e}, {elapsed:.1f}s",
     )
 
 

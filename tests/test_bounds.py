@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fuzzyhh import bounds
 from fuzzyhh.bounds import (
+    SCAN_CELLS,
     BoundCase,
     BoundInputs,
     MissingScaledValue,
@@ -14,6 +16,8 @@ from fuzzyhh.bounds import (
     classical_hh_r_rhs,
     r_preinvex_bound,
     solve_beta,
+    _bisect_cell,
+    _eval_safe,
     verify_fuzzy_hh,
 )
 from fuzzyhh.convexity import DomainEscape, InvexInterval
@@ -54,6 +58,96 @@ def scan_root(g, lo, hi, cells=200_000):
     raise AssertionError("oracle scan found no root")
 
 
+def majorant_integral(fa, fend, L, r):
+    """Sugeno integral of ((1-t)*fa^r + t*fend^r)^(1/r) on [0, L], t = x/L.
+
+    M^r is affine in t, so M is monotone towards the larger endpoint for
+    either sign of r and {M >= b} is an end segment of [0, L] whose share is
+    read off M^r; the integral is sup{b in [0, L] : F(b) >= b}.
+    """
+
+    def F(b):
+        if b <= min(fa, fend):
+            return L
+        if b > max(fa, fend):
+            return 0.0
+        share = (b**r - fa**r) / (fend**r - fa**r)  # t where M(t) = b
+        return L * (1.0 - share if fend > fa else share)
+
+    if F(L) >= L:
+        return L
+    lo, hi = 0.0, L
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if F(mid) >= mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class _ScanReached(Exception):
+    pass
+
+
+def per_point_solve(G, bracket_hint, tol=1e-9, scan_hi=None):
+    """``solve_beta`` with its scan done the old way, one scalar call per point.
+
+    The hint path is ``solve_beta``'s own (a G that refuses arrays stops it
+    where the scan begins); the scan walks the cells in a Python loop.
+    """
+
+    def scalar_only(b):
+        if np.ndim(b):
+            raise _ScanReached
+        return G(b)
+
+    try:
+        return solve_beta(scalar_only, bracket_hint, tol, scan_hi)
+    except _ScanReached:
+        pass
+    xs = np.linspace(0.0, bracket_hint[1] if scan_hi is None else scan_hi, SCAN_CELLS + 1)
+    gs = np.array([_eval_safe(G, x) for x in xs])
+    finite = np.isfinite(gs)
+    for i in range(SCAN_CELLS):
+        if finite[i] and gs[i] == 0.0:
+            return float(xs[i]), 0.0, (float(xs[i]), float(xs[i + 1]))
+        if finite[i] and finite[i + 1] and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
+            cell = (float(xs[i]), float(xs[i + 1]))
+            return (*_bisect_cell(G, *cell, float(gs[i]), float(gs[i + 1])), cell)
+    if finite[-1] and gs[-1] == 0.0:
+        return float(xs[-1]), 0.0, (float(xs[-2]), float(xs[-1]))
+    raise NoRoot("no sign change")
+
+
+def _bound_draw(rng):
+    """Endpoint scalars over both routes, r of both signs, saturated and NoRoot."""
+    L = rng.uniform(0.3, 2.0)
+    top = rng.choice([1.0, 3.0])  # 3: endpoints may pass L, the bound saturates
+    fa, fend = rng.uniform(0.0, top, size=2) * L
+    if rng.uniform() < 0.1:
+        fend = fa
+    if rng.uniform() < 0.5:
+        r = rng.choice([1.0, -1.0]) * rng.uniform(0.25, 3.0)
+        if r < 0:
+            fa, fend = fa + 0.05, fend + 0.05
+        return BoundInputs(fa=fa, fend=fend, eta_len=L, r=r)
+    m = rng.uniform(0.1, 1.0)
+    if fa > fend and rng.uniform() < 0.2:
+        m = fend / fa
+    fscaled = rng.uniform(0.0, 3.0) * L / m
+    return BoundInputs(fa=fa, fend=fend, eta_len=L, alpha=rng.uniform(0.1, 1.0), m=m,
+                       fscaled=fscaled)
+
+
+def _outcome(inputs):
+    solver = r_preinvex_bound if inputs.r is not None else alpha_m_bound
+    try:
+        return repr(solver(inputs))
+    except NoRoot:
+        return "NoRoot"
+
+
 class TestSolveBeta:
     def test_linear(self):
         for c in (0.0, 0.3, 0.99):
@@ -80,6 +174,43 @@ class TestSolveBeta:
     def test_no_root_raises(self):
         with pytest.raises(NoRoot):
             solve_beta(lambda b: b * b + 1.0, (0.0, 1.0), scan_hi=2.0)
+
+    def test_missed_hint_makes_one_array_call(self):
+        sizes = []
+
+        def G(b):
+            sizes.append(np.shape(b))
+            return b - 1.5
+
+        root, _, _ = solve_beta(G, (0.0, 1.0), scan_hi=3.0)
+        assert root == pytest.approx(1.5, abs=1e-12)
+        # both hint ends, the whole scan at once, then scalar bisection
+        assert sizes[:3] == [(), (), (SCAN_CELLS + 1,)]
+        assert SCAN_CELLS + 1 == 10_001
+        assert len(sizes) > 3 and all(shape == () for shape in sizes[3:])
+
+    def test_scan_skips_non_finite_values(self):
+        # inf at 0, NaN (negative base) past 1; the zero sits between them
+        root, _, _ = solve_beta(
+            lambda b: 1.0 / b + np.sqrt(1.0 - b) - 2.0, (0.9, 1.0), scan_hi=2.0
+        )
+        expected = scan_root(lambda b: 1.0 / b + math.sqrt(1.0 - b) - 2.0, 1e-9, 1.0)
+        assert root == pytest.approx(expected, abs=1e-12)
+
+    def test_scan_equals_the_per_point_scan(self):
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for _ in range(250):
+                inputs = _bound_draw(rng)
+                mp.setattr(bounds, "solve_beta", solve_beta)
+                fast = _outcome(inputs)
+                mp.setattr(bounds, "solve_beta", per_point_solve)
+                assert _outcome(inputs) == fast, inputs
+                outcomes.add("NoRoot" if fast == "NoRoot" else fast.split("'")[1])
+        # every route, both signs of r, and NoRoot were drawn
+        assert {"r-pos-increasing", "r-neg-decreasing", "am-increasing",
+                "am-decreasing-large-m", "NoRoot"} <= outcomes
 
     def test_first_root_wins_on_scan(self):
         # zeros at 0.25 and 0.75; the scan must return the first
@@ -117,23 +248,46 @@ class TestPowerMeanRoute:
         assert res.beta == pytest.approx(expected, abs=1e-9)
 
     def test_negative_r_decreasing_closed_form(self):
-        # fa=1.2, fend=1, r=-1, eta=2: b/6 + 2/b - 2 = 0 -> b = 6 - sqrt(24)
+        # fa=1.2, fend=1, r=-1, eta=2: the majorant 1/((1-t)/1.2 + t) falls,
+        # {M >= b} = {t <= (1/b - 1/1.2)/(1 - 1/1.2)} has measure 12/b - 10,
+        # and b = 12/b - 10 gives b^2 + 10b - 12 = 0 -> b = sqrt(37) - 5
         res = r_preinvex_bound(BoundInputs(fa=1.2, fend=1.0, eta_len=2.0, r=-1.0))
         assert res.case is BoundCase.R_NEG_DECREASING
-        assert res.beta == pytest.approx(6.0 - math.sqrt(24.0), abs=1e-9)
-        assert res.bound == pytest.approx(6.0 - math.sqrt(24.0), abs=1e-9)
+        assert res.beta == pytest.approx(math.sqrt(37.0) - 5.0, abs=1e-9)
+        assert res.bound == pytest.approx(math.sqrt(37.0) - 5.0, abs=1e-9)
 
     def test_negative_r_increasing_against_scan(self):
+        # the majorant (1 - t + t/1.21)^(-1/2) rises; its level set measures
+        # 2*(1.1^-2 - b^-2)/(1.1^-2 - 1), so b*d + 2*b^-2 - 2*1.1^-2 = 0
         inputs = BoundInputs(fa=1.0, fend=1.1, eta_len=2.0, r=-2.0)
         res = r_preinvex_bound(inputs)
         assert res.case is BoundCase.R_NEG_INCREASING
         d = 1.1**-2 - 1.0
-        expected = scan_root(lambda b: b * d - 2.0 * b**-2 + 2.0, 1e-6, 2.0)
+        expected = scan_root(lambda b: b * d + 2.0 * b**-2 - 2.0 * 1.1**-2, 1e-6, 2.0)
+        assert expected == pytest.approx(1.0442407, abs=1e-7)
         assert res.beta == pytest.approx(expected, abs=1e-9)
 
-    def test_negative_r_no_root_regime(self):
-        with pytest.raises(NoRoot):
-            r_preinvex_bound(BoundInputs(fa=1.0, fend=2.0, eta_len=1.0, r=-1.0))
+    def test_negative_r_saturates_at_path_length(self):
+        # the majorant 1/(1 - t/2) is at least 1 = L on all of [0, 1]
+        res = r_preinvex_bound(BoundInputs(fa=1.0, fend=2.0, eta_len=1.0, r=-1.0))
+        assert res.case is BoundCase.R_NEG_INCREASING
+        assert res.bound == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_r_increasing_two_thirds(self):
+        # 1/(2 - 1.5t) >= b on a share (2 - 1/b)/1.5 of [0, 1]: 3b^2 + b - 2 = 0
+        res = r_preinvex_bound(BoundInputs(fa=0.5, fend=2.0, eta_len=1.0, r=-1.0))
+        assert res.bound == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_the_majorant_integral(self, sign):
+        rng = np.random.default_rng(17 if sign > 0 else 18)
+        for _ in range(300):
+            r = sign * rng.uniform(0.25, 3.0)
+            L = rng.uniform(0.3, 2.0)
+            fa, fend = rng.uniform(0.05, 2.5, size=2) * L
+            res = r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=L, r=r))
+            expected = majorant_integral(fa, fend, L, r)
+            assert res.bound == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
 
     def test_r_zero_rejected(self):
         with pytest.raises(RZero):

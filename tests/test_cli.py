@@ -6,6 +6,7 @@ import math
 import pytest
 from jsonschema import validate
 
+from fuzzyhh import bounds
 from fuzzyhh.cli import main
 
 # The stable report contract: field names and types; extra fields are allowed.
@@ -91,6 +92,24 @@ class TestIntegrate:
         assert code == 1
         assert "integrand" in err
 
+    def test_negative_between_the_guard_points_exits_one(self, capsys):
+        # every point of the 4097-point guard grid is a zero of the sine; the
+        # 1e6-point sample of the grid form reaches -0.1998
+        code, _, err = run(
+            capsys, "integrate", "-f", "x/2 + 0.2*sin(3.141592653589793*4096*x)",
+            "-a", "0", "-b", "1",
+        )
+        assert code == 1
+        assert "integrand reaches -0.19" in err
+
+    def test_steep_distribution_fixedpoint(self, capsys):
+        code, report, _ = run_json(
+            capsys, "integrate", "-f", "0.0001*x+0.5", "-a", "0", "-b", "1",
+            "--method", "fixedpoint",
+        )
+        assert code == 0
+        assert report["result"]["integral"] == pytest.approx(0.5001 / 1.0001, abs=1e-9)
+
     def test_json_output_reparses_losslessly(self, capsys):
         code, out, _ = run(
             capsys, "integrate", "-f", "x^2/2", "-a", "0", "-b", "1", "--format", "json"
@@ -172,11 +191,25 @@ class TestBound:
         assert report["result"]["bound"] == pytest.approx(0.75, abs=1e-4)
         assert report["result"]["case"] == "am-increasing"
 
-    def test_no_root_exits_three(self, capsys):
-        # fa = 1, fend = 2 with r = -1 sits outside every case's regime
+    def test_no_root_exits_three(self, capsys, monkeypatch):
+        # no input of either route is known to leave the case equation without
+        # a root, so the solver is made to report one
+        def no_root(*args, **kwargs):
+            raise bounds.NoRoot("no sign change on [0, 1]")
+
+        monkeypatch.setattr(bounds, "solve_beta", no_root)
         code, _, err = run(capsys, "bound", "-f", "1+x", "-a", "0", "-b", "1", "--r", "-1")
         assert code == 3
         assert "no root" in err.lower()
+
+    def test_negative_r_saturates(self, capsys):
+        # fa = 1, fend = 2, r = -1: the majorant 1/(1 - t/2) is >= 1 = L everywhere
+        code, report, _ = run_json(
+            capsys, "bound", "-f", "1+x", "-a", "0", "-b", "1", "--r", "-1"
+        )
+        assert code == 0
+        assert report["result"]["case"] == "r-neg-increasing"
+        assert report["result"]["bound"] == pytest.approx(1.0, abs=1e-9)
 
     def test_route_required(self, capsys):
         code, _, err = run(capsys, "bound", "-f", "x^2", "-a", "0", "-b", "1")

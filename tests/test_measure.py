@@ -9,7 +9,6 @@ from fuzzyhh.measure import (
     DistributionProfile,
     GridScan,
     InvalidThreshold,
-    LebesgueMeasure,
     Monotonicity,
     MonotoneClosedForm,
     RealInterval,
@@ -36,26 +35,6 @@ class TestRealInterval:
     def test_midpoints_cover_cells(self):
         mids = RealInterval(0.0, 1.0).midpoints(4)
         assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])
-
-
-class TestLebesgueMeasure:
-    def test_interval_lengths(self):
-        mu = LebesgueMeasure()
-        assert mu.measure(RealInterval(0.0, 1.0)) == 1.0
-        assert mu.measure(RealInterval(2.0, 2.0)) == 0.0
-        assert mu.measure(RealInterval(0.25, 0.75)) == 0.5
-
-    def test_union_counts_overlaps_once(self):
-        mu = LebesgueMeasure()
-        parts = [RealInterval(0.0, 0.5), RealInterval(0.25, 0.75), RealInterval(2.0, 2.5)]
-        assert mu.measure_union(parts) == pytest.approx(1.25, abs=1e-15)
-        assert mu.measure_union([]) == 0.0
-
-    def test_union_monotone_under_nesting(self):
-        mu = LebesgueMeasure()
-        inner = [RealInterval(0.1, 0.2), RealInterval(0.4, 0.5)]
-        outer = inner + [RealInterval(0.7, 0.9)]
-        assert mu.measure_union(inner) <= mu.measure_union(outer)
 
 
 class TestClosedFormDistribution:

@@ -80,6 +80,18 @@ class TestFixedPoint:
         with pytest.raises(NoSignChange):
             sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()))
 
+    def test_steep_distribution_is_not_a_jump(self):
+        # F(b) = 1 - (b - 0.5)/1e-4 on [0.5, 0.5001] falls with slope -1e4, so
+        # at width tol the gap is still 1e-5; b = F(b) gives b = 0.5001/1.0001
+        f = function_from_expression("0.0001*x + 0.5", UNIT)
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()))
+        assert res.value == pytest.approx(0.5001 / 1.0001, abs=1e-9)
+        assert res.value == pytest.approx(0.5000499950, abs=1e-9)
+        for k in (0.3, 0.999):  # constants below L still jump across the diagonal
+            with pytest.raises(NoSignChange):
+                sugeno_fixed_point(DistributionProfile(constant_function(k, UNIT), UNIT,
+                                                       MonotoneClosedForm()))
+
     def test_grid_backed_profile_agrees(self):
         f = function_from_expression("x^4/2", UNIT)
         res = sugeno_fixed_point(DistributionProfile(f, UNIT, GridScan(10**6)))
@@ -104,6 +116,15 @@ class TestSupmin:
     def test_exact_grid_variant_is_exact_for_constants(self):
         assert sugeno_supmin_exact(constant_function(0.3, UNIT), UNIT, 10**5).value == 0.3
         assert sugeno_supmin_exact(constant_function(2.0, UNIT), UNIT, 10**5).value == 1.0
+
+    def test_exact_grid_rejects_negative_samples(self):
+        # zero at every point of the 4097-point guard grid, -0.1998 between them
+        f = function_from_expression("x/2 + 0.2*sin(3.141592653589793*4096*x)", UNIT)
+        assert f.min_on(UNIT) >= -1e-12
+        with pytest.raises(NegativeFunction, match="-0.19"):
+            sugeno_supmin_exact(f, UNIT)
+        with pytest.raises(NegativeFunction):
+            sugeno_integral(f, UNIT)
 
     def test_rejects_tiny_threshold_count(self):
         with pytest.raises(ValueError):
