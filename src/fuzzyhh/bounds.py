@@ -258,7 +258,8 @@ def r_preinvex_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
     Increasing endpoints take the fend-form equation and decreasing ones the
     fa-form, for either sign of r; equal endpoints (within 1e-12)
     short-circuit to the constant-majorant bound min(fa, L).  For r < 0 both
-    endpoint values must be strictly positive.
+    endpoint values must be strictly positive.  Raises ``ValueError`` when
+    fa**r or fend**r overflows float64 (e.g. fa = 1e-120 with r = -3).
     """
     r = inputs.r
     if r is None:
@@ -273,7 +274,12 @@ def r_preinvex_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
         bound = min(fa, eta)
         return BoundResult(fa, bound, BoundCase.DEGENERATE, 0.0, (fa, fa))
 
-    far, fendr = fa**r, fend**r
+    try:
+        far, fendr = fa**r, fend**r
+    except OverflowError:
+        raise ValueError(
+            f"endpoint values fa={fa:g}, fend={fend:g} raised to r={r:g} overflow float64"
+        ) from None
     diff = fendr - far
     increasing = fend > fa
 

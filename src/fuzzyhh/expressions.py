@@ -10,6 +10,9 @@ unary minus, then * and /, then + and -):
     atom   := NUMBER | 'x' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 Known functions: sin, cos, exp, log, sqrt, abs, pow(base, exponent).
+``compile_expression`` compiles the tree once into numpy closures, with
+constant subtrees folded and the domain checks a constant operand makes
+vacuous left out; ``function_from_expression`` and ``evaluate`` both use it.
 Evaluation accepts floats and numpy arrays and is total on the declared
 domain or raises ``EvalError`` (log of a non-positive value, division by
 zero, fractional powers of negatives, overflow).  ``to_source`` prints a
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +39,7 @@ __all__ = [
     "Call",
     "parse_expression",
     "to_source",
+    "compile_expression",
     "evaluate",
     "function_from_expression",
     "detect_monotonicity",
@@ -281,70 +286,147 @@ def to_source(node: Node) -> str:
 
 
 # -- evaluation --------------------------------------------------------------
+#
+# The AST is compiled once into nested closures over numpy ufuncs.  A subtree
+# without x is folded into its value, or into a closure that raises its
+# EvalError, so a bad constant still fails when the expression is evaluated
+# and in tree order.  A closure whose result is a new array lets its parent
+# write into that array; x and constants are never written.
 
 
-def _safe_pow(base, exponent):
-    if np.any((base == 0) & (exponent < 0)):
-        raise EvalError("zero raised to a negative power")
-    if np.any(base < 0):
-        frac = exponent != np.floor(exponent)
-        if np.any((base < 0) & frac):
-            raise EvalError("negative base raised to a fractional power")
-    return np.power(base, exponent)
+class _Code(NamedTuple):
+    run: Callable  # x -> np.float64 or array
+    value: np.float64 | None = None  # the folded value of a subtree without x
+    xfree: bool = False  # no x below: the subtree is folded
+    owned: bool = False  # run returns a new array for array x
 
 
-def _ev(node: Node, x):
+def _const(value) -> _Code:
+    return _Code(lambda x: value, value=value, xfree=True)
+
+
+def _raiser(message: str) -> _Code:
+    def run(x):
+        raise EvalError(message)
+
+    return _Code(run, xfree=True)
+
+
+def _check(test, message: str):
+    """A domain check raising ``EvalError(message)`` where ``test`` holds anywhere."""
+
+    def check(*vals):
+        if test(*vals).any():
+            raise EvalError(message)
+
+    return check
+
+
+def _fractional_power_of_negative(base, exponent):
+    neg = base < 0
+    if np.any(neg) and np.any(neg & (exponent != np.floor(exponent))):
+        raise EvalError("negative base raised to a fractional power")
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_DOMAIN = {
+    "log": _check(lambda u: u <= 0, "log of a non-positive value"),
+    "sqrt": _check(lambda u: u < 0, "sqrt of a negative value"),
+}
+_ZERO_DIVISOR = _check(lambda u, v: v == 0, "division by zero")
+_ZERO_TO_NEGATIVE = _check(lambda u, v: (u == 0) & (v < 0), "zero raised to a negative power")
+
+
+def _may(code: _Code, test) -> bool:
+    """Whether ``test`` can hold for the operand: not provably false for a constant."""
+    return code.value is None or bool(test(code.value))
+
+
+def _apply(ufunc, args: tuple[_Code, ...], checks=()) -> _Code:
+    """``ufunc`` over the operands, after the domain checks, into the first
+    owned array operand if there is one."""
+    runs = [a.run for a in args]
+    owned = [i for i, a in enumerate(args) if a.owned]
+    into = owned[0] if owned else None
+
+    def run(x):
+        vals = [r(x) for r in runs]
+        for check in checks:
+            check(*vals)
+        if into is not None and type(vals[into]) is np.ndarray:
+            return ufunc(*vals, out=vals[into])
+        return ufunc(*vals)
+
+    return _Code(run, None, all([a.xfree for a in args]), True)
+
+
+def _power(base: _Code, exponent: _Code) -> _Code:
+    checks = []
+    if _may(base, lambda b: b == 0) and _may(exponent, lambda e: e < 0):
+        checks.append(_ZERO_TO_NEGATIVE)
+    if _may(base, lambda b: b < 0) and _may(exponent, lambda e: e != np.floor(e)):
+        checks.append(_fractional_power_of_negative)
+    return _apply(np.power, (base, exponent), tuple(checks))
+
+
+def _compile(node: Node) -> _Code:
     if isinstance(node, Num):
-        return np.float64(node.value)
+        return _const(np.float64(node.value))
     if isinstance(node, Var):
-        return x
+        return _Code(lambda x: x)
     if isinstance(node, Unary):
-        return -_ev(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _ev(node.left, x)
-        right = _ev(node.right, x)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(right == 0):
-                raise EvalError("division by zero")
-            return left / right
-        return _safe_pow(left, right)
-    assert isinstance(node, Call)
-    args = [_ev(a, x) for a in node.args]
-    if node.func == "sin":
-        return np.sin(args[0])
-    if node.func == "cos":
-        return np.cos(args[0])
-    if node.func == "exp":
-        return np.exp(args[0])
-    if node.func == "log":
-        if np.any(args[0] <= 0):
-            raise EvalError("log of a non-positive value")
-        return np.log(args[0])
-    if node.func == "sqrt":
-        if np.any(args[0] < 0):
-            raise EvalError("sqrt of a negative value")
-        return np.sqrt(args[0])
-    if node.func == "abs":
-        return np.abs(args[0])
-    return _safe_pow(args[0], args[1])
+        code = _apply(np.negative, (_compile(node.operand),))
+    elif isinstance(node, BinOp):
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op == "^":
+            code = _power(left, right)
+        else:
+            divides = node.op == "/" and _may(right, lambda v: v == 0)
+            code = _apply(_BINARY[node.op], (left, right), (_ZERO_DIVISOR,) if divides else ())
+    else:
+        assert isinstance(node, Call)
+        args = tuple(_compile(a) for a in node.args)
+        if node.func == "pow":
+            code = _power(*args)
+        else:
+            check = _DOMAIN.get(node.func)
+            code = _apply(_CALLS[node.func], args, (check,) if check else ())
+    if not code.xfree:
+        return code
+    try:
+        return _const(code.run(np.float64(0.0)))  # under compile_expression's errstate
+    except EvalError as exc:
+        return _raiser(str(exc))
+
+
+def compile_expression(node: Node) -> Callable:
+    """Compile an AST into ``ev(x)`` for a float or numpy array.
+
+    ``ev`` returns a float for a scalar and an array of x's shape otherwise,
+    and raises ``EvalError`` where the expression is not evaluable,
+    including any non-finite result.  It never writes into x.
+    """
+    with np.errstate(all="ignore"):
+        run, _, _, fresh = _compile(node)
+
+    def ev(x):
+        scalar = np.ndim(x) == 0
+        arr = np.float64(x) if scalar else np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = run(arr)
+        if not (fresh and type(out) is np.ndarray):  # x itself or a constant: a read-only view
+            out = np.broadcast_to(np.asarray(out, dtype=float), np.shape(arr))
+        if not np.isfinite(out).all():
+            raise EvalError("expression produced a non-finite value (overflow?)")
+        return float(out) if scalar else out
+
+    return ev
 
 
 def evaluate(node: Node, x):
     """Evaluate at a float or numpy array; result broadcasts to x's shape."""
-    scalar = np.ndim(x) == 0
-    arr = np.float64(x) if scalar else np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _ev(node, arr)
-    out = np.broadcast_to(np.asarray(out, dtype=float), np.shape(arr))
-    if not np.all(np.isfinite(out)):
-        raise EvalError("expression produced a non-finite value (overflow?)")
-    return float(out) if scalar else out
+    return compile_expression(node)(x)
 
 
 def detect_monotonicity(ev, domain: RealInterval, n: int = 2049) -> Monotonicity:
@@ -367,9 +449,6 @@ def function_from_expression(
     expression is not evaluable across the declared domain.
     """
     ast = parse_expression(src)
-
-    def ev(x):
-        return evaluate(ast, x)
-
+    ev = compile_expression(ast)
     hint = detect_monotonicity(ev, domain)
     return ScalarFunction(domain=domain, evaluate=ev, monotonicity=hint, name=name or to_source(ast))

@@ -15,9 +15,13 @@ finds that sup as one crossing search in one of two forms:
   declared monotonicity hands the call over to the grid form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
-  midpoint-sampled function, ``sugeno_supmin_exact``: the n-point sample is
-  sorted once and the crossing of the sorted sample with the levels
-  j * mu / n is binary-searched.  ``residual`` is the cell measure mu / n.
+  midpoint-sampled function, ``sugeno_supmin_exact``: the crossing of the
+  n-point sample, in descending order, with the levels j * mu / n is
+  selected: a sorted subsample brackets it, and only the samples inside the
+  bracket are sorted and binary-searched.  Where the bracket cannot be
+  proved (ties, plateaus, aliasing, tiny n) the whole sample is sorted.
+  Either way the result is the same float.  ``residual`` is the cell
+  measure mu / n.
 
 Two more routes stay as oracles and as opt-in methods:
 
@@ -36,6 +40,7 @@ Everything here is pure and re-entrant; results are deterministic.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +68,14 @@ __all__ = [
 ]
 
 #: Points per round of the monotone crossing search; the first round's grid
-#: is also the point set of ``ScalarFunction.min_on`` and ``max_on``.
+#: is also the sample of every route's sign checks.
 CROSSING_POINTS = 4097
+
+#: Every SUBSAMPLE_STRIDE-th sample of the grid form estimates the crossing
+#: rank, and the subsample values SUBSAMPLE_MARGIN ranks to either side of the
+#: estimate bracket it (``_selected_supmin``).
+SUBSAMPLE_STRIDE = 256
+SUBSAMPLE_MARGIN = 8
 
 
 class SugenoError(Exception):
@@ -182,7 +193,9 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
 
     so no threshold sweep (and no sweep resolution loss) is involved.  The
     grid form of ``sugeno_integral``; e.g. constants come out exactly
-    min(k, mu).  Raises ``NegativeFunction`` when the smallest sample is
+    min(k, mu).  The crossing is selected without sorting the whole sample
+    (``_selected_supmin``) where a bracket can be proved, else found in the
+    sorted sample.  Raises ``NegativeFunction`` when the smallest sample is
     below -1e-12.
     """
     if n < 1:
@@ -190,9 +203,17 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
-    _require_non_negative(float(values[0]), A)
-    return SugenoResult(max(_sorted_supmin(values, mu), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+    values = np.asarray(f.evaluate(A.midpoints(n)), dtype=float)
+    low = float(np.min(values))
+    best = None
+    if not math.isnan(low):  # with a NaN sample, np.min returns it; the sort puts it last
+        _require_non_negative(low, A)
+        best = _selected_supmin(values, mu)
+    if best is None:
+        values = np.sort(values)
+        _require_non_negative(float(values[0]), A)
+        best = _sorted_supmin(values, mu)
+    return SugenoResult(max(best, 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
 
 
 def _sorted_supmin(values: np.ndarray, mu: float) -> float:
@@ -203,19 +224,61 @@ def _sorted_supmin(values: np.ndarray, mu: float) -> float:
     of the last level inside the prefix and the first sample past it, which
     are the same floats the full elementwise minimum would pick.
     """
-    desc = values[::-1]
-    n = desc.size
-    k, past = 0, n
+    return _window_supmin(values[::-1], 0, mu, values.size)
+
+
+def _window_supmin(desc: np.ndarray, first: int, mu: float, n: int) -> float:
+    """``_sorted_supmin`` from the descending sample's ranks first .. first + desc.size - 1.
+
+    The prefix of ranks with v_j >= level must end inside the window, or at n.
+    """
+    k = _prefix_end(desc, first, mu, n)
+    best = (k / n) * mu if k else -np.inf
+    if k < n:
+        best = max(best, float(desc[k - first]))
+    return float(best)
+
+
+def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
+    """Binary search for k, the end of the prefix of (0-based) ranks j with
+    v_j >= (j + 1) * mu / n, where ``desc`` holds v_first, v_first+1, ..."""
+    k, past = first, first + desc.size
     while k < past:
         mid = (k + past) // 2
-        if desc[mid] >= ((mid + 1) / n) * mu:
+        if desc[mid - first] >= ((mid + 1) / n) * mu:
             k = mid + 1
         else:
             past = mid
-    best = (k / n) * mu if k else -np.inf
-    if k < n:
-        best = max(best, float(desc[k]))
-    return float(best)
+    return k
+
+
+def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
+    """``_sorted_supmin(np.sort(values), mu)`` without the full sort, or None.
+
+    A sampling select (Floyd & Rivest, CACM 1975): the sorted subsample
+    ``values[::SUBSAMPLE_STRIDE]`` estimates the crossing rank, its values
+    ``SUBSAMPLE_MARGIN`` ranks to either side bracket the crossing, and only
+    the samples inside the bracket are sorted.  The bracket is used only when
+    the comparisons prove that the prefix of ``_sorted_supmin`` ends inside
+    it and it holds at most half the sample; ties, plateaus, aliasing on the
+    stride and tiny samples can fail that, and then None asks for the sort.
+    """
+    n = values.size
+    sub = np.sort(values[::SUBSAMPLE_STRIDE])[::-1]
+    i = _prefix_end(sub, 0, mu, sub.size)
+    top = sub[i - SUBSAMPLE_MARGIN] if i >= SUBSAMPLE_MARGIN else np.inf
+    bottom = sub[i + SUBSAMPLE_MARGIN] if i + SUBSAMPLE_MARGIN < sub.size else -np.inf
+    above = values > top
+    a = int(np.count_nonzero(above))  # the window starts at rank a ...
+    inside = values >= bottom
+    b = int(np.count_nonzero(inside))  # ... and ends before rank b
+    # v_(a-1) > top >= its level, and v_(b-1) = bottom (a sample) < its level
+    reached = a == 0 or top >= (a / n) * mu
+    stopped = b == n or bottom < (b / n) * mu
+    if not (reached and stopped and 2 * (b - a) <= n):
+        return None
+    inside ^= above
+    return _window_supmin(np.sort(values[inside])[::-1], a, mu, n)
 
 
 def _monotone_crossing(
@@ -271,21 +334,20 @@ def sugeno_integral(
         raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method == "auto" and f.monotonicity is not Monotonicity.UNKNOWN:
-        xs = A.grid(CROSSING_POINTS)
-        ys = np.asarray(f.evaluate(xs), dtype=float)
-        _require_non_negative(float(np.min(ys)), A)
-        if float(np.max(ys)) <= 0.0:
-            return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-        res = _monotone_crossing(f, A, xs, ys, tol)
-        return res if res is not None else sugeno_supmin_exact(f, A, grid)
-    _require_non_negative(f.min_on(A), A)
+    # one guard sample: the sign checks of every route and the monotone form's first round
+    xs = A.grid(CROSSING_POINTS)
+    ys = np.asarray(f.evaluate(xs), dtype=float)
+    _require_non_negative(float(np.min(ys)), A)
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
-    if f.max_on(A) <= 0.0:
+    if float(np.max(ys)) <= 0.0:
         # sampled sup is zero: every positive level set is empty
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     if method == "auto":
+        if f.monotonicity is not Monotonicity.UNKNOWN:
+            res = _monotone_crossing(f, A, xs, ys, tol)
+            if res is not None:
+                return res
         return sugeno_supmin_exact(f, A, grid)
     if f.monotonicity is Monotonicity.UNKNOWN:
         strategy: MonotoneClosedForm | GridScan = GridScan(grid)

@@ -297,6 +297,11 @@ class TestPowerMeanRoute:
         with pytest.raises(ValueError):
             r_preinvex_bound(BoundInputs(fa=0.0, fend=0.5, eta_len=1.0, r=-1.0))
 
+    def test_endpoint_powers_that_overflow_are_a_value_error(self):
+        # 1e-120 ** -3 = 1e360 is past float64: a usage error, not an OverflowError
+        with pytest.raises(ValueError, match="overflow"):
+            r_preinvex_bound(BoundInputs(fa=1e-120, fend=1.0, eta_len=1.0, r=-3.0))
+
     def test_case_one_is_strictly_increasing_with_unique_root(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

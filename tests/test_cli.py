@@ -211,6 +211,13 @@ class TestBound:
         assert report["result"]["case"] == "r-neg-increasing"
         assert report["result"]["bound"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_overflowing_endpoint_power_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "-f", "1e-120+x", "-a", "0", "-b", "1", "--r", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuzzyhh: ") and "overflow" in err
+        assert "Traceback" not in err
+
     def test_route_required(self, capsys):
         code, _, err = run(capsys, "bound", "-f", "x^2", "-a", "0", "-b", "1")
         assert code == 1

@@ -36,6 +36,13 @@ class TestRealInterval:
         mids = RealInterval(0.0, 1.0).midpoints(4)
         assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])
 
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.floats(-5.0, 5.0), width=st.floats(0.0, 10.0), n=st.integers(1, 3000))
+    def test_midpoints_are_the_plain_formula_bit_for_bit(self, lo, width, n):
+        A = RealInterval(lo, lo + width)
+        expected = A.lo + (np.arange(n) + 0.5) * (A.length() / n)
+        assert A.midpoints(n).tobytes() == expected.tobytes()
+
 
 class TestClosedFormDistribution:
     def test_quartic_halved_level_set(self):

@@ -17,6 +17,7 @@ from fuzzyhh.measure import (
     from_callable,
     power_affine_function,
 )
+from fuzzyhh import sugeno
 from fuzzyhh.expressions import function_from_expression
 from fuzzyhh.sugeno import (
     IntegralMethod,
@@ -120,7 +121,7 @@ class TestSupmin:
     def test_exact_grid_rejects_negative_samples(self):
         # zero at every point of the 4097-point guard grid, -0.1998 between them
         f = function_from_expression("x/2 + 0.2*sin(3.141592653589793*4096*x)", UNIT)
-        assert f.min_on(UNIT) >= -1e-12
+        assert np.min(f.evaluate(UNIT.grid(4097))) >= -1e-12
         with pytest.raises(NegativeFunction, match="-0.19"):
             sugeno_supmin_exact(f, UNIT)
         with pytest.raises(NegativeFunction):
@@ -413,3 +414,77 @@ def test_grid_search_equals_the_full_elementwise_supmin(coeffs, decimals, n, lo,
     levels = (np.arange(1, n + 1) / n) * A.length()
     reference = max(float(np.max(np.minimum(values, levels))), 0.0)
     assert sugeno_supmin_exact(f, A, n).value == reference
+
+
+# -- the selected crossing of the grid form against the fully sorted sample --------
+
+
+def _samples(rng, kind, n, mu):
+    if kind == "uniform":
+        return rng.uniform(0.0, rng.choice([0.2, 1.0, 3.0]) * mu, n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(0.0, 2.0) * mu)
+    if kind == "level-grid":  # values on the levels j * mu / n themselves
+        return (rng.integers(0, n + 1, n) / n) * mu
+    if kind == "few-valued":
+        return rng.choice(rng.uniform(0.0, 1.5 * mu, 3), n)
+    if kind == "all-below":
+        return rng.uniform(0.0, 0.01 * mu, n)
+    if kind == "all-above":
+        return rng.uniform(2.0 * mu, 3.0 * mu, n)
+    if kind == "aliasing":  # one period per subsample stride: the subsample sees one phase
+        period = rng.uniform(0.0, 1.2 * mu, sugeno.SUBSAMPLE_STRIDE)
+        period[0] = rng.uniform(0.0, 1.2 * mu)
+        return np.resize(period, n)
+    # a smooth non-monotone function on the midpoint grid, as the integral samples it
+    xs = (np.arange(n) + 0.5) / n
+    s, k = rng.uniform(0.2, 0.8), rng.uniform(0.5, 2.0)
+    return mu * np.abs(rng.uniform(0.3, 1.2) - k * (xs - s) ** 2)
+
+
+KINDS = ("uniform", "constant", "level-grid", "few-valued", "all-below", "all-above",
+         "aliasing", "smooth")
+
+
+def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
+    """The grid form selects the crossing where it can prove a bracket and
+    sorts the whole sample otherwise; either way it returns the floats the
+    sorted sample gives, bit for bit."""
+    sorted_calls = []
+    reference = sugeno._sorted_supmin
+    monkeypatch.setattr(sugeno, "_sorted_supmin",
+                        lambda v, mu: sorted_calls.append(v.size) or reference(v, mu))
+    rng = np.random.default_rng(4)
+    paths = {kind: [0, 0] for kind in KINDS}  # [selected, sorted]
+    tiny = [0, 0]
+    for kind in KINDS:
+        for _ in range(25):
+            n = int(rng.choice([1, 7, sugeno.SUBSAMPLE_STRIDE - 1, 1000, 4097, 30_000, 200_000]))
+            lo = rng.uniform(0.0, 1.0)
+            A = RealInterval(lo, lo + float(rng.choice([1e-3, 0.5, 1.0, 2.7, 40.0])))
+            v = _samples(rng, kind, n, A.length())
+            want = max(reference(np.sort(v), A.length()), 0.0)
+            before = len(sorted_calls)
+            res = sugeno_supmin_exact(from_callable(lambda x, v=v: v, A), A, n)
+            assert res.value == want, (kind, n)
+            fell_back = len(sorted_calls) > before
+            paths[kind][fell_back] += 1
+            if n < sugeno.SUBSAMPLE_STRIDE:
+                tiny[fell_back] += 1
+    assert sum(s for s, _ in paths.values()) > 0 and sum(f for _, f in paths.values()) > 0
+    assert paths["smooth"][0] > 0 and paths["level-grid"][0] > 0
+    assert paths["constant"][0] == 0  # one tie block holds the whole sample
+    assert tiny[0] == 0 and tiny[1] > 0
+
+
+def test_grid_route_evaluates_once_per_grid():
+    """An UNKNOWN-hinted integrand costs one 4097-point guard sample (the sign
+    checks) and one 1e6-point sample (the grid form), nothing else."""
+    calls = []
+    f = function_from_expression("0.9 - 1.3*(x - 0.45)^2", UNIT)
+    assert f.monotonicity is Monotonicity.UNKNOWN
+    ev = f.evaluate
+    counted = dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x))
+    res = sugeno_integral(counted, UNIT)
+    assert calls == [4097, 1_000_000]
+    assert res == sugeno_supmin_exact(f, UNIT)
