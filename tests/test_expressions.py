@@ -211,7 +211,7 @@ _any_leaf = st.one_of(
     st.builds(Num, st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
     st.builds(Num, st.integers(min_value=0, max_value=3).map(float)),
     st.just(Var()),
-    st.just(Var()),
+    st.just(Var()),  # twice: half the leaves are x
 )
 
 
