@@ -109,6 +109,7 @@ class BoundInputs:
 
     Exactly one route must be selected: ``r`` for the power-mean route, or
     ``alpha`` and ``m`` (plus ``fscaled``) for the scaled-argument route.
+    Every given field must be finite.
     """
 
     fa: float
@@ -120,6 +121,9 @@ class BoundInputs:
     fscaled: float | None = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value:g}")
         if self.fa < 0 or self.fend < 0:
             raise ValueError("endpoint values must be non-negative")
         if not self.eta_len > 0:

@@ -19,6 +19,7 @@ path points are clipped back in before the function is evaluated).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -288,9 +289,12 @@ def check_r_preinvex(
     """Power-mean form: the arithmetic mean is replaced by the r-th power mean.
 
     r != 0 uses ((1-t)*f(u)**r + t*f(v)**r)**(1/r); r = 0 uses the geometric
-    mean f(u)**(1-t) * f(v)**t.  For r <= 0 the function must be strictly
-    positive on the sample (``NonPositiveFunction`` otherwise).
+    mean f(u)**(1-t) * f(v)**t.  r must be finite.  For r <= 0 the function
+    must be strictly positive on the sample (``NonPositiveFunction``
+    otherwise).
     """
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r:g}")
     u, v, t = _draw(K, samples, seed)
     path = _path_points(f, u, t, eta.apply(v, u), "r-preinvex")
     fu = np.asarray(f.evaluate(u), dtype=float)

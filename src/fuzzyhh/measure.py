@@ -75,7 +75,8 @@ class RealInterval:
         return np.clip(x, self.lo, self.hi)
 
     def midpoints(self, n: int) -> np.ndarray:
-        """Midpoints of ``n`` equal cells; the sample grid of GridScan."""
+        """Midpoints of ``n`` equal cells: the sample of the grid form, of
+        ``sugeno_supmin`` and of ``GridScan``."""
         if n < 1:
             raise ValueError("cell count must be positive")
         h = self.length() / n
@@ -119,10 +120,13 @@ def follows(ys: np.ndarray, monotonicity: Monotonicity) -> bool:
 class ScalarFunction:
     """An evaluable real function on a stated closed domain.
 
-    ``evaluate`` must accept a float and a 1-d numpy array alike.  The domain
-    may be wider than any integration interval: scaled-argument hypotheses
-    evaluate f at v/m, which can leave the integration range.  Non-negativity
-    is not enforced at construction; integration entry points sample for it.
+    ``evaluate`` must accept a float and a 1-d numpy array alike, and act
+    elementwise: each value depends only on its own point, so a sample
+    evaluated in blocks gives the same floats as one whole-array call.  The
+    domain may be wider than any integration interval: scaled-argument
+    hypotheses evaluate f at v/m, which can leave the integration range.
+    Non-negativity is not enforced at construction; integration entry points
+    sample for it.
     """
 
     domain: RealInterval

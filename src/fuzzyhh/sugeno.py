@@ -15,13 +15,14 @@ finds that sup as one crossing search in one of two forms:
   declared monotonicity hands the call over to the grid form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
-  midpoint-sampled function, ``sugeno_supmin_exact``: the crossing of the
-  n-point sample, in descending order, with the levels j * mu / n is
-  selected: a sorted subsample brackets it, and only the samples inside the
-  bracket are sorted and binary-searched.  Where the bracket cannot be
-  proved (ties, plateaus, aliasing, tiny n) the whole sample is sorted.
-  Either way the result is the same float.  ``residual`` is the cell
-  measure mu / n.
+  midpoint-sampled function, ``sugeno_supmin_exact``.  The n-point sample
+  is made, evaluated and reduced to its minimum ``SAMPLE_BLOCK`` points at a
+  time in reused buffers (the same floats as one whole-array call).  Its
+  crossing, in descending order, with the levels j * mu / n is selected: a
+  sorted subsample brackets it, and only the samples inside the bracket are
+  sorted and binary-searched.  Where the bracket cannot be proved (ties,
+  plateaus, aliasing, tiny n) the whole sample is sorted.  Either way the
+  result is the same float.  ``residual`` is the cell measure mu / n.
 
 Two more routes stay as oracles and as opt-in methods:
 
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import EvalError
 from .measure import (
     DistributionProfile,
     GridScan,
@@ -76,6 +78,11 @@ CROSSING_POINTS = 4097
 #: estimate bracket it (``_selected_supmin``).
 SUBSAMPLE_STRIDE = 256
 SUBSAMPLE_MARGIN = 8
+
+#: The grid form evaluates its midpoints SAMPLE_BLOCK at a time (512 KiB per
+#: float64 temporary), so every intermediate stays in cache
+#: (``_grid_sample``).
+SAMPLE_BLOCK = 1 << 16
 
 
 class SugenoError(Exception):
@@ -193,27 +200,62 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) 
 
     so no threshold sweep (and no sweep resolution loss) is involved.  The
     grid form of ``sugeno_integral``; e.g. constants come out exactly
-    min(k, mu).  The crossing is selected without sorting the whole sample
+    min(k, mu).  The sample is taken in cache-sized blocks (``_grid_sample``).
+    The crossing is selected without sorting the whole sample
     (``_selected_supmin``) where a bracket can be proved, else found in the
-    sorted sample.  Raises ``NegativeFunction`` when the smallest sample is
-    below -1e-12.
+    sample sorted in place.  Raises ``NegativeFunction`` when the smallest
+    sample is below -1e-12.
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values = np.asarray(f.evaluate(A.midpoints(n)), dtype=float)
-    low = float(np.min(values))
+    values, low = _grid_sample(f, A, n)
     best = None
     if not math.isnan(low):  # with a NaN sample, np.min returns it; the sort puts it last
         _require_non_negative(low, A)
         best = _selected_supmin(values, mu)
     if best is None:
-        values = np.sort(values)
+        values.sort()
         _require_non_negative(float(values[0]), A)
         best = _sorted_supmin(values, mu)
     return SugenoResult(max(best, 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+
+
+def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray, float]:
+    """``f.evaluate(A.midpoints(n))`` as a float array, and its smallest value.
+
+    Loop tiling: the midpoints are made and evaluated ``SAMPLE_BLOCK`` at a
+    time in one reused buffer, by the operations ``midpoints`` does in its
+    order (cell indices k + 0.5 are exact below 2**52), and each block's
+    values are copied out (``f`` may return a view of the buffer) and
+    reduced to their minimum.  ``evaluate`` must act elementwise.  A NaN
+    sample makes the minimum NaN, as ``np.min`` of the whole sample would.
+    When a block raises ``EvalError`` the whole sample is evaluated at once,
+    so the error is the one the unblocked call raises, in tree order.  The
+    returned array is new, so callers may sort it in place.
+    """
+    values = np.empty(n)
+    h = A.length() / n
+    cells = np.arange(min(n, SAMPLE_BLOCK), dtype=float)
+    xs = np.empty_like(cells)
+    lows = np.empty(-(-n // SAMPLE_BLOCK))
+    for i, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+        x = xs[: min(SAMPLE_BLOCK, n - start)]
+        np.add(cells[: x.size], start, out=x)
+        x += 0.5
+        x *= h
+        x += A.lo
+        try:
+            y = f.evaluate(x)
+        except EvalError:
+            f.evaluate(A.midpoints(n))  # raises the unblocked call's error, in tree order
+            raise
+        block = values[start : start + x.size]
+        block[...] = y
+        lows[i] = np.min(block)
+    return values, float(np.min(lows))
 
 
 def _sorted_supmin(values: np.ndarray, mu: float) -> float:
@@ -334,6 +376,8 @@ def sugeno_integral(
         raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if grid < 1:
+        raise ValueError("grid must be positive")
     # one guard sample: the sign checks of every route and the monotone form's first round
     xs = A.grid(CROSSING_POINTS)
     ys = np.asarray(f.evaluate(xs), dtype=float)

@@ -406,6 +406,16 @@ class TestScaledArgumentRoute:
         with pytest.raises(ValueError):
             BoundInputs(fa=0.0, fend=0.5, eta_len=1.0, r=0.5, alpha=0.5, m=0.5)  # both
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["fa", "fend", "eta_len", "r", "alpha", "m", "fscaled"])
+    def test_non_finite_fields_rejected(self, field, bad):
+        # nan passes fa < 0 and inf passes eta_len > 0, so each is checked by name
+        r_route = dict(fa=0.2, fend=0.5, eta_len=1.0, r=0.5)
+        am_route = dict(fa=0.2, fend=0.5, eta_len=1.0, alpha=0.5, m=0.5, fscaled=1.0)
+        fields = dict(r_route if field in r_route else am_route, **{field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BoundInputs(**fields)
+
 
 class TestClassicalComparators:
     def test_power_mean_at_one_half(self):

@@ -102,6 +102,13 @@ class TestIntegrate:
         assert code == 1
         assert "integrand reaches -0.19" in err
 
+    def test_non_positive_grid_exits_one(self, capsys):
+        # x takes the monotone form, which never reads the grid
+        code, out, err = run(capsys, "integrate", "-f", "x", "-a", "0", "-b", "1", "--grid", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuzzyhh: ") and "grid must be positive" in err
+
     def test_steep_distribution_fixedpoint(self, capsys):
         code, report, _ = run_json(
             capsys, "integrate", "-f", "0.0001*x+0.5", "-a", "0", "-b", "1",
@@ -156,6 +163,13 @@ class TestCheck:
         )
         assert code == 0
         assert report["result"]["holds"] is True
+
+    def test_non_finite_r_is_a_usage_error(self, capsys):
+        # used to report "violated" with rhs=nan and exit 2
+        code, out, err = run(capsys, "check", "-f", "x^2", "-a", "0", "-b", "1", "--r", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuzzyhh: ") and "r must be finite" in err
 
     def test_plain_preinvexity_default(self, capsys):
         code, report, _ = run_json(
@@ -218,6 +232,14 @@ class TestBound:
         assert err.startswith("fuzzyhh: ") and "overflow" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_r_is_a_usage_error(self, capsys, value):
+        # nan used to exit 3 with "no root"; inf printed bound 1 and exited 0
+        code, out, err = run(capsys, "bound", "-f", "x^2", "-a", "0", "-b", "1", "--r", value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuzzyhh: ") and "r must be finite" in err
+
     def test_route_required(self, capsys):
         code, _, err = run(capsys, "bound", "-f", "x^2", "-a", "0", "-b", "1")
         assert code == 1
@@ -278,6 +300,14 @@ class TestSweep:
                            "--param", "r", "--values", "")
         assert code == 0
         assert out.strip() == "param,integral,beta,bound,case"
+
+    def test_non_finite_value_is_a_usage_error(self, capsys):
+        # used to write a no-root row for nan
+        code, out, err = run(capsys, "sweep", "-f", "x^2", "-a", "0", "-b", "1",
+                             "--param", "r", "--values", "1,nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fuzzyhh: ") and "r must be finite" in err
 
     def test_m_sweep_with_fixed_alpha(self, capsys):
         code, out, _ = run(

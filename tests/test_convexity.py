@@ -141,6 +141,12 @@ class TestRPreinvex:
                 constant_function(0.0, UNIT), UNIT, AFFINE_ETA, 0.0, samples=SAMPLES, seed=SEED
             )
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        f = function_from_expression("x^2", UNIT)
+        with pytest.raises(ValueError, match="r must be finite"):
+            check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=100, seed=SEED)
+
     def test_power_law_transfer(self):
         # every function certified r-preinvex here has a preinvex r-th power
         for src, r in (("x^4/2", 0.5), ("x^3/3", 0.5), ("x^2", 0.5)):
@@ -208,6 +214,13 @@ class TestScaledArgumentHypotheses:
             check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, 1.5, 0.5, samples=100, seed=SEED)
         with pytest.raises(ValueError):
             check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, 0.5, 0.0, samples=100, seed=SEED)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must lie"):
+                check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, bad, 0.5, samples=100, seed=SEED)
+            with pytest.raises(ValueError, match="m must lie"):
+                check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, 0.5, bad, samples=100, seed=SEED)
+            with pytest.raises(ValueError, match="m must lie"):
+                check_m_preinvex(f, UNIT, AFFINE_ETA, bad, samples=100, seed=SEED)
 
 
 class TestDegenerationChain:

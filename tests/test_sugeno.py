@@ -18,7 +18,12 @@ from fuzzyhh.measure import (
     power_affine_function,
 )
 from fuzzyhh import sugeno
-from fuzzyhh.expressions import function_from_expression
+from fuzzyhh.expressions import (
+    EvalError,
+    compile_expression,
+    function_from_expression,
+    parse_expression,
+)
 from fuzzyhh.sugeno import (
     IntegralMethod,
     NegativeFunction,
@@ -201,6 +206,14 @@ class TestDispatcher:
     def test_forced_fixedpoint_propagates_plateau(self):
         with pytest.raises(NoSignChange):
             sugeno_integral(constant_function(0.3, UNIT), UNIT, method="fixedpoint")
+
+    @pytest.mark.parametrize("method", ["auto", "fixedpoint", "supmin"])
+    def test_grid_validated_on_every_route(self, method):
+        # x is declared increasing, so "auto" never reaches the grid form
+        f = function_from_expression("x", UNIT)
+        for grid in (0, -3):
+            with pytest.raises(ValueError, match="grid must be positive"):
+                sugeno_integral(f, UNIT, grid=grid, method=method)
 
     def test_forced_supmin_path(self):
         f = function_from_expression("x^2/2", UNIT)
@@ -465,7 +478,10 @@ def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
             v = _samples(rng, kind, n, A.length())
             want = max(reference(np.sort(v), A.length()), 0.0)
             before = len(sorted_calls)
-            res = sugeno_supmin_exact(from_callable(lambda x, v=v: v, A), A, n)
+            # pointwise: each midpoint looks up its own cell's value
+            cells = A.midpoints(n)
+            lookup = from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A)
+            res = sugeno_supmin_exact(lookup, A, n)
             assert res.value == want, (kind, n)
             fell_back = len(sorted_calls) > before
             paths[kind][fell_back] += 1
@@ -479,12 +495,100 @@ def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
 
 def test_grid_route_evaluates_once_per_grid():
     """An UNKNOWN-hinted integrand costs one 4097-point guard sample (the sign
-    checks) and one 1e6-point sample (the grid form), nothing else."""
+    checks) and one 1e6-point sample (the grid form) taken in blocks of at
+    most SAMPLE_BLOCK points, nothing else."""
     calls = []
     f = function_from_expression("0.9 - 1.3*(x - 0.45)^2", UNIT)
     assert f.monotonicity is Monotonicity.UNKNOWN
     ev = f.evaluate
     counted = dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x))
     res = sugeno_integral(counted, UNIT)
-    assert calls == [4097, 1_000_000]
+    assert calls[0] == 4097
+    assert max(calls[1:]) <= sugeno.SAMPLE_BLOCK and sum(calls[1:]) == 1_000_000
     assert res == sugeno_supmin_exact(f, UNIT)
+
+
+# -- the blocked sample of the grid form against one whole-array evaluation --------
+
+B = sugeno.SAMPLE_BLOCK
+_OPS = ("+", "-", "*", "/", "^")
+_FUNCS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+
+
+def _random_source(rng, depth=4):
+    """A random DSL expression over every operator and function."""
+    if depth == 0 or rng.uniform() < 0.1:
+        return "x" if rng.uniform() < 0.5 else f"{rng.uniform(0.0, 3.0):.3f}"
+    kind = rng.uniform()
+    if kind < 0.5:
+        op = _OPS[rng.integers(len(_OPS))]
+        return f"({_random_source(rng, depth - 1)} {op} {_random_source(rng, depth - 1)})"
+    if kind < 0.6:
+        return f"-{_random_source(rng, depth - 1)}"
+    return f"{_FUNCS[rng.integers(len(_FUNCS))]}({_random_source(rng, depth - 1)})"
+
+
+def _compiled(src, A):
+    """The compiled expression, without the hint sample that would reject it."""
+    return from_callable(compile_expression(parse_expression(src)), A)
+
+
+def _outcome(fn):
+    try:
+        values = fn()
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+    return ("values", np.asarray(values, dtype=float).tobytes())
+
+
+_SAMPLE_SOURCES = ["x", "0.35"] + [_random_source(np.random.default_rng(seed)) for seed in range(12)]
+
+
+@pytest.mark.parametrize("n", [1, 7, B - 1, B, B + 1, 3 * B + 5, 1_000_000])
+@pytest.mark.parametrize("A", [RealInterval(-0.7, 0.4), RealInterval(0.3, 2.1)])
+def test_blocked_sample_equals_the_whole_sample(n, A):
+    """Bit for bit the floats of f.evaluate(A.midpoints(n)), and its minimum;
+    an error is the one the whole-array evaluation raises."""
+    sampled = 0
+    for src in _SAMPLE_SOURCES:
+        f = _compiled(src, A)
+        whole = _outcome(lambda: f.evaluate(A.midpoints(n)))
+        assert _outcome(lambda: sugeno._grid_sample(f, A, n)[0]) == whole, src
+        if whole[0] == "values":
+            sampled += 1
+            values, low = sugeno._grid_sample(f, A, n)
+            assert values.flags.writeable and values.shape == (n,)
+            assert low == np.min(f.evaluate(A.midpoints(n)))
+    assert sampled >= 4
+
+
+def test_blocked_sample_raises_the_unblocked_error():
+    # the first block ends below x = 0.5, so alone it fails the log check;
+    # the whole sample fails the sqrt check first, in tree order
+    f = _compiled("sqrt(0.5 - x) + log(x - 0.3)", UNIT)
+    with pytest.raises(EvalError, match="log of a non-positive value"):
+        f.evaluate(UNIT.midpoints(1_000_000)[:B])
+    with pytest.raises(EvalError, match="sqrt of a negative value"):
+        f.evaluate(UNIT.midpoints(1_000_000))
+    with pytest.raises(EvalError, match="sqrt of a negative value"):
+        sugeno_supmin_exact(f, UNIT)
+
+
+def test_nan_sample_takes_the_full_sort(monkeypatch):
+    """A NaN in any block makes the minimum NaN, so the whole sample is
+    sorted (NaN last), as for the unblocked sample."""
+    sorted_calls = []
+    reference = sugeno._sorted_supmin
+    monkeypatch.setattr(sugeno, "_sorted_supmin",
+                        lambda v, mu: sorted_calls.append(v.size) or reference(v, mu))
+    monkeypatch.setattr(sugeno, "_selected_supmin", lambda v, mu: pytest.fail("selected"))
+
+    def holed(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.3) & (x < 0.31), np.nan, 0.9 - (x - 0.4) ** 2)
+
+    f = from_callable(holed, UNIT)
+    want = max(reference(np.sort(holed(UNIT.midpoints(1_000_000))), 1.0), 0.0)
+    res = sugeno_supmin_exact(f, UNIT)
+    assert sorted_calls == [1_000_000]
+    assert res.value == want
