@@ -71,9 +71,13 @@ def _fmt(x: float) -> str:
 def _parse_fdomain(text: str) -> RealInterval:
     try:
         lo_s, hi_s = text.split(":")
-        return RealInterval(float(lo_s), float(hi_s))
+        lo, hi = float(lo_s), float(hi_s)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"--fdomain expects lo:hi, got {text!r}") from exc
+    try:
+        return RealInterval(lo, hi)
+    except ValueError as exc:
+        raise ValueError(f"--fdomain {text!r}: {exc}") from exc
 
 
 def _parse_eta(text: str) -> EtaMap:
@@ -185,6 +189,8 @@ def _render_text(report: dict[str, Any]) -> str:
             lines.append(f"{key} = {value}")
     prov = report["provenance"]
     prov_bits = [f"method={prov['method']}", f"residual={prov['residual']:.3g}"]
+    if "hint" in prov:
+        prov_bits += [f"hint={prov['hint']}", f"pieces={prov['pieces']}"]
     if prov.get("grid") is not None:
         prov_bits.append(f"grid={prov['grid']}")
     if prov.get("seed") is not None:
@@ -244,7 +250,7 @@ def _run_integrate(ns: argparse.Namespace) -> int:
         "integrate", ns,
         result={"integral": res.value},
         provenance={"method": res.method.value, "residual": res.residual,
-                    "grid": ns.grid, "seed": None},
+                    "hint": res.hint, "pieces": res.pieces, "grid": ns.grid, "seed": None},
         verdict="ok",
         t0=t0,
     )
@@ -307,6 +313,7 @@ def _run_bound(ns: argparse.Namespace) -> int:
         "bound", ns,
         result=result,
         provenance={"method": rep.integral.method.value, "residual": rep.bound.residual,
+                    "hint": rep.integral.hint, "pieces": rep.integral.pieces,
                     "grid": ns.grid, "seed": None},
         verdict=verdict,
         t0=t0,

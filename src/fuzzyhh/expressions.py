@@ -17,17 +17,27 @@ Evaluation accepts floats and numpy arrays and is total on the declared
 domain or raises ``EvalError`` (log of a non-positive value, division by
 zero, fractional powers of negatives, overflow).  ``to_source`` prints a
 normal form that reparses to the identical tree.
+
+The same compilation builds a forward-mode interval extension
+(``extend_expression``): for an interval [a, b] of x it returns an
+``Enclosure`` with outward-rounded bounds on the expression and on its
+derivative, or None where it cannot bound them.  ``function_from_expression``
+certifies its monotonicity hint with one such call over the domain: the hint
+is increasing or decreasing where the derivative bounds prove it, else
+unknown, and the extension stays on the function so the integral can
+certify monotone pieces of an integrand that is not monotone as a whole.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measure import Monotonicity, RealInterval, ScalarFunction, follows
+from .measure import Monotonicity, RealInterval, ScalarFunction
 
 __all__ = [
     "ExprSyntaxError",
@@ -42,7 +52,8 @@ __all__ = [
     "compile_expression",
     "evaluate",
     "function_from_expression",
-    "detect_monotonicity",
+    "Enclosure",
+    "extend_expression",
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "pow": 2}
@@ -299,17 +310,20 @@ class _Code(NamedTuple):
     value: np.float64 | None = None  # the folded value of a subtree without x
     xfree: bool = False  # no x below: the subtree is folded
     owned: bool = False  # run returns a new array for array x
+    ext: Callable | None = None  # the interval extension (see below)
 
 
 def _const(value) -> _Code:
-    return _Code(lambda x: value, value=value, xfree=True)
+    c = float(value)
+    ext = (lambda a, b: (c, c, 0.0, 0.0)) if math.isfinite(c) else _unbounded
+    return _Code(lambda x: value, value=value, xfree=True, ext=ext)
 
 
 def _raiser(message: str) -> _Code:
     def run(x):
         raise EvalError(message)
 
-    return _Code(run, xfree=True)
+    return _Code(run, xfree=True, ext=_unbounded)
 
 
 def _check(test, message: str):
@@ -367,16 +381,19 @@ def _power(base: _Code, exponent: _Code) -> _Code:
         checks.append(_ZERO_TO_NEGATIVE)
     if _may(base, lambda b: b < 0) and _may(exponent, lambda e: e != np.floor(e)):
         checks.append(_fractional_power_of_negative)
-    return _apply(np.power, (base, exponent), tuple(checks))
+    e = None if exponent.value is None else float(exponent.value)
+    return _apply(np.power, (base, exponent), tuple(checks))._replace(
+        ext=_ext_power(base.ext, exponent.ext, e))
 
 
 def _compile(node: Node) -> _Code:
     if isinstance(node, Num):
         return _const(np.float64(node.value))
     if isinstance(node, Var):
-        return _Code(lambda x: x)
+        return _Code(lambda x: x, ext=_ext_var)
     if isinstance(node, Unary):
-        code = _apply(np.negative, (_compile(node.operand),))
+        operand = _compile(node.operand)
+        code = _apply(np.negative, (operand,))._replace(ext=_ext_negative(operand.ext))
     elif isinstance(node, BinOp):
         left, right = _compile(node.left), _compile(node.right)
         if node.op == "^":
@@ -384,6 +401,7 @@ def _compile(node: Node) -> _Code:
         else:
             divides = node.op == "/" and _may(right, lambda v: v == 0)
             code = _apply(_BINARY[node.op], (left, right), (_ZERO_DIVISOR,) if divides else ())
+            code = code._replace(ext=_ext_binary(node.op, left.ext, right.ext))
     else:
         assert isinstance(node, Call)
         args = tuple(_compile(a) for a in node.args)
@@ -392,12 +410,18 @@ def _compile(node: Node) -> _Code:
         else:
             check = _DOMAIN.get(node.func)
             code = _apply(_CALLS[node.func], args, (check,) if check else ())
+            code = code._replace(ext=_ext_call(node.func, args[0].ext))
     if not code.xfree:
         return code
     try:
-        return _const(code.run(np.float64(0.0)))  # under compile_expression's errstate
+        return _const(code.run(np.float64(0.0)))  # under _compile_tree's errstate
     except EvalError as exc:
         return _raiser(str(exc))
+
+
+def _compile_tree(node: Node) -> _Code:
+    with np.errstate(all="ignore"):
+        return _compile(node)
 
 
 def compile_expression(node: Node) -> Callable:
@@ -407,8 +431,11 @@ def compile_expression(node: Node) -> Callable:
     and raises ``EvalError`` where the expression is not evaluable,
     including any non-finite result.  It never writes into x.
     """
-    with np.errstate(all="ignore"):
-        run, _, _, fresh = _compile(node)
+    return _evaluator(_compile_tree(node))
+
+
+def _evaluator(code: _Code) -> Callable:
+    run, fresh = code.run, code.owned
 
     def ev(x):
         scalar = np.ndim(x) == 0
@@ -429,26 +456,334 @@ def evaluate(node: Node, x):
     return compile_expression(node)(x)
 
 
-def detect_monotonicity(ev, domain: RealInterval, n: int = 2049) -> Monotonicity:
-    """Classify by dense sampling; ties (constants) count as increasing."""
-    if domain.length() == 0.0:
-        return Monotonicity.INCREASING
-    ys = np.asarray(ev(domain.grid(n)), dtype=float)
-    for mono in (Monotonicity.INCREASING, Monotonicity.DECREASING):
-        if follows(ys, mono):
-            return mono
-    return Monotonicity.UNKNOWN
+# -- interval extension --------------------------------------------------------
+#
+# Forward mode over the same tree (Moore, *Interval Analysis*, 1966): each node
+# maps an interval [a, b] of x to bounds on its values and on its derivative in
+# x over [a, b], so no derivative tree is built.  Every bound that is not exact
+# is rounded outward by one ulp, which covers the half-ulp rounding of + - * /
+# and the sub-ulp error of the library's sin, cos, exp, log and powers.  A
+# subtree without x is folded by the point evaluator, so the extension bounds
+# the function ``compile_expression`` evaluates, with the same constants.  abs
+# at 0 takes the derivative interval [-1, 1] * u' (its generalised gradient).
+# Where no finite value bound exists (an operand interval leaving the domain of
+# log, sqrt, a power or a divisor, or overflow) a node raises ``_Unbounded``
+# and the extension returns None.  Derivative bounds may be infinite (sqrt and
+# fractional powers at 0).
+
+
+class Enclosure(NamedTuple):
+    """Bounds on f (lo, hi) and on f' (slope_lo, slope_hi) over an interval of x."""
+
+    lo: float
+    hi: float
+    slope_lo: float
+    slope_hi: float
+
+    def direction(self) -> Monotonicity:
+        """The monotonicity f' proves; a constant counts as increasing."""
+        if self.slope_lo >= 0.0:
+            return Monotonicity.INCREASING
+        if self.slope_hi <= 0.0:
+            return Monotonicity.DECREASING
+        return Monotonicity.UNKNOWN
+
+
+class _Unbounded(Exception):
+    """The operand interval leaves the domain of a node: no bound exists."""
+
+
+_INF = math.inf
+_TWO_PI = 2.0 * math.pi
+
+
+# A zero reaching _dn or _up is exact: a sum is zero only when exact, and the
+# products, quotients and powers below turn an underflow into the smallest
+# subnormal of its sign.  Exact zeros stay, so a slope bound of 0 proves a
+# direction.
+
+
+def _dn(v: float) -> float:
+    return v if v == 0.0 else math.nextafter(v, -_INF)
+
+
+def _up(v: float) -> float:
+    return v if v == 0.0 else math.nextafter(v, _INF)
+
+
+def _no_underflow(r: float, exact_zero: bool) -> float:
+    return r if r != 0.0 or exact_zero else math.copysign(5e-324, r)
+
+
+def _error(s: float, a: float, b: float) -> float:
+    """The rounding error a + b - s of s = a + b (Fast2Sum: exact for |a| >= |b|)."""
+    return b - (s - a) if abs(a) >= abs(b) else a - (s - b)
+
+
+def _add(al, ah, bl, bh):
+    """Sum bounds, rounded outward only where the sum was rounded inward, so
+    exact sums (1 - 1 on a plateau) stay exact; an overflow or an unbounded
+    operand gives a NaN error, which rounds outward."""
+    lo, hi = al + bl, ah + bh
+    if not lo <= hi:  # inf - inf
+        raise _Unbounded
+    if not _error(lo, al, bl) >= 0.0:
+        lo = math.nextafter(lo, -_INF)
+    if not _error(hi, ah, bh) <= 0.0:
+        hi = math.nextafter(hi, _INF)
+    return lo, hi
+
+
+def _times(u: float, v: float) -> float:
+    """u * v with 0 * inf = 0, the product bound of a zero endpoint and an unbounded one."""
+    return 0.0 if u == 0.0 or v == 0.0 else _no_underflow(u * v, False)
+
+
+def _exact_scale(lo: float, hi: float) -> bool:
+    """Whether products with [lo, hi] are exact: a point 0 or +-2**k, k >= 0."""
+    return lo == hi and (lo == 0.0 or abs(math.frexp(lo)[0]) == 0.5 and abs(lo) >= 1.0)
+
+
+def _mul(al, ah, bl, bh):
+    p = (_times(al, bl), _times(al, bh), _times(ah, bl), _times(ah, bh))
+    lo, hi = min(p), max(p)
+    if not lo <= hi:
+        raise _Unbounded
+    if _exact_scale(al, ah) or _exact_scale(bl, bh):
+        return lo, hi
+    return _dn(lo), _up(hi)
+
+
+def _div(al, ah, bl, bh):
+    if bl <= 0.0 <= bh or math.isinf(bl) or math.isinf(bh):  # inf / inf would be NaN
+        raise _Unbounded
+    p = (_no_underflow(al / bl, al == 0.0), _no_underflow(al / bh, al == 0.0),
+         _no_underflow(ah / bl, ah == 0.0), _no_underflow(ah / bh, ah == 0.0))
+    return _dn(min(p)), _up(max(p))
+
+
+def _pw(t: float, e: float) -> float:
+    return _no_underflow(t**e, t == 0.0)
+
+
+def _int_power(lo: float, hi: float, n: int):
+    """Bounds on t**n for t in [lo, hi] and an integer n."""
+    if n == 0:
+        return 1.0, 1.0
+    if lo > 0.0 or hi < 0.0 or n % 2 == 1 and n > 0:  # monotone on [lo, hi]
+        p, q = _pw(lo, n), _pw(hi, n)
+        return _dn(min(p, q)), _up(max(p, q))
+    if n < 0:
+        raise _Unbounded  # 0 raised to a negative power
+    return 0.0, _up(max(_pw(lo, n), _pw(hi, n)))
+
+
+def _real_power(lo: float, hi: float, e: float):
+    """Bounds on t**e for t in [lo, hi], lo >= 0, and a real e."""
+    if e >= 0.0:
+        return max(_dn(_pw(lo, e)), 0.0), _up(_pw(hi, e))
+    return max(_dn(_pw(hi, e)), 0.0), _up(_pw(lo, e)) if lo > 0.0 else _INF
+
+
+def _integer(e: float) -> bool:
+    return e == math.floor(e) and abs(e) < 2.0**53
+
+
+def _reaches(a: float, b: float, phase: float) -> bool:
+    """Whether [a, b] holds a point phase + 2k*pi."""
+    return phase + math.ceil((a - phase) / _TWO_PI) * _TWO_PI <= b
+
+
+def _trig(fn, a: float, b: float, top: float):
+    """Bounds on fn over [a, b] for fn = sin (top = pi/2) or cos (top = 0):
+    maxima at top + 2k*pi and minima at top + pi + 2k*pi.  The extremum test
+    widens [a, b] by far more than the rounding of the phase arithmetic, so
+    it can only loosen a bound."""
+    if not b - a < _TWO_PI or max(-a, b) > 2.0**40:
+        return -1.0, 1.0
+    fa, fb = fn(a), fn(b)
+    lo, hi = max(_dn(min(fa, fb)), -1.0), min(_up(max(fa, fb)), 1.0)
+    slack = 1e-9 * max(1.0, -a, b)
+    if _reaches(a - slack, b + slack, top):
+        hi = 1.0
+    if _reaches(a - slack, b + slack, top + math.pi):
+        lo = -1.0
+    return lo, hi
+
+
+def _ext_power(base, exponent, e: float | None):
+    """u ** v; a constant exponent e keeps negative bases with integer e."""
+    if e is not None and _integer(e):
+        n = int(e)
+
+        def run(a, b):  # (u^n)' = n u^(n-1) u'
+            vl, vh, dl, dh = base(a, b)
+            lo, hi = _int_power(vl, vh, n)
+            if n == 0:
+                return lo, hi, 0.0, 0.0
+            return (lo, hi) + _mul(*_mul(e, e, *_int_power(vl, vh, n - 1)), dl, dh)
+
+        return run
+    if e is not None:
+        def run(a, b):  # numpy's power of a non-negative base
+            vl, vh, dl, dh = base(a, b)
+            if vl < 0.0 or vl == 0.0 and e < 0.0:
+                raise _Unbounded
+            return _real_power(vl, vh, e) + _mul(*_mul(e, e, *_real_power(vl, vh, e - 1.0)), dl, dh)
+
+        return run
+
+    def run(a, b):  # u ** v = exp(v * log u), for u > 0
+        ul, uh, udl, udh = base(a, b)
+        vl, vh, vdl, vdh = exponent(a, b)
+        if ul <= 0.0:
+            raise _Unbounded
+        gl, gh = _dn(math.log(ul)), _up(math.log(uh))
+        el, eh = _mul(vl, vh, gl, gh)
+        lo, hi = max(_dn(math.exp(el)), 0.0), _up(math.exp(eh) or 5e-324)
+        sl, sh = _add(*_mul(vdl, vdh, gl, gh), *_mul(vl, vh, *_div(udl, udh, ul, uh)))
+        return (lo, hi) + _mul(lo, hi, sl, sh)
+
+    return run
+
+
+_TRIG = {"sin": (math.sin, math.pi / 2), "cos": (math.cos, 0.0)}  # fn, phase of its maxima
+
+
+def _ext_call(func: str, arg):
+    if func in _TRIG:
+        fn, top = _TRIG[func]
+        slope_fn, slope_top = _TRIG["cos" if func == "sin" else "sin"]  # sin' = cos, cos' = -sin
+
+        def run(a, b):
+            vl, vh, dl, dh = arg(a, b)
+            lo, hi = _trig(fn, vl, vh, top)
+            cl, ch = _trig(slope_fn, vl, vh, slope_top)
+            if func == "cos":
+                cl, ch = -ch, -cl
+            return (lo, hi) + _mul(cl, ch, dl, dh)
+
+    elif func == "exp":
+        def run(a, b):
+            vl, vh, dl, dh = arg(a, b)
+            lo, hi = max(_dn(math.exp(vl)), 0.0), _up(math.exp(vh) or 5e-324)
+            return (lo, hi) + _mul(lo, hi, dl, dh)
+
+    elif func == "log":
+        def run(a, b):
+            vl, vh, dl, dh = arg(a, b)
+            if vl <= 0.0:
+                raise _Unbounded
+            return (_dn(math.log(vl)), _up(math.log(vh))) + _div(dl, dh, vl, vh)
+
+    elif func == "sqrt":
+        def run(a, b):
+            vl, vh, dl, dh = arg(a, b)
+            if vl < 0.0:
+                raise _Unbounded
+            lo, hi = max(_dn(math.sqrt(vl)), 0.0), _up(math.sqrt(vh))
+            # 1 / (2 sqrt u), unbounded where u reaches 0
+            rl, rh = _dn(0.5 / hi), _up(0.5 / lo) if lo > 0.0 else _INF
+            return (lo, hi) + _mul(rl, rh, dl, dh)
+
+    else:
+        assert func == "abs"
+
+        def run(a, b):
+            vl, vh, dl, dh = arg(a, b)
+            if vl >= 0.0:
+                return vl, vh, dl, dh
+            if vh <= 0.0:
+                return -vh, -vl, -dh, -dl
+            m = max(-dl, dh)
+            return 0.0, max(-vl, vh), -m, m
+
+    return run
+
+
+def _unbounded(a, b):
+    raise _Unbounded
+
+
+def _ext_var(a, b):
+    return a, b, 1.0, 1.0
+
+
+def _ext_negative(inner):
+    def run(a, b):
+        vl, vh, dl, dh = inner(a, b)
+        return -vh, -vl, -dh, -dl
+
+    return run
+
+
+def _ext_binary(op: str, left, right):
+    def run(a, b):
+        ul, uh, udl, udh = left(a, b)
+        vl, vh, vdl, vdh = right(a, b)
+        if op == "+":
+            return _add(ul, uh, vl, vh) + _add(udl, udh, vdl, vdh)
+        if op == "-":
+            return _add(ul, uh, -vh, -vl) + _add(udl, udh, -vdh, -vdl)
+        if op == "*":
+            return _mul(ul, uh, vl, vh) + _add(*_mul(udl, udh, vl, vh), *_mul(ul, uh, vdl, vdh))
+        ql, qh = _div(ul, uh, vl, vh)  # (u/v)' = (u' - (u/v) v') / v
+        return (ql, qh) + _div(*_add(udl, udh, *_mul(-qh, -ql, vdl, vdh)), vl, vh)
+
+    return run
+
+
+def extend_expression(node: Node) -> Callable:
+    """The interval extension of an AST: ``ext(a, b)`` is an ``Enclosure`` of
+    the expression and its derivative over [a, b], or None where the
+    extension cannot bound them.  Bounds are rigorous for the real function
+    with the folded constants of ``compile_expression``."""
+    return _extension(_compile_tree(node).ext)
+
+
+def _extension(run: Callable) -> Callable:
+    def ext(a: float, b: float) -> Enclosure | None:
+        try:
+            lo, hi, slope_lo, slope_hi = run(float(a), float(b))
+        except (_Unbounded, ArithmeticError, ValueError):  # overflow, math domain errors
+            return None
+        if not (math.isfinite(lo) and math.isfinite(hi) and slope_lo <= slope_hi):
+            return None
+        return Enclosure(lo, hi, slope_lo, slope_hi)
+
+    return ext
+
+
+#: Points of the domain grid on which ``function_from_expression`` evaluates
+#: an expression that its interval extension cannot bound.
+CHECK_POINTS = 2049
 
 
 def function_from_expression(
     src: str, domain: RealInterval, name: str | None = None
 ) -> ScalarFunction:
-    """Parse source into a ScalarFunction with a sampled monotonicity hint.
+    """Parse source into a ScalarFunction with a certified monotonicity hint.
 
-    Raises ``ExprSyntaxError`` for bad source and ``EvalError`` if the
-    expression is not evaluable across the declared domain.
+    One call of the interval extension over the domain gives the hint: the
+    direction it proves (a constant counts as increasing), else ``UNKNOWN``.
+    The extension is kept on the function, so the integral can certify
+    pieces of it.  Where the extension bounds the expression on the whole
+    domain, every point of it is evaluable; elsewhere the expression is
+    evaluated on a ``CHECK_POINTS``-point grid of the domain.  A degenerate
+    domain counts as increasing and is not checked.  Raises
+    ``ExprSyntaxError`` for bad source and ``EvalError`` if that grid
+    evaluation fails.
     """
     ast = parse_expression(src)
-    ev = compile_expression(ast)
-    hint = detect_monotonicity(ev, domain)
-    return ScalarFunction(domain=domain, evaluate=ev, monotonicity=hint, name=name or to_source(ast))
+    code = _compile_tree(ast)
+    ev, ext = _evaluator(code), _extension(code.ext)
+    hint = Monotonicity.INCREASING  # a point: nothing to certify or check
+    if domain.length() > 0.0:
+        enclosure = ext(domain.lo, domain.hi)
+        if enclosure is None:
+            ev(domain.grid(CHECK_POINTS))
+            hint = Monotonicity.UNKNOWN
+        else:
+            hint = enclosure.direction()
+    return ScalarFunction(domain=domain, evaluate=ev, monotonicity=hint,
+                          name=name or to_source(ast), extension=ext)

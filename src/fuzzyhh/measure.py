@@ -15,6 +15,7 @@ black-box functions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,12 +57,14 @@ class InvalidThreshold(MeasureError):
 
 @dataclass(frozen=True)
 class RealInterval:
-    """Closed interval [lo, hi]; degenerate (lo == hi) is allowed."""
+    """Closed interval [lo, hi] of finite endpoints; degenerate (lo == hi) is allowed."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
         if not self.lo <= self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
@@ -127,15 +130,29 @@ class ScalarFunction:
     hypotheses evaluate f at v/m, which can leave the integration range.
     Non-negativity is not enforced at construction; integration entry points
     sample for it.
+
+    ``extension``, when set, maps an interval [a, b] of x to an ``Enclosure``
+    of f and f' over it, or None where it cannot bound them
+    (``expressions.extend_expression``).  Only ``function_from_expression``
+    sets it; with it the monotonicity hint is certified, without it the hint
+    is declared by whoever built the function.
     """
 
     domain: RealInterval
     evaluate: Callable
     monotonicity: Monotonicity = Monotonicity.UNKNOWN
     name: str = "f"
+    extension: Callable | None = None
 
     def __call__(self, x):
         return self.evaluate(x)
+
+    @property
+    def hint(self) -> str:
+        """Where the monotonicity hint came from: "certified", "declared" or "unknown"."""
+        if self.monotonicity is Monotonicity.UNKNOWN:
+            return "unknown"
+        return "certified" if self.extension is not None else "declared"
 
     def power(self, r: float, name: str | None = None) -> "ScalarFunction":
         """Pointwise power f**r; monotone hints survive only for r > 0."""

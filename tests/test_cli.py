@@ -35,10 +35,18 @@ REPORT_SCHEMA = {
                 "residual": {"type": "number"},
                 "grid": {"type": ["integer", "null"]},
                 "seed": {"type": ["integer", "null"]},
+                "hint": {"enum": ["certified", "declared", "unknown"]},
+                "pieces": {"type": "integer", "minimum": 0},
             },
         },
         "verdict": {"type": "string"},
     },
+}
+
+# integrate and bound also say how the integrand's monotonicity was obtained
+INTEGRAL_SCHEMA = {
+    "allOf": [REPORT_SCHEMA],
+    "properties": {"provenance": {"required": ["method", "residual", "hint", "pieces"]}},
 }
 
 
@@ -101,6 +109,50 @@ class TestIntegrate:
         )
         assert code == 1
         assert "integrand reaches -0.19" in err
+
+    @pytest.mark.parametrize("src, method, hint, pieces", [
+        ("x^2/2", "fixed_point", "certified", 1),
+        ("0.9 - 1.3*(x - 0.45)^2", "fixed_point", "certified", 2),
+        ("x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", "supmin_grid", "unknown", 0),
+    ])
+    def test_provenance_reports_the_hint(self, capsys, src, method, hint, pieces):
+        code, report, _ = run_json(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        assert code == 0
+        validate(report, INTEGRAL_SCHEMA)
+        prov = report["provenance"]
+        assert (prov["method"], prov["hint"], prov["pieces"]) == (method, hint, pieces)
+        code, out, _ = run(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        assert f"method={method}, " in out and f", hint={hint}, pieces={pieces}, " in out
+
+    def test_forced_supmin_reports_no_hint(self, capsys):
+        code, report, _ = run_json(capsys, "integrate", "-f", "x", "-a", "0", "-b", "1",
+                                   "--method", "supmin", "--grid", "1000")
+        assert code == 0
+        validate(report, INTEGRAL_SCHEMA)
+        assert (report["provenance"]["hint"], report["provenance"]["pieces"]) == ("unknown", 0)
+
+    def test_negative_dip_between_the_guard_points_exits_one(self, capsys):
+        # a dip to -0.15 of half-width 1e-5 at 0.90013: no guard point falls in
+        # it, the certified gaps around it are bisected down to a negative value
+        code, out, err = run(
+            capsys, "integrate", "-f",
+            "x/2 - 0.6*(1e-5 - abs(x - 0.90013) + abs(abs(x - 0.90013) - 1e-5))/2e-5",
+            "-a", "0", "-b", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("fuzzyhh: integrand reaches -")
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "-f", "x", "-a", "0", "-b", "inf"),
+        ("integrate", "-f", "x", "-a", "0", "-b", "1e309"),
+        ("bound", "-f", "x", "-a", "0", "-b", "1", "--r", "1", "--eta-len", "inf"),
+        ("integrate", "-f", "x", "-a", "0", "-b", "1", "--fdomain", "0:inf"),
+    ])
+    def test_infinite_interval_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fuzzyhh: ") and "interval endpoints must be finite" in err
+        assert "expression" not in err
 
     def test_non_positive_grid_exits_one(self, capsys):
         # x takes the monotone form, which never reads the grid
@@ -184,10 +236,18 @@ class TestBound:
         code, report, _ = run_json(capsys, "bound", "-f", "x^3/3", "-a", "0", "-b", "1",
                                    "--r", "0.5")
         assert code == 0
-        validate(report, REPORT_SCHEMA)
+        validate(report, INTEGRAL_SCHEMA)
         assert report["result"]["bound"] == pytest.approx(0.2087, abs=5e-4)
         assert report["result"]["integral"] <= report["result"]["bound"]
         assert report["verdict"].startswith("pass")
+        assert (report["provenance"]["hint"], report["provenance"]["pieces"]) == ("certified", 1)
+
+    def test_integral_of_a_non_monotone_integrand_reports_its_pieces(self, capsys):
+        code, report, _ = run_json(capsys, "bound", "-f", "0.2 + 2*(x - 0.5)^2", "-a", "0",
+                                   "-b", "1", "--r", "1")
+        validate(report, INTEGRAL_SCHEMA)
+        assert report["provenance"]["method"] == "fixed_point"
+        assert (report["provenance"]["hint"], report["provenance"]["pieces"]) == ("certified", 2)
 
     def test_constant_degenerate(self, capsys):
         code, report, _ = run_json(capsys, "bound", "-f", "0.3", "-a", "0", "-b", "1",

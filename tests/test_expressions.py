@@ -19,7 +19,7 @@ from fuzzyhh.expressions import (
     to_source,
 )
 from fuzzyhh.measure import Monotonicity, RealInterval
-from fuzzyhh.expressions import detect_monotonicity, function_from_expression
+from fuzzyhh.expressions import function_from_expression
 
 
 def ev(src, x):
@@ -282,15 +282,16 @@ def test_result_never_aliases_the_input():
 
 
 class TestMonotonicityDetection:
+    """The hint is the direction the interval extension proves over the domain."""
+
     def test_increasing(self):
-        assert detect_monotonicity(
-            lambda x: np.asarray(x) ** 2, RealInterval(0.0, 1.0)
-        ) is Monotonicity.INCREASING
+        f = function_from_expression("x^2", RealInterval(0.0, 1.0))
+        assert f.monotonicity is Monotonicity.INCREASING and f.hint == "certified"
+        assert f.extension(0.0, 1.0).slope_lo == 0.0  # exact at x = 0, not an ulp below
 
     def test_decreasing(self):
-        assert detect_monotonicity(
-            lambda x: 1.0 - np.asarray(x), RealInterval(0.0, 1.0)
-        ) is Monotonicity.DECREASING
+        f = function_from_expression("1 - x", RealInterval(0.0, 1.0))
+        assert f.monotonicity is Monotonicity.DECREASING and f.hint == "certified"
 
     def test_constant_counts_as_increasing(self):
         f = function_from_expression("0.3", RealInterval(0.0, 1.0))
@@ -299,3 +300,150 @@ class TestMonotonicityDetection:
     def test_non_monotone(self):
         f = function_from_expression("sin(3.14159265*x)", RealInterval(0.0, 1.0))
         assert f.monotonicity is Monotonicity.UNKNOWN
+
+
+# -- the interval extension ------------------------------------------------------
+
+from fractions import Fraction
+
+from fuzzyhh.expressions import extend_expression
+from fuzzyhh.measure import follows
+from test_sugeno import _random_source
+
+
+def _enclosure(src, a, b):
+    return extend_expression(parse_expression(src))(a, b)
+
+
+class TestIntervalExtension:
+    def test_random_expressions_enclose_a_dense_sample(self):
+        """On random sub-intervals the value bounds hold every sampled value,
+        and a certified direction is never contradicted by a 1e5-point sample
+        beyond the ``follows`` slack."""
+        rng = np.random.default_rng(2024)
+        bounded = certified = 0
+        for seed in range(150):
+            src = _random_source(np.random.default_rng(seed))
+            tree = parse_expression(src)
+            ext, ev_ = extend_expression(tree), compile_expression(tree)
+            for _ in range(4):
+                a = rng.uniform(-2.0, 3.0)
+                b = a + rng.uniform(0.0, 1.3) ** 3
+                enc = ext(a, b)
+                if enc is None:
+                    continue
+                ys = ev_(np.linspace(a, b, 100_001))  # bounded: evaluable throughout
+                bounded += 1
+                assert enc.lo <= ys.min() and ys.max() <= enc.hi, (src, a, b)
+                direction = enc.direction()
+                if direction is not Monotonicity.UNKNOWN:
+                    certified += 1
+                    assert follows(ys, direction), (src, a, b)
+        assert bounded > 300 and certified > 200
+
+    @pytest.mark.parametrize("src", [
+        "x*x*x - 0.1*x + 0.3", "(x + 0.1)*(x - 0.7)/(x + 3)", "0.1 + 0.2*x - x*x/7",
+        "(0.3 - x)*(0.3 - x)*(0.3 - x)", "x^3 - 0.1*x^2", "1/(x + 0.3) - 0.7*x",
+    ])
+    def test_bounds_hold_the_exact_real_value(self, src):
+        """At a point x the real value of the expression, computed exactly in
+        rationals from the same float constants, lies within the bounds: the
+        round-to-nearest result alone would miss it."""
+        tree = parse_expression(src)
+        ext = extend_expression(tree)
+        rng = np.random.default_rng(7)
+        strict = 0
+        for x in rng.uniform(-1.0, 2.0, 50):
+            exact = _exact(tree, Fraction(float(x)))
+            enc = ext(x, x)
+            assert Fraction(enc.lo) <= exact <= Fraction(enc.hi), (src, x)
+            strict += Fraction(enc.lo) < exact < Fraction(enc.hi)
+        assert strict > 40
+
+    def test_plateaus_and_kinks_certify_exactly(self):
+        box = "0.05 + 10*(abs(x - 0.2) - abs(x - 0.21) - abs(x - 0.7) + abs(x - 0.71))"
+        ext = extend_expression(parse_expression(box))
+        assert ext(0.3, 0.6)[2:] == (0.0, 0.0)  # flat top: exactly zero slope
+        assert ext(0.0, 0.15)[2:] == (0.0, 0.0)
+        assert ext(0.1, 0.205).direction() is Monotonicity.INCREASING  # one kink of the ramp
+        assert ext(0.69, 0.705).direction() is Monotonicity.DECREASING
+        assert ext(0.1, 0.3).direction() is Monotonicity.UNKNOWN  # two kinks: dependency
+        tent = extend_expression(parse_expression("abs(x - 0.5)"))
+        assert tent(0.5, 1.0).direction() is Monotonicity.INCREASING
+        assert tent(0.0, 0.5).direction() is Monotonicity.DECREASING
+        assert tent(0.4, 0.6)[2:] == (-1.0, 1.0)
+
+    def test_trigonometric_extrema(self):
+        enc = _enclosure("sin(x)", math.pi / 2 - 1e-3, math.pi / 2 + 1e-3)
+        assert enc.hi == 1.0 and enc.lo < math.sin(math.pi / 2 - 1e-3)
+        assert enc.slope_lo < 0.0 < enc.slope_hi
+        enc = _enclosure("cos(x)", 3.0, 3.3)
+        assert enc.lo == -1.0 and enc.slope_lo < 0.0 < enc.slope_hi
+        assert _enclosure("sin(x)", 0.1, 1.5).direction() is Monotonicity.INCREASING
+        assert _enclosure("cos(x)", 0.1, 3.0).direction() is Monotonicity.DECREASING
+        assert _enclosure("sin(x)", 0.0, 7.0)[:2] == (-1.0, 1.0)
+
+    def test_unbounded_operands_give_none(self):
+        assert _enclosure("log(x)", 0.0, 1.0) is None
+        assert _enclosure("sqrt(x - 0.5)", 0.0, 1.0) is None
+        assert _enclosure("1/(x - 0.5)", 0.0, 1.0) is None
+        assert _enclosure("x^(-1)", -1.0, 1.0) is None
+        assert _enclosure("x^0.5", -0.1, 1.0) is None
+        assert _enclosure("exp(x)", 0.0, 1000.0) is None
+        assert _enclosure("log(0 - 1) + x", 0.0, 1.0) is None  # a constant that fails
+
+    def test_infinite_slopes_still_certify(self):
+        for src in ("sqrt(x)", "x^0.5", "pow(x, 1.5)"):
+            enc = _enclosure(src, 0.0, 1.0)
+            assert enc is not None and enc.direction() is Monotonicity.INCREASING, src
+        assert _enclosure("x^x", 1.0, 2.0).direction() is Monotonicity.INCREASING
+        assert _enclosure("sqrt(x)", 0.0, 1.0).slope_hi == math.inf
+        assert _enclosure("(-2)^x", 0.0, 1.0) is None  # negative base, variable exponent
+        assert _enclosure("(x - 2)^3", 0.0, 1.0).direction() is Monotonicity.INCREASING
+
+    def test_builder_raises_where_the_grid_evaluation_does(self):
+        """``function_from_expression`` raises EvalError, with the same text,
+        exactly where evaluating the expression on 2049 points of the domain
+        does: a finite enclosure proves every point evaluable."""
+        rng = np.random.default_rng(11)
+        raised = 0
+        for seed in range(600):
+            src = _random_source(np.random.default_rng(seed), depth=int(rng.integers(1, 5)))
+            lo = float(rng.uniform(-2.0, 2.0))
+            domain = RealInterval(lo, lo + float(rng.uniform(0.0, 3.0)) ** 2)
+            try:
+                compile_expression(parse_expression(src))(domain.grid(2049))
+                want = None
+            except EvalError as exc:
+                want = str(exc)
+                raised += 1
+            try:
+                function_from_expression(src, domain)
+                got = None
+            except EvalError as exc:
+                got = str(exc)
+            assert got == want, (src, domain)
+        assert raised > 50
+
+    def test_hint_comes_from_one_call_over_the_domain(self):
+        f = function_from_expression("0.9 - 1.3*(x - 0.45)^2", RealInterval(0.0, 1.0))
+        assert f.monotonicity is Monotonicity.UNKNOWN and f.hint == "unknown"
+        assert f.extension is not None
+        f = function_from_expression("0.9 - 1.3*(x - 0.45)^2", RealInterval(0.5, 1.0))
+        assert f.monotonicity is Monotonicity.DECREASING and f.hint == "certified"
+        f = function_from_expression("abs(x - 0.5)", RealInterval(0.5, 0.5))
+        assert f.monotonicity is Monotonicity.INCREASING  # degenerate domain
+
+
+def _exact(node, x: Fraction) -> Fraction:
+    """Rational value of a + - * / and integer-power tree at x."""
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        return -_exact(node.operand, x)
+    left, right = _exact(node.left, x), _exact(node.right, x)
+    if node.op == "^":
+        return left ** int(right)
+    return {"+": left + right, "-": left - right, "*": left * right}.get(node.op) or left / right

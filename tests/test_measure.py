@@ -32,6 +32,12 @@ class TestRealInterval:
         with pytest.raises(ValueError):
             RealInterval(1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                        (0.0, math.nan), (math.nan, 1.0)])
+    def test_rejects_non_finite_endpoints(self, lo, hi):
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            RealInterval(lo, hi)
+
     def test_midpoints_cover_cells(self):
         mids = RealInterval(0.0, 1.0).midpoints(4)
         assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])

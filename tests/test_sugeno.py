@@ -173,21 +173,24 @@ class TestDispatcher:
         assert res.value == pytest.approx(0.3, abs=1e-9)
 
     def test_unknown_hint_takes_the_exact_grid_route(self):
-        f = function_from_expression("sin(3.14159265*x)", UNIT)
-        assert f.monotonicity is Monotonicity.UNKNOWN
+        # a plain callable has no interval extension, so nothing is certified
+        f = from_callable(lambda x: np.sin(3.14159265 * np.asarray(x)), UNIT)
+        assert f.monotonicity is Monotonicity.UNKNOWN and f.extension is None
         res = sugeno_integral(f, UNIT, grid=10**5)
         assert res == sugeno_supmin_exact(f, UNIT, 10**5)
         assert res.method is IntegralMethod.SUPMIN_GRID
         assert res.residual == pytest.approx(1e-5)
 
     def test_aliased_increasing_hint_hands_over_to_the_grid(self):
-        """The sampled hint calls this integrand increasing, because its 2049
-        hint points all sit on zeros of the sine; the crossing search's own
-        4097-point sample sees the oscillation and hands over to the exact
-        grid form.  This closes only this aliasing instance: the hint itself
-        is still sampled, not certified from the expression."""
-        f = function_from_expression("x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", UNIT)
-        assert f.monotonicity is Monotonicity.INCREASING
+        """A wrong declared hint: the integrand is called increasing, and 2049
+        points x = j/2048 would all sit on zeros of the sine; the crossing
+        search's own 4097-point sample sees the oscillation and hands over to
+        the exact grid form."""
+        f = from_callable(
+            lambda x: np.asarray(x) / 2 + 0.2 * np.abs(np.sin(math.pi * 2048 * np.asarray(x))),
+            UNIT, Monotonicity.INCREASING,
+        )
+        assert f.hint == "declared"
         res = sugeno_integral(f, UNIT)
         assert res.method is IntegralMethod.SUPMIN_GRID
         assert res.value == sugeno_supmin_exact(f, UNIT).value
@@ -498,8 +501,8 @@ def test_grid_route_evaluates_once_per_grid():
     checks) and one 1e6-point sample (the grid form) taken in blocks of at
     most SAMPLE_BLOCK points, nothing else."""
     calls = []
-    f = function_from_expression("0.9 - 1.3*(x - 0.45)^2", UNIT)
-    assert f.monotonicity is Monotonicity.UNKNOWN
+    f = from_callable(lambda x: 0.9 - 1.3 * (np.asarray(x) - 0.45) ** 2, UNIT)
+    assert f.monotonicity is Monotonicity.UNKNOWN and f.extension is None
     ev = f.evaluate
     counted = dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x))
     res = sugeno_integral(counted, UNIT)
@@ -592,3 +595,146 @@ def test_nan_sample_takes_the_full_sort(monkeypatch):
     res = sugeno_supmin_exact(f, UNIT)
     assert sorted_calls == [1_000_000]
     assert res.value == want
+
+
+# -- the piecewise form on certified pieces ------------------------------------------
+
+PI = "3.141592653589793"
+
+
+def _families(rng):
+    """(source, monotone pieces) of seeded tents, quadratics, boxes and bumps on [0, 1]."""
+    u = rng.uniform
+    s, k = u(0.3, 0.7), u(0.5, 2.0)
+    out = [(f"{u(0.5, 2.0)!r}*abs(x - {u(0.2, 0.8)!r})", 2),
+           (f"{k * max(s, 1 - s) ** 2 + u(0.05, 0.5)!r} - {k!r}*(x - {s!r})^2", 2)]
+    for height, width in ((u(0.15, 0.25), u(0.45, 0.6)), (u(0.6, 1.0), u(0.25, 0.45))):
+        base, p, ramp = u(0.0, 0.1), u(0.1, 0.3), u(0.005, 0.02)
+        g = height / (2 * ramp)
+        out.append((f"{base!r} + {g!r}*(abs(x - {p!r}) - abs(x - {p + ramp!r})"
+                    f" - abs(x - {p + width - ramp!r}) + abs(x - {p + width!r}))", 4))
+    n = int(rng.integers(1, 7))
+    out.append((f"{u(0.4, 1.5)!r}*abs(sin({n}*{PI}*x))", 2 * n))
+    return out
+
+
+def _counting(f, calls):
+    ext = f.extension
+    return dataclasses.replace(f, extension=lambda a, b: calls.append((a, b)) or ext(a, b))
+
+
+class TestPiecewiseForm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_exact_grid(self, seed):
+        """Within pieces * mu / n of the grid form (each boundary point of a
+        level set moves the grid's count by less than a cell) plus tol."""
+        n, tol = 1_000_000, 1e-9
+        for src, pieces in _families(np.random.default_rng(seed)):
+            f = function_from_expression(src, UNIT)
+            assert f.monotonicity is Monotonicity.UNKNOWN, src
+            res = sugeno_integral(f, UNIT, tol=tol)
+            assert (res.method, res.hint) == (IntegralMethod.FIXED_POINT, "certified"), src
+            assert 2 <= res.pieces <= pieces and res.residual <= tol, src
+            grid = sugeno_supmin_exact(f, UNIT, n).value
+            assert abs(res.value - grid) <= pieces / n + tol, src
+
+    def test_tent_against_its_closed_form(self):
+        for c, s in ((1.3, 0.37), (0.7, 0.5), (2.0, 0.8)):
+            def measure(b):  # both arms of the V, each clipped to [0, 1]
+                return max(0.0, s - b / c) + max(0.0, 1.0 - s - b / c)
+
+            res = sugeno_integral(function_from_expression(f"{c}*abs(x - {s})", UNIT), UNIT)
+            assert res.value == pytest.approx(bisect_root(lambda b: measure(b) - b, 0.0, 1.0), abs=1e-9)
+            assert res.pieces == 2
+
+    def test_narrow_dip_is_integrated_exactly(self):
+        """A dip of depth 0.3 and half-width 1e-5 that no guard point sees: the
+        sampled hint called this increasing and returned 1/3."""
+        c = 0.90013
+        f = function_from_expression(
+            f"x/2 - 0.3*(1e-5 - abs(x - {c}) + abs(abs(x - {c}) - 1e-5))/2e-5", UNIT)
+        assert f.monotonicity is Monotonicity.UNKNOWN
+        res = sugeno_integral(f, UNIT)
+        # F(b) = 1 - 2b - K (b - c/2 + 0.3): the dip's slopes are -(3e4 - 1/2) and 3e4 + 1/2
+        K = 1 / (3e4 - 0.5) + 1 / (3e4 + 0.5)
+        want = (1 - K * (0.3 - c / 2)) / (3 + K)
+        assert want == pytest.approx(0.3333292608, abs=1e-10)
+        assert res.value == pytest.approx(want, abs=1e-9)
+        assert res.method is IntegralMethod.FIXED_POINT and res.residual <= 1e-9
+
+    def test_negative_dip_between_the_guard_points_raises(self):
+        f = function_from_expression(
+            "x/2 - 0.6*(1e-5 - abs(x - 0.90013) + abs(abs(x - 0.90013) - 1e-5))/2e-5", UNIT)
+        ys = f.evaluate(UNIT.grid(sugeno.CROSSING_POINTS))
+        assert ys.min() >= 0.0  # the guard sample alone misses it
+        with pytest.raises(NegativeFunction, match="integrand reaches -"):
+            sugeno_integral(f, UNIT)
+
+    def test_negative_dip_below_the_crossing_raises(self):
+        """The dip to -0.01 at x = 0.0301 lies far below the crossing level
+        2/3, so the crossing rounds would never bisect its gap; the sign guard
+        bisects it first."""
+        f = function_from_expression(
+            "2*x - 0.0702*(3e-05 - abs(x - 0.0301) + abs(abs(x - 0.0301) - 3e-05))/6e-05", UNIT)
+        assert f.evaluate(UNIT.grid(sugeno.CROSSING_POINTS)).min() >= 0.0
+        with pytest.raises(NegativeFunction, match="integrand reaches -0.00"):
+            sugeno_integral(f, UNIT)
+
+    def test_touching_zero_is_not_negative(self):
+        for src in ("abs(x - 0.3)", "(x - 0.5)^2", "(x - 0.5)^2 - 1e-13"):
+            res = sugeno_integral(function_from_expression(src, UNIT), UNIT)
+            assert res.method is IntegralMethod.FIXED_POINT, src
+
+    def test_quadratic_costs_a_few_evaluations(self):
+        calls, points = [], []
+        f = _counting(function_from_expression("0.9 - 1.3*(x - 0.45)^2", UNIT), calls)
+        ev = f.evaluate
+        f = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or ev(x))
+        res = sugeno_integral(f, UNIT)
+        assert len(calls) == 3  # two pieces and the turning gap
+        assert points[0] == sugeno.CROSSING_POINTS
+        assert all(p == 2 * sugeno.ROUND_POINTS for p in points[1:]) and len(points) <= 5
+        assert res.value == pytest.approx(0.727833825, abs=1e-8)
+
+    def test_alias_is_refused_before_any_interval_evaluation(self):
+        calls = []
+        f = function_from_expression(f"x/2 + 0.2*abs(sin({PI}*2048*x))", UNIT)
+        assert f.monotonicity is Monotonicity.UNKNOWN
+        res = sugeno_integral(_counting(f, calls), UNIT)
+        assert calls == []
+        assert res == sugeno_supmin_exact(f, UNIT)
+
+    def test_spent_budget_takes_the_grid_form(self, monkeypatch):
+        box = "0.05 + 10*(abs(x - 0.2) - abs(x - 0.21) - abs(x - 0.7) + abs(x - 0.71))"
+        f = function_from_expression(box, UNIT)
+        assert sugeno_integral(f, UNIT).method is IntegralMethod.FIXED_POINT
+        calls = []
+        monkeypatch.setattr(sugeno, "INTERVAL_BUDGET", 4)
+        res = sugeno_integral(_counting(f, calls), UNIT)
+        assert len(calls) == 4
+        assert res == sugeno_supmin_exact(f, UNIT)
+
+    def test_too_many_pieces_take_the_grid_form(self, monkeypatch):
+        f = function_from_expression(f"abs(sin(3*{PI}*x))", UNIT)
+        assert sugeno_integral(f, UNIT).pieces == 6
+        monkeypatch.setattr(sugeno, "MAX_PIECES", 5)
+        assert sugeno_integral(f, UNIT) == sugeno_supmin_exact(f, UNIT)
+
+    def test_single_certified_piece_takes_the_monotone_form(self):
+        """Monotone on A though not on its domain: the same digits as the
+        function certified on A itself."""
+        A = RealInterval(0.6, 1.0)
+        wide = function_from_expression("(x - 0.5)^2", UNIT)
+        narrow = function_from_expression("(x - 0.5)^2", A)
+        assert wide.monotonicity is Monotonicity.UNKNOWN
+        assert narrow.monotonicity is Monotonicity.INCREASING
+        assert sugeno_integral(wide, A) == sugeno_integral(narrow, A)
+        assert sugeno_integral(wide, A).hint == "certified"
+
+    def test_certified_and_declared_monotone_digits_agree(self):
+        for src, mono in (("x^2/2", Monotonicity.INCREASING), ("exp(-2*x)", Monotonicity.DECREASING)):
+            f = function_from_expression(src, UNIT)
+            declared = from_callable(f.evaluate, UNIT, mono)
+            res, ref = sugeno_integral(f, UNIT), sugeno_integral(declared, UNIT)
+            assert (res.value, res.residual, res.method) == (ref.value, ref.residual, ref.method)
+            assert (res.hint, ref.hint, res.pieces, ref.pieces) == ("certified", "declared", 1, 1)
