@@ -566,20 +566,22 @@ def _pw(t: float, e: float) -> float:
     return _no_underflow(t**e, t == 0.0)
 
 
-def _int_power(lo: float, hi: float, n: int):
-    """Bounds on t**n for t in [lo, hi] and an integer n."""
-    if n == 0:
+def _int_power(lo: float, hi: float, n: float):
+    """Bounds on t**n for t in [lo, hi] and an integral n."""
+    if n == 0.0:
         return 1.0, 1.0
-    if lo > 0.0 or hi < 0.0 or n % 2 == 1 and n > 0:  # monotone on [lo, hi]
+    if lo > 0.0 or hi < 0.0 or n % 2.0 == 1.0 and n > 0.0:  # monotone on [lo, hi]
         p, q = _pw(lo, n), _pw(hi, n)
         return _dn(min(p, q)), _up(max(p, q))
-    if n < 0:
+    if n < 0.0:
         raise _Unbounded  # 0 raised to a negative power
     return 0.0, _up(max(_pw(lo, n), _pw(hi, n)))
 
 
 def _real_power(lo: float, hi: float, e: float):
-    """Bounds on t**e for t in [lo, hi], lo >= 0, and a real e."""
+    """Bounds on t**e for t in [lo, hi] and a fractional e, defined for t >= 0."""
+    if lo < 0.0:
+        raise _Unbounded
     if e >= 0.0:
         return max(_dn(_pw(lo, e)), 0.0), _up(_pw(hi, e))
     return max(_dn(_pw(hi, e)), 0.0), _up(_pw(lo, e)) if lo > 0.0 else _INF
@@ -612,91 +614,87 @@ def _trig(fn, a: float, b: float, top: float):
 
 
 def _ext_power(base, exponent, e: float | None):
-    """u ** v; a constant exponent e keeps negative bases with integer e."""
-    if e is not None and _integer(e):
-        n = int(e)
-
-        def run(a, b):  # (u^n)' = n u^(n-1) u'
-            vl, vh, dl, dh = base(a, b)
-            lo, hi = _int_power(vl, vh, n)
-            if n == 0:
-                return lo, hi, 0.0, 0.0
-            return (lo, hi) + _mul(*_mul(e, e, *_int_power(vl, vh, n - 1)), dl, dh)
-
-        return run
+    """u ** v; a constant exponent e keeps negative bases with integral e."""
     if e is not None:
-        def run(a, b):  # numpy's power of a non-negative base
+        power = _int_power if _integer(e) else _real_power
+
+        def run(a, b):  # (u^e)' = e u^(e-1) u'
             vl, vh, dl, dh = base(a, b)
-            if vl < 0.0 or vl == 0.0 and e < 0.0:
-                raise _Unbounded
-            return _real_power(vl, vh, e) + _mul(*_mul(e, e, *_real_power(vl, vh, e - 1.0)), dl, dh)
+            if e == 0.0:
+                return 1.0, 1.0, 0.0, 0.0
+            if e < 0.0 and vl <= 0.0 <= vh:
+                raise _Unbounded  # 0 raised to a negative power
+            return power(vl, vh, e) + _mul(*_mul(e, e, *power(vl, vh, e - 1.0)), dl, dh)
 
         return run
 
     def run(a, b):  # u ** v = exp(v * log u), for u > 0
         ul, uh, udl, udh = base(a, b)
         vl, vh, vdl, vdh = exponent(a, b)
-        if ul <= 0.0:
-            raise _Unbounded
-        gl, gh = _dn(math.log(ul)), _up(math.log(uh))
-        el, eh = _mul(vl, vh, gl, gh)
-        lo, hi = max(_dn(math.exp(el)), 0.0), _up(math.exp(eh) or 5e-324)
+        gl, gh = _log(ul, uh)
+        lo, hi = _exp(*_mul(vl, vh, gl, gh))
         sl, sh = _add(*_mul(vdl, vdh, gl, gh), *_mul(vl, vh, *_div(udl, udh, ul, uh)))
         return (lo, hi) + _mul(lo, hi, sl, sh)
 
     return run
 
 
-_TRIG = {"sin": (math.sin, math.pi / 2), "cos": (math.cos, 0.0)}  # fn, phase of its maxima
+def _exp(lo: float, hi: float):
+    return max(_dn(math.exp(lo)), 0.0), _up(math.exp(hi) or 5e-324)
+
+
+def _log(lo: float, hi: float):
+    if lo <= 0.0:
+        raise _Unbounded
+    return _dn(math.log(lo)), _up(math.log(hi))
+
+
+def _sqrt(lo: float, hi: float):
+    if lo < 0.0:
+        raise _Unbounded
+    return max(_dn(math.sqrt(lo)), 0.0), _up(math.sqrt(hi))
+
+
+def _half_reciprocal_sqrt(lo: float, hi: float):
+    """1 / (2 sqrt u), unbounded where u reaches 0."""
+    sl, sh = _sqrt(lo, hi)
+    return _dn(0.5 / sh), _up(0.5 / sl) if sl > 0.0 else _INF
+
+
+def _abs(lo: float, hi: float):
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _sign(lo: float, hi: float):
+    """The derivative of abs, [-1, 1] where u reaches 0 from both sides."""
+    return (1.0, 1.0) if lo >= 0.0 else (-1.0, -1.0) if hi <= 0.0 else (-1.0, 1.0)
+
+
+_HALF_PI = math.pi / 2
+
+#: Bounds on f(u) and on f'(u) from bounds on u, for each function f of the DSL.
+_CALL_RULES = {
+    "sin": (lambda lo, hi: _trig(math.sin, lo, hi, _HALF_PI),
+            lambda lo, hi: _trig(math.cos, lo, hi, 0.0)),
+    "cos": (lambda lo, hi: _trig(math.cos, lo, hi, 0.0),
+            lambda lo, hi: _mul(-1.0, -1.0, *_trig(math.sin, lo, hi, _HALF_PI))),
+    "exp": (_exp, _exp),
+    "log": (_log, lambda lo, hi: _div(1.0, 1.0, lo, hi)),
+    "sqrt": (_sqrt, _half_reciprocal_sqrt),
+    "abs": (_abs, _sign),
+}
 
 
 def _ext_call(func: str, arg):
-    if func in _TRIG:
-        fn, top = _TRIG[func]
-        slope_fn, slope_top = _TRIG["cos" if func == "sin" else "sin"]  # sin' = cos, cos' = -sin
+    value, slope = _CALL_RULES[func]
 
-        def run(a, b):
-            vl, vh, dl, dh = arg(a, b)
-            lo, hi = _trig(fn, vl, vh, top)
-            cl, ch = _trig(slope_fn, vl, vh, slope_top)
-            if func == "cos":
-                cl, ch = -ch, -cl
-            return (lo, hi) + _mul(cl, ch, dl, dh)
-
-    elif func == "exp":
-        def run(a, b):
-            vl, vh, dl, dh = arg(a, b)
-            lo, hi = max(_dn(math.exp(vl)), 0.0), _up(math.exp(vh) or 5e-324)
-            return (lo, hi) + _mul(lo, hi, dl, dh)
-
-    elif func == "log":
-        def run(a, b):
-            vl, vh, dl, dh = arg(a, b)
-            if vl <= 0.0:
-                raise _Unbounded
-            return (_dn(math.log(vl)), _up(math.log(vh))) + _div(dl, dh, vl, vh)
-
-    elif func == "sqrt":
-        def run(a, b):
-            vl, vh, dl, dh = arg(a, b)
-            if vl < 0.0:
-                raise _Unbounded
-            lo, hi = max(_dn(math.sqrt(vl)), 0.0), _up(math.sqrt(vh))
-            # 1 / (2 sqrt u), unbounded where u reaches 0
-            rl, rh = _dn(0.5 / hi), _up(0.5 / lo) if lo > 0.0 else _INF
-            return (lo, hi) + _mul(rl, rh, dl, dh)
-
-    else:
-        assert func == "abs"
-
-        def run(a, b):
-            vl, vh, dl, dh = arg(a, b)
-            if vl >= 0.0:
-                return vl, vh, dl, dh
-            if vh <= 0.0:
-                return -vh, -vl, -dh, -dl
-            m = max(-dl, dh)
-            return 0.0, max(-vl, vh), -m, m
+    def run(a, b):  # f(u)' = f'(u) u'
+        vl, vh, dl, dh = arg(a, b)
+        return value(vl, vh) + _mul(*slope(vl, vh), dl, dh)
 
     return run
 
