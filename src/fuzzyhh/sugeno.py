@@ -541,8 +541,8 @@ def _clear_sign(cert: _Certifier, pieces: list, gaps: list) -> list:
 
 
 def _sup_level(levels: np.ndarray, weights: np.ndarray, settled: float) -> float:
-    """sup{beta : settled + sum of weights over levels >= beta >= beta}, for
-    ``levels`` in descending order."""
+    """The largest beta with settled + (the weights of the levels >= beta) >= beta,
+    for ``levels`` in descending order: the sup-level of that step function."""
     if levels.size == 0:
         return settled
     reach = np.cumsum(weights)
