@@ -3,8 +3,9 @@
 The package splits into a measure layer (intervals, level-set distribution
 functions), the integral itself (a monotone crossing search and an exact
 grid sup-min, with fixed-point and threshold-sweep oracles), sampling
-checkers for generalized-convexity hypotheses, the bound equations with their
-case dispatch, a small expression DSL, and a CLI that ties them together.
+checkers for generalized-convexity hypotheses, the bounds (each the integral
+of its hypothesis's majorant), a small expression DSL, and a CLI that ties
+them together.
 """
 
 from .measure import (
@@ -56,7 +57,6 @@ from .bounds import (
     BoundError,
     BoundInputs,
     BoundResult,
-    DivisionByZero,
     FuzzyHHReport,
     MissingScaledValue,
     NoRoot,

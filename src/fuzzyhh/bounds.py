@@ -1,48 +1,54 @@
 """Upper bounds for Sugeno integrals of generalized-preinvex functions.
 
 Every bound here has the same shape.  On [a, a + L] (L = eta(b, a) > 0) the
-hypothesis supplies a majorant of f built from endpoint values alone; the
-Sugeno integral of that majorant is where its distribution function crosses
-the diagonal, which reduces to one scalar root-find; and the final bound is
-min(beta, L).  The equations consume only the scalars
+hypothesis supplies a majorant M of f built from endpoint values alone, and
+the bound is the Sugeno integral of M.  M is monotone in t = x/L, so the
+share of [0, 1] where M >= b has a closed form, and the integral is
+
+    beta = sup{b in [0, L] : L * share(b) >= b},
+
+found by ``solve_beta``, one bisection on the bit patterns of non-negative
+floats that ends on adjacent floats.  beta never exceeds L, so a saturated
+majorant (one that stays at or above L) gives beta = L.  The solvers consume
+only the scalars
 
     fa      = f(a)
     fend    = f(a + L)
     fscaled = f((a + L) / m)        (scaled-argument route only)
 
-so the solvers are fully decoupled from function evaluation;
-``verify_fuzzy_hh`` composes them with the integral.
+so they are fully decoupled from function evaluation; ``verify_fuzzy_hh``
+composes them with the integral.
 
-Power-mean route (r != 0), dispatched on which endpoint is larger.  The
-majorant ((1-t)*fa^r + t*fend^r)^(1/r) has level sets of measure
-L*(fend^r - beta^r)/(fend^r - fa^r) (increasing) or its complement
-(decreasing), for either sign of r, so:
+Power-mean route, M(t) = ((1-t)*fa^r + t*fend^r)^(1/r) and its r = 0 limit
+fa^(1-t)*fend^t.  M^r (log M at r = 0) is affine in t, so M is monotone
+towards the larger endpoint for either sign of r.  With lo <= hi the two
+endpoint values, for lo < b < hi
 
-    increasing (fend > fa):  beta*(fend^r - fa^r) + L*beta^r - L*fend^r = 0
-    decreasing (fend < fa):  beta*(fend^r - fa^r) - L*beta^r + L*fa^r   = 0
+    share(b) = (hi^r - b^r)/(hi^r - lo^r)        (r != 0)
+    share(b) = log(hi/b)/log(hi/lo)              (r = 0)
 
-The sign of r only picks the case label.  Equal endpoints collapse the
-majorant to a constant and the bound to min(fa, L) with no equation at all.
+in either direction.  The powers are taken relative to the endpoint power of
+larger magnitude, in expm1/log form, so they neither overflow nor underflow
+(fa = 1e-120 with r = -3 gives 1e-90).  Equal endpoints collapse M to the
+constant fa and the bound to min(fa, L).
 
-Scaled-argument route (alpha, m in (0, 1]):
+Scaled-argument route (alpha, m in (0, 1]), M(t) = fa + t^alpha*(m*fscaled - fa),
+monotone in the direction of m*fscaled - fa whatever the endpoint values:
 
-    fa <= fend:                (L-beta)^a*(m*fscaled - fa) - L^a*(beta - fa) = 0
-    fa > fend, m <  fend/fa:   same equation
-    fa > fend, m == fend/fa:   same equation with m = fend/fa (and then
-                               (a+L)/m == (a+L)*fa/fend, so fscaled is the
-                               same evaluation point)
-    fa > fend, m >  fend/fa:   beta^a*(m*fscaled - fa) - L^a*(beta - fa) = 0
+    rising  (m*fscaled > fa):  share(b) = 1 - ((b - fa)/(m*fscaled - fa))^(1/alpha)
+    falling (m*fscaled < fa):  share(b) = ((fa - b)/(fa - m*fscaled))^(1/alpha)
+
+and m*fscaled = fa collapses M to the constant fa.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .convexity import DomainEscape, InvexInterval
 from .measure import ScalarFunction
@@ -53,7 +59,6 @@ __all__ = [
     "NoRoot",
     "RZero",
     "MissingScaledValue",
-    "DivisionByZero",
     "BoundCase",
     "BoundInputs",
     "BoundResult",
@@ -67,8 +72,10 @@ __all__ = [
     "verify_fuzzy_hh",
 ]
 
-SCAN_CELLS = 10_000
 EQUAL_ENDPOINT_TOL = 1e-12
+
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
 
 class BoundError(Exception):
@@ -76,24 +83,28 @@ class BoundError(Exception):
 
 
 class NoRoot(BoundError):
-    """No sign change anywhere on the scan range: inputs outside every case's regime."""
+    """No bound exists for the inputs (never raised for valid inputs)."""
 
 
 class RZero(BoundError):
-    """The power-mean route has no r = 0 equation (that is the log-mean regime)."""
+    """The endpoint power mean has no r = 0 form (that is the geometric mean)."""
 
 
 class MissingScaledValue(BoundError):
     """The scaled-argument route needs fscaled = f((a + L)/m)."""
 
 
-class DivisionByZero(BoundError):
-    """The decreasing scaled-argument cases divide by f(a)."""
-
-
 class BoundCase(enum.Enum):
+    """How the majorant runs.  The power-mean labels name the sign of r and
+    the endpoint order.  On the scaled-argument route ``am-increasing`` is a
+    rising majorant with fa <= fend, ``am-decreasing-small-m`` and
+    ``am-decreasing-ratio-m`` a rising one with fa > fend (m away from or at
+    fend/fa), and ``am-decreasing-large-m`` every falling majorant."""
+
     R_POS_INCREASING = "r-pos-increasing"
     R_POS_DECREASING = "r-pos-decreasing"
+    R_ZERO_INCREASING = "r-zero-increasing"
+    R_ZERO_DECREASING = "r-zero-decreasing"
     R_NEG_INCREASING = "r-neg-increasing"
     R_NEG_DECREASING = "r-neg-decreasing"
     DEGENERATE = "degenerate"
@@ -105,7 +116,7 @@ class BoundCase(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Endpoint data a bound equation consumes.
+    """Endpoint data a bound consumes.
 
     Exactly one route must be selected: ``r`` for the power-mean route, or
     ``alpha`` and ``m`` (plus ``fscaled``) for the scaled-argument route.
@@ -138,10 +149,13 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Root of the dispatched case equation and the resulting bound.
+    """The majorant's Sugeno integral and the resulting bound.
 
-    ``bound`` is min(beta, eta_len); ``bracket`` is the sign-change interval
-    the solver bisected.
+    ``beta`` is the integral, or the majorant's value when it is constant;
+    ``bound`` is min(beta, eta_len).  ``bracket`` holds the adjacent floats
+    the bisection ended on (beta and the first float past it) and
+    ``residual`` their distance; both are exact, (beta, beta) and 0, for a
+    constant or saturated majorant.
     """
 
     beta: float
@@ -151,166 +165,93 @@ class BoundResult:
     bracket: tuple[float, float]
 
 
-def _eval_safe(G: Callable[[float], float], x: float) -> float:
-    try:
-        with np.errstate(all="ignore"):
-            y = float(G(float(x)))
-    # TypeError: fractional powers of negatives come back complex
-    except (ZeroDivisionError, ValueError, OverflowError, TypeError):
-        return math.nan
-    return y if math.isfinite(y) else math.nan
+def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
+    """sup{b in [0, L] : F(b) >= b} for a non-increasing F >= 0 on [0, L].
 
-
-def _bisect_cell(G, lo: float, hi: float, g_lo: float, g_hi: float):
-    """Drive a sign-changing bracket to machine precision; return (root, residual)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = _eval_safe(G, mid)
-        if math.isnan(g_mid):
-            break
-        if g_mid == 0.0:
-            return mid, 0.0
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    root = 0.5 * (lo + hi)
-    res = _eval_safe(G, root)
-    return root, abs(res) if math.isfinite(res) else min(abs(g_lo), abs(g_hi))
-
-
-def solve_beta(
-    G: Callable[[float], float],
-    bracket_hint: tuple[float, float],
-    tol: float = 1e-9,
-    scan_hi: float | None = None,
-) -> tuple[float, float, tuple[float, float]]:
-    """Bracketed bisection for G(beta) = 0; returns (root, residual, bracket).
-
-    If G changes sign on the hint bracket the root is bisected there;
-    otherwise G is evaluated once on the 10_001 points of [0, scan_hi]
-    (10_000 equal cells) and the first cell with an exact zero or a sign
-    change between finite values is bisected.  G must therefore evaluate
-    elementwise on a float64 array; non-finite values count as no value.
-    Endpoints where G is singular (e.g. beta**r at 0 for r < 0) are nudged
-    inward.  Bisection runs to machine precision, so the reported residual
-    is far below ``tol`` for well-scaled equations; ``NoRoot`` is raised when
-    no sign change exists anywhere on the scan.
+    Returns (beta, residual, bracket).  The bisection runs on the bit
+    patterns of non-negative float64s, whose integer order is their order
+    as floats, so it halves the count of floats in the bracket each step and
+    keeps full relative precision for tiny bounds.  It ends on adjacent
+    floats: F(beta) >= beta holds at beta and fails at the next float.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
-    if not lo < hi:
-        raise ValueError("bracket hint must have positive width")
-    if scan_hi is None:
-        scan_hi = hi
-
-    g_lo = _eval_safe(G, lo)
-    if math.isnan(g_lo):
-        lo = lo + 1e-12 * (hi - lo)
-        g_lo = _eval_safe(G, lo)
-    g_hi = _eval_safe(G, hi)
-    if math.isnan(g_hi):
-        hi = hi - 1e-12 * (hi - lo)
-        g_hi = _eval_safe(G, hi)
-
-    if not math.isnan(g_lo) and g_lo == 0.0:
-        # zero at the low end is the first root outright
-        return lo, 0.0, (lo, hi)
-    if (
-        not math.isnan(g_lo)
-        and not math.isnan(g_hi)
-        and g_hi != 0.0
-        and (g_lo > 0.0) != (g_hi > 0.0)
-    ):
-        root, residual = _bisect_cell(G, lo, hi, g_lo, g_hi)
-        return root, residual, (lo, hi)
-    # A zero exactly at the high end falls through to the scan: several case
-    # equations vanish identically at beta = eta_len, and an interior
-    # crossing, when one exists, is the root that matters.
-
-    xs = np.linspace(0.0, scan_hi, SCAN_CELLS + 1)
-    with np.errstate(all="ignore"):
-        gs = np.asarray(G(xs), dtype=float)
-    finite = np.isfinite(gs)
-    pos = gs > 0.0
-    # first cell whose left end is an exact zero or whose finite ends differ in sign
-    hits = np.flatnonzero(
-        (gs[:-1] == 0.0) | (finite[:-1] & finite[1:] & (pos[:-1] != pos[1:]))
-    )
-    if hits.size:
-        i = int(hits[0])
-        if gs[i] == 0.0:
-            return float(xs[i]), 0.0, (float(xs[i]), float(xs[i + 1]))
-        root, residual = _bisect_cell(
-            G, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1])
-        )
-        return root, residual, (float(xs[i]), float(xs[i + 1]))
-    if gs[-1] == 0.0:
-        return float(xs[-1]), 0.0, (float(xs[-2]), float(xs[-1]))
-    raise NoRoot(
-        f"no sign change on [0, {scan_hi:g}] ({SCAN_CELLS} cells): "
-        "inputs lie outside every case's regime"
-    )
+    if F(L) >= L:
+        return L, 0.0, (L, L)
+    lo, hi = 0, _U64.unpack(_F64.pack(L))[0]  # F(0) >= 0 always holds
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        b = _F64.unpack(_U64.pack(mid))[0]
+        if F(b) >= b:
+            lo = mid
+        else:
+            hi = mid
+    beta, past = _F64.unpack(_U64.pack(lo))[0], _F64.unpack(_U64.pack(hi))[0]
+    return beta, past - beta, (beta, past)
 
 
-def r_preinvex_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
-    """Power-mean route bound: solve the dispatched case equation on [0, L].
+def _majorant_bound(share: Callable[[float], float], lo: float, hi: float, L: float,
+                    case: BoundCase) -> BoundResult:
+    """Integrate a majorant running between lo and hi, where ``share(b)`` is
+    the share of [0, 1] on which it is at least b, for lo < b < hi (below lo
+    that is all of [0, 1]; at hi a single point)."""
 
-    Increasing endpoints take the fend-form equation and decreasing ones the
-    fa-form, for either sign of r; equal endpoints (within 1e-12)
-    short-circuit to the constant-majorant bound min(fa, L).  For r < 0 both
-    endpoint values must be strictly positive.  Raises ``ValueError`` when
-    fa**r or fend**r overflows float64 (e.g. fa = 1e-120 with r = -3).
+    def F(b: float) -> float:
+        if b <= lo:
+            return L
+        if b >= hi:
+            return 0.0
+        return L * share(b)
+
+    beta, residual, bracket = solve_beta(F, L)
+    return BoundResult(beta, beta, case, residual, bracket)
+
+
+def _power_share(lo: float, hi: float, r: float) -> Callable[[float], float]:
+    """(hi^r - b^r)/(hi^r - lo^r), or its r = 0 limit, taken relative to the
+    endpoint power of larger magnitude (hi^r for r > 0, lo^r for r < 0)."""
+    if r > 0:
+        # (1 - (b/hi)^r)/(1 - (lo/hi)^r)
+        scale = 1.0 / (-1.0 if lo == 0 else math.expm1(r * math.log(lo / hi)))
+        return lambda b: scale * math.expm1(r * math.log(b / hi))
+    if r < 0:
+        # ((b/lo)^r - (hi/lo)^r)/(1 - (hi/lo)^r), no power beyond 1 in size
+        scale = 1.0 / math.expm1(r * math.log(hi / lo))
+        return lambda b: scale * math.exp(r * math.log(b / lo)) * math.expm1(r * math.log(hi / b))
+    scale = 1.0 / math.log(hi / lo)
+    return lambda b: scale * math.log(hi / b)
+
+
+def r_preinvex_bound(inputs: BoundInputs) -> BoundResult:
+    """Power-mean route bound: the Sugeno integral of the power-mean majorant.
+
+    Equal endpoints (within 1e-12) short-circuit to the constant-majorant
+    bound min(fa, L).  For r <= 0 both endpoint values must be strictly
+    positive.
     """
     r = inputs.r
     if r is None:
         raise ValueError("r_preinvex_bound needs the r route")
-    if r == 0:
-        raise RZero("no equation is defined for r = 0")
     fa, fend, eta = inputs.fa, inputs.fend, inputs.eta_len
-    if r < 0 and (fa <= 0 or fend <= 0):
-        raise ValueError("r < 0 requires strictly positive endpoint values")
-
+    if r <= 0 and (fa <= 0 or fend <= 0):
+        raise ValueError("r <= 0 requires strictly positive endpoint values")
     if abs(fend - fa) <= EQUAL_ENDPOINT_TOL:
-        bound = min(fa, eta)
-        return BoundResult(fa, bound, BoundCase.DEGENERATE, 0.0, (fa, fa))
+        return BoundResult(fa, min(fa, eta), BoundCase.DEGENERATE, 0.0, (fa, fa))
 
-    try:
-        far, fendr = fa**r, fend**r
-    except OverflowError:
-        raise ValueError(
-            f"endpoint values fa={fa:g}, fend={fend:g} raised to r={r:g} overflow float64"
-        ) from None
-    diff = fendr - far
     increasing = fend > fa
-
-    def g_end_form(b: float) -> float:
-        return b * diff + eta * b**r - eta * fendr
-
-    def g_a_form(b: float) -> float:
-        return b * diff - eta * b**r + eta * far
-
-    G = g_end_form if increasing else g_a_form
     if r > 0:
         case = BoundCase.R_POS_INCREASING if increasing else BoundCase.R_POS_DECREASING
-    else:
+    elif r < 0:
         case = BoundCase.R_NEG_INCREASING if increasing else BoundCase.R_NEG_DECREASING
+    else:
+        case = BoundCase.R_ZERO_INCREASING if increasing else BoundCase.R_ZERO_DECREASING
+    lo, hi = min(fa, fend), max(fa, fend)
+    return _majorant_bound(_power_share(lo, hi, r), lo, hi, eta, case)
 
-    scan_hi = max(eta, fa, fend)
-    beta, residual, bracket = solve_beta(G, (0.0, eta), tol, scan_hi=scan_hi)
-    return BoundResult(beta, min(beta, eta), case, residual, bracket)
 
-
-def alpha_m_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
-    """Scaled-argument route bound.
-
-    fa <= fend always takes the (L - beta)^alpha equation.  For fa > fend the
-    case is picked by comparing m against the endpoint ratio fend/fa: below
-    the ratio keeps the same equation, equality substitutes m = fend/fa into
-    it, and above the ratio switches to the beta^alpha equation.
+def alpha_m_bound(inputs: BoundInputs) -> BoundResult:
+    """Scaled-argument route bound: the Sugeno integral of the majorant
+    fa + t^alpha*(m*fscaled - fa), whose direction is the sign of
+    m*fscaled - fa.  Labels follow ``BoundCase``; a constant majorant with
+    fa > fend is labelled by m against fend/fa alone.
     """
     alpha, m = inputs.alpha, inputs.m
     if alpha is None or m is None:
@@ -321,45 +262,29 @@ def alpha_m_bound(inputs: BoundInputs, tol: float = 1e-9) -> BoundResult:
         raise ValueError("m must lie in (0, 1]")
     if inputs.fscaled is None:
         raise MissingScaledValue("provide fscaled = f((a + eta_len)/m)")
-    fa, fend, eta, fs = inputs.fa, inputs.fend, inputs.eta_len, inputs.fscaled
-    eta_a = eta**alpha
+    fa, fend, eta = inputs.fa, inputs.fend, inputs.eta_len
+    top = m * inputs.fscaled
+    constant = abs(top - fa) <= 1e-12 * max(1.0, fa)
+    rising = top > fa and not constant
 
-    if fa <= fend:
+    if not (rising or constant):
+        case = BoundCase.AM_DECREASING_LARGE_M
+    elif fa <= fend:
         case = BoundCase.AM_INCREASING
-        coeff = m
+    elif abs(m - fend / fa) <= EQUAL_ENDPOINT_TOL:
+        case = BoundCase.AM_DECREASING_RATIO_M
+    elif rising or m < fend / fa:
+        case = BoundCase.AM_DECREASING_SMALL_M
     else:
-        if fa == 0:
-            raise DivisionByZero("the decreasing cases divide by f(a) = 0")
-        rho = fend / fa
-        if abs(m - rho) <= EQUAL_ENDPOINT_TOL:
-            case = BoundCase.AM_DECREASING_RATIO_M
-            coeff = rho
-        elif m < rho:
-            case = BoundCase.AM_DECREASING_SMALL_M
-            coeff = m
-        else:
-            case = BoundCase.AM_DECREASING_LARGE_M
-            coeff = m
+        case = BoundCase.AM_DECREASING_LARGE_M
 
-    if abs(coeff * fs - fa) <= 1e-12 * max(1.0, fa):
-        # the scaled term cancels f(a) and the equation collapses to
-        # -eta^alpha * (beta - f(a)) = 0, linear with root f(a)
+    if constant:
         return BoundResult(fa, min(fa, eta), case, 0.0, (fa, fa))
-
-    if case is BoundCase.AM_DECREASING_LARGE_M:
-
-        def G(b: float) -> float:
-            return b**alpha * (coeff * fs) - b**alpha * fa - eta_a * (b - fa)
-
-    else:
-
-        def G(b: float) -> float:
-            rest = eta - b
-            return rest**alpha * (coeff * fs) - rest**alpha * fa - eta_a * (b - fa)
-
-    scan_hi = max(eta, fa, fend, coeff * fs)
-    beta, residual, bracket = solve_beta(G, (0.0, eta), tol, scan_hi=scan_hi)
-    return BoundResult(beta, min(beta, eta), case, residual, bracket)
+    inv = 1.0 / alpha
+    if rising:
+        return _majorant_bound(lambda b: 1.0 - ((b - fa) / (top - fa)) ** inv,
+                               fa, top, eta, case)
+    return _majorant_bound(lambda b: ((fa - b) / (fa - top)) ** inv, top, fa, eta, case)
 
 
 def classical_hh_r_rhs(fa: float, fb: float, r: float) -> float:

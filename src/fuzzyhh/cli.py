@@ -6,8 +6,8 @@ go to stdout as text (floats at 6 significant digits) or as a JSON report
 carrying full precision, and sweeps emit RFC-4180 CSV.
 
 Exit codes: 0 when every requested verdict passes, 1 on usage or expression
-errors, 2 when a hypothesis check or a bound verification fails, 3 when a
-bound equation has no root on the scan range.
+errors, 2 when a hypothesis check or a bound verification fails, 3 when no
+bound exists for the inputs (reserved: valid inputs always have one).
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Any
 from . import golden
 from .bounds import (
     NoRoot,
-    RZero,
     MissingScaledValue,
-    DivisionByZero,
     endpoint_bound,
     verify_fuzzy_hh,
 )
@@ -377,13 +375,9 @@ def _sweep_row(ns: argparse.Namespace, param: str, value: float,
         raise ValueError(f"sweep over {param!r} needs the other route flags fixed "
                          "(--r, or --alpha and --m)")
     f, integral = fixed or _sweep_integral(ns, iv)
-    try:
-        bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
-        return {"param": value, "integral": integral, "beta": bound.beta,
-                "bound": bound.bound, "case": bound.case.value}
-    except NoRoot:
-        return {"param": value, "integral": integral, "beta": "", "bound": "",
-                "case": "no-root"}
+    bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
+    return {"param": value, "integral": integral, "beta": bound.beta,
+            "bound": bound.bound, "case": bound.case.value}
 
 
 def _run_sweep(ns: argparse.Namespace) -> int:
@@ -432,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoRoot as exc:
         print(f"{PROG}: no root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
-    except (RZero, MissingScaledValue, DivisionByZero, DomainEscape, NonPositiveFunction,
+    except (MissingScaledValue, DomainEscape, NonPositiveFunction,
             NegativeFunction, NoSignChange, MeasureError, ValueError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE

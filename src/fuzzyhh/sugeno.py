@@ -685,8 +685,11 @@ def sugeno_integral(
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
     if float(np.max(ys)) <= 0.0:
-        # sampled sup is zero: every positive level set is empty
-        return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
+        # sampled sup is zero; an interval extension must also bound f by
+        # zero, or a spike between the samples takes the routes below
+        e = f.extension(A.lo, A.hi) if f.extension is not None else None
+        if f.extension is None or (e is not None and e.hi <= 0.0):
+            return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     if method == "auto":
         if f.monotonicity is not Monotonicity.UNKNOWN:
             res = _monotone_crossing(f, A, xs, ys, tol)

@@ -265,21 +265,23 @@ def test_criterion_7_scaled_argument_case_coverage():
     assert inc.case.value == "am-increasing"
     assert abs(inc.beta - 0.75) <= 1e-9 and abs(g_inc) <= 1e-9
 
-    # decreasing, m below the endpoint ratio
+    # m*fscaled < fend: the hypothesis fails at t = 1 and the majorant falls,
+    # so these take the falling equation beta^a*(m*fscaled - fa) = L^a*(beta - fa)
+    # whatever m is against the endpoint ratio
     small = alpha_m_bound(
         BoundInputs(fa=1.0, fend=0.5, eta_len=1.0, alpha=0.5, m=0.25, fscaled=0.2)
     )
-    g_small = (1 - small.beta) ** 0.5 * (0.25 * 0.2 - 1.0) - (small.beta - 1.0)
-    assert small.case.value == "am-decreasing-small-m"
-    assert abs(small.beta - 0.0975) <= 1e-9 and abs(g_small) <= 1e-9
+    g_small = small.beta**0.5 * (0.25 * 0.2 - 1.0) - (small.beta - 1.0)
+    assert small.case.value == "am-decreasing-large-m"
+    root = ((math.sqrt(0.95**2 + 4.0) - 0.95) / 2.0) ** 2  # sqrt(beta) solves s^2 + 0.95s = 1
+    assert abs(small.beta - root) <= 1e-12 and abs(g_small) <= 1e-9
 
-    # decreasing, m equal to the endpoint ratio
     ratio = alpha_m_bound(
         BoundInputs(fa=1.0, fend=0.5, eta_len=1.0, alpha=1.0, m=0.5, fscaled=1.0 / 3.0)
     )
-    g_ratio = (1 - ratio.beta) * (0.5 * (1.0 / 3.0) - 1.0) - (ratio.beta - 1.0)
-    assert ratio.case.value == "am-decreasing-ratio-m"
-    assert abs(g_ratio) <= 1e-9
+    g_ratio = ratio.beta * (0.5 * (1.0 / 3.0) - 1.0) - (ratio.beta - 1.0)
+    assert ratio.case.value == "am-decreasing-large-m"
+    assert abs(ratio.beta - 6.0 / 11.0) <= 1e-12 and abs(g_ratio) <= 1e-9
 
     # decreasing, m above the endpoint ratio
     large = alpha_m_bound(

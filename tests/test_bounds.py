@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyhh import bounds
 from fuzzyhh.bounds import (
-    SCAN_CELLS,
     BoundCase,
     BoundInputs,
     MissingScaledValue,
-    NoRoot,
     RZero,
     alpha_m_bound,
     classical_hh_preinvex,
     classical_hh_r_rhs,
     r_preinvex_bound,
     solve_beta,
-    _bisect_cell,
-    _eval_safe,
     verify_fuzzy_hh,
 )
 from fuzzyhh.convexity import DomainEscape, InvexInterval
@@ -58,22 +53,11 @@ def scan_root(g, lo, hi, cells=200_000):
     raise AssertionError("oracle scan found no root")
 
 
-def majorant_integral(fa, fend, L, r):
-    """Sugeno integral of ((1-t)*fa^r + t*fend^r)^(1/r) on [0, L], t = x/L.
+# -- closed-form majorant oracle (independent of fuzzyhh) ---------------------
 
-    M^r is affine in t, so M is monotone towards the larger endpoint for
-    either sign of r and {M >= b} is an end segment of [0, L] whose share is
-    read off M^r; the integral is sup{b in [0, L] : F(b) >= b}.
-    """
 
-    def F(b):
-        if b <= min(fa, fend):
-            return L
-        if b > max(fa, fend):
-            return 0.0
-        share = (b**r - fa**r) / (fend**r - fa**r)  # t where M(t) = b
-        return L * (1.0 - share if fend > fa else share)
-
+def sup_level(F, L):
+    """sup{b in [0, L] : F(b) >= b} for a non-increasing F, bisected on value."""
     if F(L) >= L:
         return L
     lo, hi = 0.0, L
@@ -86,138 +70,162 @@ def majorant_integral(fa, fend, L, r):
     return lo
 
 
-class _ScanReached(Exception):
-    pass
+def majorant_integral(fa, fend, L, r):
+    """Sugeno integral of ((1-t)*fa^r + t*fend^r)^(1/r) (fa^(1-t)*fend^t at
+    r = 0) on [0, L], t = x/L.
 
-
-def per_point_solve(G, bracket_hint, tol=1e-9, scan_hi=None):
-    """``solve_beta`` with its scan done the old way, one scalar call per point.
-
-    The hint path is ``solve_beta``'s own (a G that refuses arrays stops it
-    where the scan begins); the scan walks the cells in a Python loop.
+    M^r (log M) is affine in t, so M is monotone towards the larger endpoint
+    and {M >= b} is an end segment of [0, L] whose share is read off M^r.
     """
+    if fa == fend:
+        return min(fa, L)
 
-    def scalar_only(b):
-        if np.ndim(b):
-            raise _ScanReached
-        return G(b)
+    def F(b):
+        if b <= min(fa, fend):
+            return L
+        if b >= max(fa, fend):
+            return 0.0
+        if r == 0:
+            t = math.log(b / fa) / math.log(fend / fa)  # t where M(t) = b
+        else:
+            t = (b**r - fa**r) / (fend**r - fa**r)
+        return L * (1.0 - t if fend > fa else t)
 
-    try:
-        return solve_beta(scalar_only, bracket_hint, tol, scan_hi)
-    except _ScanReached:
-        pass
-    xs = np.linspace(0.0, bracket_hint[1] if scan_hi is None else scan_hi, SCAN_CELLS + 1)
-    gs = np.array([_eval_safe(G, x) for x in xs])
-    finite = np.isfinite(gs)
-    for i in range(SCAN_CELLS):
-        if finite[i] and gs[i] == 0.0:
-            return float(xs[i]), 0.0, (float(xs[i]), float(xs[i + 1]))
-        if finite[i] and finite[i + 1] and (gs[i] > 0.0) != (gs[i + 1] > 0.0):
-            cell = (float(xs[i]), float(xs[i + 1]))
-            return (*_bisect_cell(G, *cell, float(gs[i]), float(gs[i + 1])), cell)
-    if finite[-1] and gs[-1] == 0.0:
-        return float(xs[-1]), 0.0, (float(xs[-2]), float(xs[-1]))
-    raise NoRoot("no sign change")
+    return sup_level(F, L)
 
 
-def _bound_draw(rng):
-    """Endpoint scalars over both routes, r of both signs, saturated and NoRoot."""
-    L = rng.uniform(0.3, 2.0)
-    top = rng.choice([1.0, 3.0])  # 3: endpoints may pass L, the bound saturates
-    fa, fend = rng.uniform(0.0, top, size=2) * L
+def scaled_majorant_integral(fa, fscaled, L, alpha, m):
+    """Sugeno integral of fa + t^alpha*(m*fscaled - fa) on [0, L], t = x/L,
+    monotone in the direction of m*fscaled - fa."""
+    top = m * fscaled
+    if top == fa:
+        return min(fa, L)
+
+    def F(b):
+        if b <= min(fa, top):
+            return L
+        if b >= max(fa, top):
+            return 0.0
+        t = ((b - fa) / (top - fa)) ** (1.0 / alpha)  # t where M(t) = b
+        return L * (1.0 - t if top > fa else t)
+
+    return sup_level(F, L)
+
+
+# -- the case equations of the former dispatch, kept as oracles ----------------
+
+
+def former_case(inp):
+    """The label the former dispatch chose: endpoint order, and m against fend/fa."""
+    if inp.r is not None:
+        sign = "pos" if inp.r > 0 else "neg"
+        return f"r-{sign}-{'increasing' if inp.fend > inp.fa else 'decreasing'}"
+    if inp.fa <= inp.fend:
+        return "am-increasing"
+    rho = inp.fend / inp.fa
+    if abs(inp.m - rho) <= 1e-12:
+        return "am-decreasing-ratio-m"
+    return "am-decreasing-small-m" if inp.m < rho else "am-decreasing-large-m"
+
+
+def case_equation(inp, case, b):
+    """The terms of the former dispatch's equation for ``case`` at b (the
+    equation is their sum = 0)."""
+    fa, fend, L = inp.fa, inp.fend, inp.eta_len
+    if inp.r is not None:
+        r, diff = inp.r, inp.fend**inp.r - inp.fa**inp.r
+        if case.endswith("increasing"):
+            return [b * diff, L * b**r, -L * fend**r]
+        return [b * diff, -L * b**r, L * fa**r]
+    alpha = inp.alpha
+    coeff = fend / fa if case == "am-decreasing-ratio-m" else inp.m
+    top = coeff * inp.fscaled
+    scaled = b if case == "am-decreasing-large-m" else L - b
+    return [scaled**alpha * top, -(scaled**alpha) * fa, -(L**alpha) * (b - fa)]
+
+
+def power_mean_draw(rng):
+    """r of both signs with |r| in [0.1, 4], or r = 0; endpoints up to 3L, so
+    both may pass L and saturate the bound; one in ten equal."""
+    L = rng.uniform(0.2, 3.0)
+    r = rng.choice([0.0, 1.0, -1.0], p=[0.1, 0.45, 0.45]) * rng.uniform(0.1, 4.0)
+    positive = r <= 0 or rng.uniform() < 0.8  # r > 0 also takes a zero endpoint
+    fa, fend = rng.uniform(0.01 if positive else 0.0, 3.0, size=2) * L
+    if not positive:
+        fa, fend = (0.0, fend) if rng.uniform() < 0.5 else (fa, 0.0)
     if rng.uniform() < 0.1:
         fend = fa
-    if rng.uniform() < 0.5:
-        r = rng.choice([1.0, -1.0]) * rng.uniform(0.25, 3.0)
-        if r < 0:
-            fa, fend = fa + 0.05, fend + 0.05
-        return BoundInputs(fa=fa, fend=fend, eta_len=L, r=r)
-    m = rng.uniform(0.1, 1.0)
-    if fa > fend and rng.uniform() < 0.2:
+    return BoundInputs(fa=fa, fend=fend, eta_len=L, r=r)
+
+
+def scaled_draw(rng):
+    """Both directions of fa + t^alpha*(m*fscaled - fa): rising and falling
+    majorants with either endpoint order (faults b and c), saturated ones
+    (fa or m*fscaled past L), m at fend/fa and constant majorants."""
+    L = rng.uniform(0.2, 3.0)
+    alpha, m = rng.uniform(0.1, 1.0, size=2)
+    fa, fend, top = rng.uniform(0.0, 3.0, size=3) * L
+    u = rng.uniform()
+    if u < 0.1 and fa > fend:
         m = fend / fa
-    fscaled = rng.uniform(0.0, 3.0) * L / m
-    return BoundInputs(fa=fa, fend=fend, eta_len=L, alpha=rng.uniform(0.1, 1.0), m=m,
-                       fscaled=fscaled)
-
-
-def _outcome(inputs):
-    solver = r_preinvex_bound if inputs.r is not None else alpha_m_bound
-    try:
-        return repr(solver(inputs))
-    except NoRoot:
-        return "NoRoot"
+    elif u < 0.15:
+        top = fa
+    return BoundInputs(fa=fa, fend=fend, eta_len=L, alpha=alpha, m=m, fscaled=top / m)
 
 
 class TestSolveBeta:
     def test_linear(self):
-        for c in (0.0, 0.3, 0.99):
-            root, residual, _ = solve_beta(lambda b, c=c: b - c, (0.0, 1.0))
-            assert root == pytest.approx(c, abs=1e-12)
-            assert residual <= 1e-12
+        # F(b) = c*(1 - b) meets the diagonal at c/(1 + c)
+        for c in (0.0, 0.3, 1.0, 0.99):
+            beta, residual, bracket = solve_beta(lambda b, c=c: c * (1.0 - b), 1.0)
+            assert beta == pytest.approx(c / (1.0 + c), abs=1e-15)
+            assert residual == bracket[1] - bracket[0] <= 1.2e-16
 
     def test_quadratic(self):
-        root, residual, _ = solve_beta(lambda b: b * b - 4.0 * b + 1.0, (0.0, 1.0))
-        assert root == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
-        assert residual <= 1e-9
+        # (1 - b)^2 = b at (3 - sqrt(5))/2
+        beta, _, _ = solve_beta(lambda b: (1.0 - b) ** 2, 1.0)
+        assert beta == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-15)
 
     def test_printed_constant_equation(self):
-        # the 4-decimal coefficient 0.5774 stands in for 3^(-1/2)
-        root, _, _ = solve_beta(lambda b: 0.5774 * b + math.sqrt(b) - 0.5774, (0.0, 1.0))
-        assert root == pytest.approx(0.2087, abs=1e-4)
+        # 0.5774*b + sqrt(b) = 0.5774, the 4-decimal coefficient standing in
+        # for 3^(-1/2), as a fixed point of the falling 1 - sqrt(b)/0.5774
+        beta, _, _ = solve_beta(lambda b: max(1.0 - math.sqrt(b) / 0.5774, 0.0), 1.0)
+        assert beta == pytest.approx(0.2087, abs=1e-4)
 
-    def test_scan_fallback_when_hint_misses(self):
-        # root at 1.5, hint bracket [0, 1] has no sign change
-        root, _, bracket = solve_beta(lambda b: b - 1.5, (0.0, 1.0), scan_hi=3.0)
-        assert root == pytest.approx(1.5, abs=1e-9)
-        assert bracket[0] <= 1.5 <= bracket[1]
+    def test_ends_on_adjacent_floats(self):
+        F = lambda b: 0.5 * (1.0 - b * b)  # noqa: E731
+        beta, residual, (lo, hi) = solve_beta(F, 1.0)
+        assert lo == beta and hi == np.nextafter(beta, 2.0) and residual == hi - lo
+        assert F(lo) >= lo and F(hi) < hi
 
-    def test_no_root_raises(self):
-        with pytest.raises(NoRoot):
-            solve_beta(lambda b: b * b + 1.0, (0.0, 1.0), scan_hi=2.0)
+    def test_saturated_measure_returns_the_length(self):
+        assert solve_beta(lambda b: 2.0, 1.5) == (1.5, 0.0, (1.5, 1.5))
+        # a measure that reaches the diagonal exactly at L saturates too
+        assert solve_beta(lambda b: 1.5 * (2.0 - b), 1.0)[0] == 1.0
 
-    def test_missed_hint_makes_one_array_call(self):
-        sizes = []
+    def test_jump_across_the_diagonal(self):
+        # F steps from 0.7 down to 0.1 at 0.4: the sup is the step, not a root
+        beta, _, _ = solve_beta(lambda b: 0.7 if b <= 0.4 else 0.1, 1.0)
+        assert beta == 0.4
 
-        def G(b):
-            sizes.append(np.shape(b))
-            return b - 1.5
+    def test_tiny_crossing_keeps_relative_precision(self):
+        # F(b) = c^2/b meets the diagonal at c; bisecting values would stop
+        # near 1e-300 absolute error, the bit patterns reach c to one ulp
+        for c in (1e-150, 3e-200, 0.7):
+            beta, _, _ = solve_beta(lambda b, c=c: c * c / b if b > 0 else math.inf, 1.0)
+            assert beta == pytest.approx(c, rel=1e-15)
 
-        root, _, _ = solve_beta(G, (0.0, 1.0), scan_hi=3.0)
-        assert root == pytest.approx(1.5, abs=1e-12)
-        # both hint ends, the whole scan at once, then scalar bisection
-        assert sizes[:3] == [(), (), (SCAN_CELLS + 1,)]
-        assert SCAN_CELLS + 1 == 10_001
-        assert len(sizes) > 3 and all(shape == () for shape in sizes[3:])
+    def test_evaluations_are_bounded_by_the_float_count(self):
+        calls = []
 
-    def test_scan_skips_non_finite_values(self):
-        # inf at 0, NaN (negative base) past 1; the zero sits between them
-        root, _, _ = solve_beta(
-            lambda b: 1.0 / b + np.sqrt(1.0 - b) - 2.0, (0.9, 1.0), scan_hi=2.0
-        )
-        expected = scan_root(lambda b: 1.0 / b + math.sqrt(1.0 - b) - 2.0, 1e-9, 1.0)
-        assert root == pytest.approx(expected, abs=1e-12)
+        def F(b):
+            calls.append(b)
+            return 0.25 * (1.0 - b)
 
-    def test_scan_equals_the_per_point_scan(self):
-        rng = np.random.default_rng(2024)
-        outcomes = set()
-        with pytest.MonkeyPatch.context() as mp:
-            for _ in range(250):
-                inputs = _bound_draw(rng)
-                mp.setattr(bounds, "solve_beta", solve_beta)
-                fast = _outcome(inputs)
-                mp.setattr(bounds, "solve_beta", per_point_solve)
-                assert _outcome(inputs) == fast, inputs
-                outcomes.add("NoRoot" if fast == "NoRoot" else fast.split("'")[1])
-        # every route, both signs of r, and NoRoot were drawn
-        assert {"r-pos-increasing", "r-neg-decreasing", "am-increasing",
-                "am-decreasing-large-m", "NoRoot"} <= outcomes
-
-    def test_first_root_wins_on_scan(self):
-        # zeros at 0.25 and 0.75; the scan must return the first
-        root, _, _ = solve_beta(lambda b: (b - 0.25) * (b - 0.75), (0.5, 1.0), scan_hi=1.0)
-        assert root == pytest.approx(0.75, abs=1e-9)  # hint has the sign change here
-        root, _, _ = solve_beta(lambda b: -(b - 0.25) * (b - 0.75), (0.0, 1.0), scan_hi=1.0)
-        assert root == pytest.approx(0.25, abs=1e-9)
+        solve_beta(F, 2.0)
+        # one saturation test, then one evaluation per halving of at most
+        # 2^63 non-negative floats
+        assert len(calls) <= 64
 
 
 class TestPowerMeanRoute:
@@ -289,18 +297,29 @@ class TestPowerMeanRoute:
             expected = majorant_integral(fa, fend, L, r)
             assert res.bound == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
 
-    def test_r_zero_rejected(self):
-        with pytest.raises(RZero):
-            r_preinvex_bound(BoundInputs(fa=0.1, fend=0.5, eta_len=1.0, r=0.0))
+    def test_r_zero_lies_between_nearby_r(self):
+        # the geometric majorant 0.2^(1-t)*0.9^t: b = log(0.9/b)/log(4.5)
+        res = r_preinvex_bound(BoundInputs(fa=0.2, fend=0.9, eta_len=1.0, r=0.0))
+        assert res.case is BoundCase.R_ZERO_INCREASING
+        assert res.bound == pytest.approx(0.4543903171, abs=1e-10)
+        assert res.bound == pytest.approx(math.log(0.9 / res.bound) / math.log(4.5), abs=1e-15)
+        near = [r_preinvex_bound(BoundInputs(fa=0.2, fend=0.9, eta_len=1.0, r=r)).bound
+                for r in (-1e-6, 1e-6)]
+        assert near[0] < res.bound < near[1]
+        falling = r_preinvex_bound(BoundInputs(fa=0.9, fend=0.2, eta_len=1.0, r=0.0))
+        assert falling.case is BoundCase.R_ZERO_DECREASING and falling.bound == res.bound
 
     def test_negative_r_needs_positive_endpoints(self):
-        with pytest.raises(ValueError):
-            r_preinvex_bound(BoundInputs(fa=0.0, fend=0.5, eta_len=1.0, r=-1.0))
+        for r in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                r_preinvex_bound(BoundInputs(fa=0.0, fend=0.5, eta_len=1.0, r=r))
 
-    def test_endpoint_powers_that_overflow_are_a_value_error(self):
-        # 1e-120 ** -3 = 1e360 is past float64: a usage error, not an OverflowError
-        with pytest.raises(ValueError, match="overflow"):
-            r_preinvex_bound(BoundInputs(fa=1e-120, fend=1.0, eta_len=1.0, r=-3.0))
+    def test_tiny_endpoint_power_bound(self):
+        # 1e-120 ** -3 = 1e360 is past float64, but the share is taken relative
+        # to it: the bound solves b^4 = fa^3 (the majorant is about fa/(1-t)^(1/3))
+        res = r_preinvex_bound(BoundInputs(fa=1e-120, fend=1.0, eta_len=1.0, r=-3.0))
+        assert res.bound == pytest.approx(1e-90, rel=1e-12)
+        assert res.bracket[0] < res.bracket[1] == np.nextafter(res.bound, 1.0)
 
     def test_case_one_is_strictly_increasing_with_unique_root(self):
         rng = np.random.default_rng(5)
@@ -323,7 +342,10 @@ class TestPowerMeanRoute:
             )
             assert sign_changes <= 1
             res = r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=eta, r=r))
-            assert abs(g(res.beta)) <= 1e-9
+            if g(eta) <= 0.0:  # the root lies past L: the bound saturates
+                assert res.beta == res.bound == eta
+            else:
+                assert abs(g(res.beta)) <= 1e-9
 
     def test_case_boundary_continuity(self):
         # as fend -> fa the computed bound approaches min(fa, eta) from either side
@@ -355,24 +377,59 @@ class TestScaledArgumentRoute:
             assert res.bound == pytest.approx(min(fa, 1.0), abs=1e-9)
 
     def test_small_m_case(self):
-        # f = 1/(1+x): fa=1, fend=1/2, m=1/4 < 1/2, fscaled = f(4) = 1/5;
-        # equation reduces to (1-b) - 0.95*sqrt(1-b) = 0, first root 0.0975
+        # f = 1/(1+x): fa=1, fend=1/2, m=1/4 < 1/2, fscaled = f(4) = 1/5.
+        # m*fscaled = 0.05 < fend breaks the hypothesis at t = 1, and the
+        # majorant 1 - 0.95*sqrt(t) falls: sqrt(b)*0.95 = 1 - b
         res = alpha_m_bound(
             BoundInputs(fa=1.0, fend=0.5, eta_len=1.0, alpha=0.5, m=0.25, fscaled=0.2)
         )
-        assert res.case is BoundCase.AM_DECREASING_SMALL_M
-        assert res.beta == pytest.approx(1.0 - 0.95**2, abs=1e-9)
+        assert res.case is BoundCase.AM_DECREASING_LARGE_M
+        assert res.beta == pytest.approx(((math.sqrt(4.9025) - 0.95) / 2.0) ** 2, abs=1e-15)
+        assert res.bound == pytest.approx(scaled_majorant_integral(1.0, 0.2, 1.0, 0.5, 0.25),
+                                          abs=1e-15)
 
     def test_ratio_m_case(self):
-        # f = 1/(1+x): m = fend/fa = 1/2, fscaled = f(2) = 1/3, alpha = 1;
-        # the equation degenerates to (1-b)/6 = 0 with root at the path length
+        # f = 1/(1+x): m = fend/fa = 1/2, fscaled = f(2) = 1/3, alpha = 1.
+        # m*fscaled = 1/6 < fend, the majorant 1 - 5t/6 falls: 6/5*(1 - b) = b
         res = alpha_m_bound(
             BoundInputs(fa=1.0, fend=0.5, eta_len=1.0, alpha=1.0, m=0.5, fscaled=1.0 / 3.0)
         )
+        assert res.case is BoundCase.AM_DECREASING_LARGE_M
+        assert res.bound == pytest.approx(6.0 / 11.0, abs=1e-15)
+
+    def test_ratio_m_with_a_rising_majorant(self):
+        # m = fend/fa exactly and m*fscaled = 1.6 > fa: the rising equation
+        res = alpha_m_bound(
+            BoundInputs(fa=0.4, fend=0.2, eta_len=1.0, alpha=1.0, m=0.5, fscaled=3.2)
+        )
         assert res.case is BoundCase.AM_DECREASING_RATIO_M
-        expected = scan_root(lambda b: (1.0 - b) / 6.0, 0.0, 1.0)
-        assert res.beta == pytest.approx(expected, abs=1e-9)
-        assert res.bound == pytest.approx(1.0, abs=1e-9)
+        # share 1 - (b - 0.4)/1.2 = b gives b = 8/11
+        assert res.bound == pytest.approx(8.0 / 11.0, abs=1e-15)
+
+    def test_saturated_rising_majorant(self):
+        # fault b: fa >= L, so the majorant never drops below L; the former
+        # dispatch found no root and raised
+        for fa, fend in ((1.2, 1.5), (1.5, 1.2)):
+            res = alpha_m_bound(
+                BoundInputs(fa=fa, fend=fend, eta_len=1.0, alpha=0.5, m=0.5, fscaled=4.0)
+            )
+            assert (res.beta, res.bound, res.residual) == (1.0, 1.0, 0.0)
+
+    def test_direction_follows_the_scaled_value(self):
+        # fault c: m > fend/fa with a rising majorant, and m < fend/fa with
+        # a falling one; the former dispatch keyed on m alone
+        rising = alpha_m_bound(
+            BoundInputs(fa=0.8, fend=0.3, eta_len=1.0, alpha=0.5, m=0.5, fscaled=2.0)
+        )
+        assert rising.case is BoundCase.AM_DECREASING_SMALL_M
+        # 1 - ((b - 0.8)/0.2)^2 = b
+        assert rising.bound == pytest.approx(0.8716515138991168, abs=1e-15)
+        falling = alpha_m_bound(
+            BoundInputs(fa=0.8, fend=0.6, eta_len=1.0, alpha=0.5, m=0.5, fscaled=1.3)
+        )
+        assert falling.case is BoundCase.AM_DECREASING_LARGE_M
+        assert falling.bound == pytest.approx(
+            scaled_majorant_integral(0.8, 1.3, 1.0, 0.5, 0.5), abs=1e-15)
 
     def test_large_m_case_against_scan(self):
         # f = 1/(1+x): m = 0.8 > 1/2, fscaled = f(1.25) = 1/2.25
@@ -415,6 +472,71 @@ class TestScaledArgumentRoute:
         fields = dict(r_route if field in r_route else am_route, **{field: bad})
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             BoundInputs(**fields)
+
+
+class TestMajorantProperties:
+    """Seeded draws over the whole input space of each route against the
+    closed-form majorant oracle above."""
+
+    def test_power_mean_route_matches_the_majorant_oracle(self):
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(2000):
+            inp = power_mean_draw(rng)
+            res = r_preinvex_bound(inp)
+            L = inp.eta_len
+            expected = min(L, majorant_integral(inp.fa, inp.fend, L, inp.r))
+            assert abs(res.bound - expected) <= 1e-12 * max(1.0, expected), inp
+            assert res.beta == res.bound or res.case is BoundCase.DEGENERATE
+            seen.add(res.case)
+            if min(inp.fa, inp.fend) >= L:
+                seen.add("saturated")
+        assert seen == {c for c in BoundCase if not c.value.startswith("am-")} | {"saturated"}
+
+    def test_scaled_argument_route_matches_the_majorant_oracle(self):
+        rng = np.random.default_rng(72)
+        seen = set()
+        for _ in range(2000):
+            inp = scaled_draw(rng)
+            res = alpha_m_bound(inp)
+            L, top = inp.eta_len, inp.m * inp.fscaled
+            expected = min(L, scaled_majorant_integral(inp.fa, inp.fscaled, L, inp.alpha, inp.m))
+            assert abs(res.bound - expected) <= 1e-12 * max(1.0, expected), inp
+            direction = "rising" if top > inp.fa else "falling" if top < inp.fa else "flat"
+            seen.add((direction, "fa<=fend" if inp.fa <= inp.fend else "fa>fend"))
+            seen.add(res.case)
+            if res.case.value != former_case(inp):
+                seen.add("fault c")
+            if min(inp.fa, top) >= L:
+                seen.add("saturated")
+        directions = {(d, o) for d in ("rising", "falling", "flat") for o in ("fa<=fend", "fa>fend")}
+        labels = {c for c in BoundCase if c.value.startswith("am-")}
+        assert directions | labels | {"fault c", "saturated"} <= seen
+
+    @pytest.mark.parametrize("route", ["r", "alpha-m"])
+    def test_former_case_equations_hold_where_the_dispatch_was_right(self, route):
+        # the former dispatch was right where it picked the majorant's own
+        # equation and the root lay inside [0, L]; there the new beta solves it
+        rng = np.random.default_rng(73 if route == "r" else 74)
+        draw, solver = ((power_mean_draw, r_preinvex_bound) if route == "r"
+                        else (scaled_draw, alpha_m_bound))
+        checked, steep = set(), 0
+        for _ in range(2000):
+            inp = draw(rng)
+            res = solver(inp)
+            if res.residual == 0.0 or inp.r == 0 or res.case.value != former_case(inp):
+                continue  # constant, saturated, r = 0 or a new label
+            terms = case_equation(inp, res.case.value, res.beta)
+            residual = abs(sum(terms))
+            if residual > 1e-9 * max(1.0, max(map(abs, terms))):
+                # an equation too steep at beta for 1e-9 (alpha near 0 and
+                # beta near L) still changes sign between beta's neighbours
+                g_prev, g_past = (sum(case_equation(inp, res.case.value, b))
+                                  for b in (np.nextafter(res.beta, 0.0), res.bracket[1]))
+                assert (g_prev > 0.0) != (g_past > 0.0), inp
+                steep += 1
+            checked.add(res.case)
+        assert len(checked) == 4 and steep <= 20
 
 
 class TestClassicalComparators:

@@ -266,10 +266,9 @@ class TestBound:
         assert report["result"]["case"] == "am-increasing"
 
     def test_no_root_exits_three(self, capsys, monkeypatch):
-        # no input of either route is known to leave the case equation without
-        # a root, so the solver is made to report one
-        def no_root(*args, **kwargs):
-            raise bounds.NoRoot("no sign change on [0, 1]")
+        # every valid input has a bound, so the solver is made to report none
+        def no_root(F, L):
+            raise bounds.NoRoot("no bound on [0, 1]")
 
         monkeypatch.setattr(bounds, "solve_beta", no_root)
         code, _, err = run(capsys, "bound", "-f", "1+x", "-a", "0", "-b", "1", "--r", "-1")
@@ -285,12 +284,28 @@ class TestBound:
         assert report["result"]["case"] == "r-neg-increasing"
         assert report["result"]["bound"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_overflowing_endpoint_power_is_a_usage_error(self, capsys):
-        code, out, err = run(capsys, "bound", "-f", "1e-120+x", "-a", "0", "-b", "1", "--r", "-3")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("fuzzyhh: ") and "overflow" in err
-        assert "Traceback" not in err
+    def test_tiny_endpoint_power_bound_exits_two(self, capsys):
+        # 1e-120 ** -3 is past float64, yet the bound exists: b^4 = fa^3 gives
+        # 1e-90, far below the integral 1/2 of a function that is not
+        # (-3)-preinvex, so the verification fails
+        code, report, err = run_json(
+            capsys, "bound", "-f", "1e-120+x", "-a", "0", "-b", "1", "--r", "-3"
+        )
+        assert code == 2
+        assert err == ""
+        assert report["result"]["bound"] == pytest.approx(1e-90, rel=1e-12)
+        assert report["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_r_zero_bound_is_the_geometric_majorant_integral(self, capsys):
+        # the log-preinvex hypothesis that check --r 0 certifies has a bound
+        # 0.2*4.5^x is its own geometric majorant, so integral and bound coincide
+        code, report, _ = run_json(capsys, "bound", "-f", f"0.2*exp({math.log(4.5)!r}*x)",
+                                   "-a", "0", "-b", "1", "--r", "0")
+        assert code == 0
+        assert report["result"]["case"] == "r-zero-increasing"
+        assert report["result"]["bound"] == pytest.approx(0.4543903171, abs=1e-10)
+        assert report["result"]["integral"] == pytest.approx(report["result"]["bound"],
+                                                             abs=1e-9)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_r_is_a_usage_error(self, capsys, value):
@@ -354,6 +369,17 @@ class TestSweep:
         for row in rows:
             assert row["case"] == "r-pos-increasing"
             assert float(row["integral"]) <= float(row["bound"]) + 1e-9
+
+    def test_r_sweep_through_zero(self, capsys):
+        code, out, _ = run(capsys, "sweep", "-f", "0.2+0.7*x", "-a", "0", "-b", "1",
+                           "--param", "r", "--values=-1,0,1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["case"] for row in rows] == [
+            "r-neg-increasing", "r-zero-increasing", "r-pos-increasing"]
+        bounds_by_r = [float(row["bound"]) for row in rows]
+        assert bounds_by_r[1] == pytest.approx(0.4543903171, abs=1e-10)
+        assert bounds_by_r[0] < bounds_by_r[1] < bounds_by_r[2]
 
     def test_empty_range_header_only(self, capsys):
         code, out, _ = run(capsys, "sweep", "-f", "x^2", "-a", "0", "-b", "1",

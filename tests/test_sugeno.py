@@ -662,6 +662,20 @@ class TestPiecewiseForm:
         assert res.value == pytest.approx(want, abs=1e-9)
         assert res.method is IntegralMethod.FIXED_POINT and res.residual <= 1e-9
 
+    def test_positive_spike_between_the_guard_points_is_integrated(self):
+        """A spike of height 1/2 and half-width 3e-5 that no guard point sees:
+        the all-zero guard sample used to return 0 outright."""
+        f = function_from_expression(
+            "0.5*(3e-05 - abs(x - 0.9001) + abs(abs(x - 0.9001) - 3e-05))/6e-05", UNIT)
+        assert f.evaluate(UNIT.grid(sugeno.CROSSING_POINTS)).max() <= 0.0
+        res = sugeno_integral(f, UNIT)
+        # F(b) = 6e-5*(1 - 2b) meets the diagonal at 6e-5/(1 + 1.2e-4)
+        assert res.value == pytest.approx(6e-5 / (1 + 1.2e-4), abs=1e-9)
+        assert res.value == pytest.approx(sugeno_supmin_exact(f, UNIT).value, abs=2e-6)
+        # an integrand the extension bounds by zero still takes the shortcut
+        zero = sugeno_integral(function_from_expression("0*x", UNIT), UNIT)
+        assert (zero.value, zero.method) == (0.0, IntegralMethod.SUPMIN_GRID)
+
     def test_negative_dip_between_the_guard_points_raises(self):
         f = function_from_expression(
             "x/2 - 0.6*(1e-5 - abs(x - 0.90013) + abs(abs(x - 0.90013) - 1e-5))/2e-5", UNIT)
