@@ -2,18 +2,17 @@
 
 The package splits into a measure layer (intervals, level-set distribution
 functions), the integral itself (a monotone crossing search and an exact
-grid sup-min, with fixed-point and threshold-sweep oracles), sampling
-checkers for generalized-convexity hypotheses, the bounds (each the integral
-of its hypothesis's majorant), a small expression DSL, and a CLI that ties
+grid sup-min, with fixed-point and threshold-sweep oracles, and the
+sup-level kernel ``solve_beta``), sampling checkers for generalized-convexity
+hypotheses, the bounds (each the integral of its hypothesis's majorant by
+``solve_beta``), a small expression DSL, and a CLI that ties
 them together.
 """
 
 from .measure import (
-    GridScan,
     InvalidThreshold,
     MeasureError,
     Monotonicity,
-    MonotoneClosedForm,
     DistributionProfile,
     RealInterval,
     ScalarFunction,
@@ -27,9 +26,9 @@ from .measure import (
 from .sugeno import (
     IntegralMethod,
     NegativeFunction,
-    NoSignChange,
     SugenoError,
     SugenoResult,
+    solve_beta,
     sugeno_fixed_point,
     sugeno_integral,
     sugeno_supmin,
@@ -65,7 +64,6 @@ from .bounds import (
     classical_hh_preinvex,
     classical_hh_r_rhs,
     r_preinvex_bound,
-    solve_beta,
     verify_fuzzy_hh,
 )
 from .expressions import (

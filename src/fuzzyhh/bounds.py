@@ -7,7 +7,8 @@ share of [0, 1] where M >= b has a closed form, and the integral is
 
     beta = sup{b in [0, L] : L * share(b) >= b},
 
-found by ``solve_beta``, one bisection on the bit patterns of non-negative
+found by ``solve_beta`` (defined in ``sugeno``, which integrates monotone
+functions with it too), one bisection on the bit patterns of non-negative
 floats that ends on adjacent floats.  beta never exceeds L, so a saturated
 majorant (one that stays at or above L) gives beta = L.  The solvers consume
 only the scalars
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 from .convexity import DomainEscape, InvexInterval
 from .measure import ScalarFunction
-from .sugeno import SugenoResult, sugeno_integral
+from .sugeno import SugenoResult, solve_beta, sugeno_integral
 
 __all__ = [
     "BoundError",
@@ -73,9 +73,6 @@ __all__ = [
 ]
 
 EQUAL_ENDPOINT_TOL = 1e-12
-
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
 
 
 class BoundError(Exception):
@@ -163,29 +160,6 @@ class BoundResult:
     case: BoundCase
     residual: float
     bracket: tuple[float, float]
-
-
-def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
-    """sup{b in [0, L] : F(b) >= b} for a non-increasing F >= 0 on [0, L].
-
-    Returns (beta, residual, bracket).  The bisection runs on the bit
-    patterns of non-negative float64s, whose integer order is their order
-    as floats, so it halves the count of floats in the bracket each step and
-    keeps full relative precision for tiny bounds.  It ends on adjacent
-    floats: F(beta) >= beta holds at beta and fails at the next float.
-    """
-    if F(L) >= L:
-        return L, 0.0, (L, L)
-    lo, hi = 0, _U64.unpack(_F64.pack(L))[0]  # F(0) >= 0 always holds
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        b = _F64.unpack(_U64.pack(mid))[0]
-        if F(b) >= b:
-            lo = mid
-        else:
-            hi = mid
-    beta, past = _F64.unpack(_U64.pack(lo))[0], _F64.unpack(_U64.pack(hi))[0]
-    return beta, past - beta, (beta, past)
 
 
 def _majorant_bound(share: Callable[[float], float], lo: float, hi: float, L: float,

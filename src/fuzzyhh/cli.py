@@ -42,7 +42,7 @@ from .convexity import (
 )
 from .expressions import EvalError, ExprSyntaxError, function_from_expression
 from .measure import MeasureError, RealInterval
-from .sugeno import NegativeFunction, NoSignChange, sugeno_integral
+from .sugeno import NegativeFunction, sugeno_integral
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -105,7 +105,10 @@ def _add_common(parser: argparse.ArgumentParser, need_function: bool = True) -> 
                             help="declared evaluation domain of f (wider than [a, b] "
                                  "when the scaled-argument route evaluates f(v/m))")
         parser.add_argument("--method", choices=("fixedpoint", "supmin"), default=None,
-                            help="force the integration route")
+                            help="force the integration route: fixedpoint bisects "
+                                 "F(b) >= b over the closed-form level measure (the "
+                                 "exact grid form when f has no monotonicity hint), "
+                                 "supmin sweeps --grid thresholds")
         parser.add_argument("--grid", type=int, default=1_000_000,
                             help="grid size for sampled distributions (default 1e6)")
         parser.add_argument("--samples", type=int, default=100_000,
@@ -427,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{PROG}: no root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
     except (MissingScaledValue, DomainEscape, NonPositiveFunction,
-            NegativeFunction, NoSignChange, MeasureError, ValueError) as exc:
+            NegativeFunction, MeasureError, ValueError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

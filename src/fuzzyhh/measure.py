@@ -6,17 +6,17 @@ their Lebesgue measure, so the central object is the distribution function
 
     F(beta) = mu(A intersect {x : f(x) >= beta}),
 
-which is non-increasing in the threshold ``beta``.  Two evaluation strategies
-are provided: closed-form inversion of a monotone function (bisection on the
-level-set boundary) and a midpoint-grid count that works for arbitrary
-black-box functions.
+which is non-increasing in the threshold ``beta``.  ``DistributionProfile``
+evaluates it for a monotone function by closed-form inversion (bisection on
+the level-set boundary to ``INVERSION_TOL``); ``sugeno`` integrates every
+other function without it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,8 +28,7 @@ __all__ = [
     "RealInterval",
     "Monotonicity",
     "ScalarFunction",
-    "MonotoneClosedForm",
-    "GridScan",
+    "INVERSION_TOL",
     "DistributionProfile",
     "follows",
     "constant_function",
@@ -41,6 +40,9 @@ __all__ = [
 
 #: Slack for closed-interval membership tests (paths may land an ulp outside).
 SET_SLACK = 1e-12
+
+#: Width in x to which ``DistributionProfile`` bisects a level-set boundary.
+INVERSION_TOL = 1e-12
 
 
 class MeasureError(Exception):
@@ -78,8 +80,8 @@ class RealInterval:
         return np.clip(x, self.lo, self.hi)
 
     def midpoints(self, n: int) -> np.ndarray:
-        """Midpoints of ``n`` equal cells: the sample of the grid form, of
-        ``sugeno_supmin`` and of ``GridScan``."""
+        """Midpoints of ``n`` equal cells: the sample of the grid form and of
+        ``sugeno_supmin``."""
         if n < 1:
             raise ValueError("cell count must be positive")
         h = self.length() / n
@@ -167,28 +169,18 @@ class ScalarFunction:
 
 
 def from_callable(
-    fn: Callable[[float], float],
+    fn: Callable,
     domain: RealInterval,
     monotonicity: Monotonicity = Monotonicity.UNKNOWN,
     name: str = "f",
-    vectorized: bool = True,
 ) -> ScalarFunction:
-    """Wrap a plain callable; set ``vectorized=False`` for scalar-only code."""
-    if vectorized:
-        ev = fn
-    else:
-        vf = np.vectorize(fn, otypes=[float])
-
-        def ev(x):
-            if np.ndim(x) == 0:
-                return float(fn(float(x)))
-            return vf(x)
-
-    return ScalarFunction(domain=domain, evaluate=ev, monotonicity=monotonicity, name=name)
+    """Wrap a plain callable.  ``fn`` must accept a float and a numpy array
+    alike and act elementwise on arrays, as ``ScalarFunction.evaluate`` does."""
+    return ScalarFunction(domain=domain, evaluate=fn, monotonicity=monotonicity, name=name)
 
 
 def constant_function(k: float, domain: RealInterval = RealInterval(0.0, 1.0)) -> ScalarFunction:
-    """f(x) = k.  Weakly monotone, so the closed-form strategy applies."""
+    """f(x) = k.  Weakly monotone, so closed-form inversion applies."""
 
     def ev(x):
         if np.ndim(x) == 0:
@@ -246,99 +238,45 @@ def affine_root_function(c: float, d: float, r: float, domain: RealInterval) -> 
 
 
 @dataclass(frozen=True)
-class MonotoneClosedForm:
-    """Locate the level-set boundary by bisection inversion of a monotone f."""
-
-    tol: float = 1e-12
-
-
-@dataclass(frozen=True)
-class GridScan:
-    """Count midpoints of ``n`` equal cells whose value clears the threshold."""
-
-    n: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("grid size must be positive")
-
-
-@dataclass(eq=False)
 class DistributionProfile:
-    """The map beta -> mu(A intersect {f >= beta}) under a fixed strategy.
-
-    Instances are immutable in the API sense; the grid strategy caches the
-    sorted function sample on first use so repeated queries cost one binary
-    search.  Safe for concurrent readers: the cache assignment is idempotent.
-    """
+    """The map beta -> mu(A intersect {f >= beta}) of a monotone f, by
+    closed-form inversion: the level set is the part of A on one side of the
+    point where f crosses beta, found by bisection to ``INVERSION_TOL``."""
 
     f: ScalarFunction
     A: RealInterval
-    strategy: MonotoneClosedForm | GridScan = field(default_factory=MonotoneClosedForm)
-
-    def __post_init__(self) -> None:
-        self._sorted_values: np.ndarray | None = None
-
-    def resolution(self) -> float:
-        """Worst-case measure error of a single query under this strategy."""
-        if isinstance(self.strategy, GridScan):
-            return self.A.length() / self.strategy.n
-        return self.strategy.tol
 
     def at(self, beta: float) -> float:
         """Measure of the level set {x in A : f(x) >= beta}."""
         if beta < 0:
             raise InvalidThreshold(f"threshold must be >= 0, got {beta}")
-        if isinstance(self.strategy, GridScan):
-            return self._grid_measure(beta)
-        return self._closed_form_measure(beta)
-
-    # -- grid strategy ------------------------------------------------------
-
-    def _grid_values(self) -> np.ndarray:
-        if self._sorted_values is None:
-            xs = self.A.midpoints(self.strategy.n)
-            self._sorted_values = np.sort(np.asarray(self.f.evaluate(xs), dtype=float))
-        return self._sorted_values
-
-    def _grid_measure(self, beta: float) -> float:
-        vals = self._grid_values()
-        n = self.strategy.n
-        count = n - int(np.searchsorted(vals, beta, side="left"))
-        return self.A.length() * (count / n)
-
-    # -- closed-form strategy ----------------------------------------------
-
-    def _closed_form_measure(self, beta: float) -> float:
         mono = self.f.monotonicity
         if mono is Monotonicity.UNKNOWN:
             raise StrategyMismatch(
-                "closed-form level sets need a monotonicity hint; use GridScan instead"
+                "closed-form level sets need a monotonicity hint; "
+                "integrate with sugeno_supmin_exact instead"
             )
         lo, hi = self.A.lo, self.A.hi
         if lo == hi:
             return 0.0
         f_lo = float(self.f.evaluate(lo))
         f_hi = float(self.f.evaluate(hi))
-        tol = self.strategy.tol
         if mono is Monotonicity.INCREASING:
             if beta <= f_lo:
                 return self.A.length()
             if beta > f_hi:
                 return 0.0
-            x = _invert_increasing(self.f.evaluate, lo, hi, beta, tol)
-            return hi - x
+            return hi - _invert_increasing(self.f.evaluate, lo, hi, beta)
         if beta <= f_hi:
             return self.A.length()
         if beta > f_lo:
             return 0.0
-        x = _invert_decreasing(self.f.evaluate, lo, hi, beta, tol)
-        return x - lo
+        return _invert_decreasing(self.f.evaluate, lo, hi, beta) - lo
 
 
-def _invert_increasing(ev, lo: float, hi: float, beta: float, tol: float) -> float:
+def _invert_increasing(ev, lo: float, hi: float, beta: float) -> float:
     # Entry invariant: ev(lo) < beta <= ev(hi).  Converges to inf{x : f >= beta}.
-    while hi - lo > tol:
+    while hi - lo > INVERSION_TOL:
         mid = 0.5 * (lo + hi)
         if float(ev(mid)) >= beta:
             hi = mid
@@ -347,9 +285,9 @@ def _invert_increasing(ev, lo: float, hi: float, beta: float, tol: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def _invert_decreasing(ev, lo: float, hi: float, beta: float, tol: float) -> float:
+def _invert_decreasing(ev, lo: float, hi: float, beta: float) -> float:
     # Entry invariant: ev(hi) < beta <= ev(lo).  Converges to sup{x : f >= beta}.
-    while hi - lo > tol:
+    while hi - lo > INVERSION_TOL:
         mid = 0.5 * (lo + hi)
         if float(ev(mid)) >= beta:
             lo = mid

@@ -52,10 +52,13 @@ it, "unknown" when the value rests on none.
 
 Two more routes stay as oracles and as opt-in methods:
 
-* ``sugeno_fixed_point`` solves F(beta) = beta by bisection on the diagonal
-  gap h(beta) = F(beta) - beta, with F from a ``DistributionProfile``.
-  When F jumps across the diagonal (plateaus of f) there is no fixed point
-  and ``NoSignChange`` is raised.
+* ``sugeno_fixed_point`` integrates a monotone f as sup{b : F(b) >= b}
+  with ``solve_beta``, F from the closed-form ``DistributionProfile``.
+  ``solve_beta`` is the one sup-level kernel of the package: every bound of
+  ``bounds`` is the same problem for a majorant.  Plateaus, jumps and steep
+  stretches of F need no special case, since the bisection ends on adjacent
+  floats whatever F does between them.  ``method="fixedpoint"`` takes it
+  for f with a hint and the grid form for every other f.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
   sweep against a midpoint-grid distribution.  It is deliberately plain: it
@@ -69,16 +72,17 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .expressions import Enclosure, EvalError
 from .measure import (
+    INVERSION_TOL,
     DistributionProfile,
-    GridScan,
     Monotonicity,
-    MonotoneClosedForm,
     RealInterval,
     ScalarFunction,
     follows,
@@ -86,10 +90,10 @@ from .measure import (
 
 __all__ = [
     "SugenoError",
-    "NoSignChange",
     "NegativeFunction",
     "IntegralMethod",
     "SugenoResult",
+    "solve_beta",
     "sugeno_fixed_point",
     "sugeno_supmin",
     "sugeno_supmin_exact",
@@ -130,13 +134,12 @@ ROUND_POINTS = 513
 #: The sign guard: an integrand value below this raises ``NegativeFunction``.
 NEGATIVE_BELOW = -1e-12
 
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+
 
 class SugenoError(Exception):
     """Base class for integration failures."""
-
-
-class NoSignChange(SugenoError):
-    """F(beta) = beta has no solution on the bracket: F jumps across the diagonal."""
 
 
 class NegativeFunction(SugenoError):
@@ -154,8 +157,9 @@ class SugenoResult:
 
     ``residual`` is the width of the final crossing cell for the monotone
     form of ``sugeno_integral``, the width of the final level bracket for its
-    piecewise form and |F(value) - value| for ``sugeno_fixed_point``, all
-    reported as ``FIXED_POINT``; it is the grid cell measure mu / n for
+    piecewise form and, for ``sugeno_fixed_point``, the larger of the final
+    float bracket and the profile's inversion tolerance, all reported as
+    ``FIXED_POINT``; it is the grid cell measure mu / n for
     ``sugeno_supmin_exact`` and the threshold spacing for ``sugeno_supmin``,
     both reported as ``SUPMIN_GRID``.  ``hint`` says where the monotonicity
     the value rests on came from ("certified", "declared", or "unknown" when
@@ -170,52 +174,37 @@ class SugenoResult:
     pieces: int = 0
 
 
-def sugeno_fixed_point(profile: DistributionProfile, tol: float = 1e-9) -> SugenoResult:
-    """Solve F(beta) = beta on [0, mu(A)] by bisection.
+def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
+    """sup{b in [0, L] : F(b) >= b} for a non-increasing F >= 0 on [0, L].
 
-    Raises ``NoSignChange`` when the residual at the located crossing stays
-    macroscopic even once the bracket is two adjacent floats, which signals
-    a jump of F across the diagonal (no fixed point exists); callers should
-    fall back to the sup-min form.
+    Returns (beta, residual, bracket).  The bisection runs on the bit
+    patterns of non-negative float64s, whose integer order is their order
+    as floats, so it halves the count of floats in the bracket each step and
+    keeps full relative precision for tiny bounds.  It ends on adjacent
+    floats: F(beta) >= beta holds at beta and fails at the next float.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mu = profile.A.length()
-    if mu == 0.0:
-        return SugenoResult(0.0, IntegralMethod.FIXED_POINT, 0.0)
+    if F(L) >= L:
+        return L, 0.0, (L, L)
+    lo, hi = 0, _U64.unpack(_F64.pack(L))[0]  # F(0) >= 0 always holds
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        b = _F64.unpack(_U64.pack(mid))[0]
+        if F(b) >= b:
+            lo = mid
+        else:
+            hi = mid
+    beta, past = _F64.unpack(_U64.pack(lo))[0], _F64.unpack(_U64.pack(hi))[0]
+    return beta, past - beta, (beta, past)
 
-    def gap(b: float) -> float:
-        return profile.at(b) - b
 
-    lo, hi = 0.0, mu
-    g_lo = gap(lo)
-    g_hi = gap(hi)
-    if g_lo < 0.0 or g_hi > tol:
-        # F(0) >= 0 and F(mu) <= mu always hold for a distribution function;
-        # anything else means the profile is not one.
-        raise NoSignChange(
-            f"diagonal gap has no sign change on [0, {mu:g}]: h(0)={g_lo:g}, h(mu)={g_hi:g}"
-        )
-    if g_hi == 0.0:
-        return SugenoResult(hi, IntegralMethod.FIXED_POINT, 0.0)
-    plateau_tol = max(100.0 * tol, 8.0 * profile.resolution())
-    # A steep F leaves a large gap at width tol too; only a bracket of two
-    # adjacent floats (width 0) tells it apart from a jump.
-    for width in (tol, 0.0):
-        while hi - lo > width and lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        residual = abs(gap(root))
-        if residual <= plateau_tol:
-            return SugenoResult(root, IntegralMethod.FIXED_POINT, residual)
-    raise NoSignChange(
-        f"no fixed point: |F(b) - b| = {residual:.3g} at b = {root:.6g} "
-        "(distribution jumps across the diagonal)"
-    )
+def sugeno_fixed_point(profile: DistributionProfile) -> SugenoResult:
+    """sup{b in [0, mu(A)] : F(b) >= b} by ``solve_beta``, F the profile's.
+
+    ``residual`` is the larger of the final float bracket and the
+    profile's inversion tolerance ``INVERSION_TOL``.
+    """
+    value, width, _ = solve_beta(profile.at, profile.A.length())
+    return SugenoResult(value, IntegralMethod.FIXED_POINT, max(width, INVERSION_TOL))
 
 
 def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
@@ -666,11 +655,12 @@ def sugeno_integral(
     ``method`` is "auto" (the monotone crossing form when f carries a
     monotonicity hint, the piecewise form when f has an interval extension
     and certified pieces on A, else the exact sup-min of a ``grid``-cell
-    sample), "fixedpoint" (``sugeno_fixed_point`` on a closed-form or
-    ``grid``-cell distribution; ``NoSignChange`` propagates) or "supmin"
-    (oracle sweep).  ``tol`` is the final crossing cell width of the
-    monotone form, the final level bracket of the piecewise form and the
-    bisection tolerance of the fixed-point route.
+    sample), "fixedpoint" (``sugeno_fixed_point`` on the closed-form
+    distribution when f carries a hint, else the same exact sup-min) or
+    "supmin" (oracle sweep).  Every integrand takes the route its hint and
+    ``method`` select, a zero one included.  ``tol`` is the final crossing
+    cell width of the monotone form and the final level bracket of the
+    piecewise form.
     """
     if method not in ("auto", "fixedpoint", "supmin"):
         raise ValueError(f"unknown method {method!r}")
@@ -684,24 +674,16 @@ def sugeno_integral(
     _require_non_negative(float(np.min(ys)), A)
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
-    if float(np.max(ys)) <= 0.0:
-        # sampled sup is zero; an interval extension must also bound f by
-        # zero, or a spike between the samples takes the routes below
-        e = f.extension(A.lo, A.hi) if f.extension is not None else None
-        if f.extension is None or (e is not None and e.hi <= 0.0):
-            return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    if method == "auto":
-        if f.monotonicity is not Monotonicity.UNKNOWN:
-            res = _monotone_crossing(f, A, xs, ys, tol)
-            if res is not None:
-                return res
-        elif f.extension is not None and A.length() > 0.0:
-            try:
-                return _piecewise(f, A, xs, ys, tol)
-            except _GiveUp:
-                pass
-        return sugeno_supmin_exact(f, A, grid)
-    if f.monotonicity is Monotonicity.UNKNOWN:
-        return sugeno_fixed_point(DistributionProfile(f, A, GridScan(grid)), tol)
-    res = sugeno_fixed_point(DistributionProfile(f, A, MonotoneClosedForm()), tol)
-    return dataclasses.replace(res, hint=f.hint, pieces=1)
+    if f.monotonicity is not Monotonicity.UNKNOWN:
+        if method == "fixedpoint":
+            res = sugeno_fixed_point(DistributionProfile(f, A))
+            return dataclasses.replace(res, hint=f.hint, pieces=1)
+        res = _monotone_crossing(f, A, xs, ys, tol)
+        if res is not None:
+            return res
+    elif method == "auto" and f.extension is not None and A.length() > 0.0:
+        try:
+            return _piecewise(f, A, xs, ys, tol)
+        except _GiveUp:
+            pass
+    return sugeno_supmin_exact(f, A, grid)

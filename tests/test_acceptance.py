@@ -36,7 +36,6 @@ from fuzzyhh.expressions import function_from_expression
 from fuzzyhh.golden import run_entry
 from fuzzyhh.measure import (
     DistributionProfile,
-    MonotoneClosedForm,
     RealInterval,
     affine_root_function,
     constant_function,
@@ -190,7 +189,7 @@ def test_criterion_5_characterizing_properties():
         p = rng.uniform(0.3, 3.0)
         f = power_affine_function(c, p, 0.0, UNIT)
         beta = rng.uniform(0.0, 1.2)
-        profile = DistributionProfile(f, UNIT, MonotoneClosedForm())
+        profile = DistributionProfile(f, UNIT)
         value = sugeno_integral(f, UNIT, tol=1e-12).value
         if profile.at(beta) >= beta:
             assert value >= beta - 1e-9

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -168,6 +173,14 @@ class TestIntegrate:
         )
         assert code == 0
         assert report["result"]["integral"] == pytest.approx(0.5001 / 1.0001, abs=1e-9)
+
+    @pytest.mark.parametrize("src, want", [("1e-10*x+0.5", 0.5), ("0.3", 0.3)])
+    def test_fixedpoint_on_jumps_and_plateaus(self, capsys, src, want):
+        code, report, _ = run_json(
+            capsys, "integrate", "-f", src, "-a", "0", "-b", "1", "--method", "fixedpoint")
+        assert code == 0
+        assert report["result"]["integral"] == pytest.approx(want, abs=1e-9)
+        assert report["provenance"]["method"] == "fixed_point"
 
     def test_json_output_reparses_losslessly(self, capsys):
         code, out, _ = run(
@@ -423,3 +436,28 @@ class TestUsage:
         assert code == 0
         on_disk = json.loads(path.read_text())
         assert on_disk["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_tracer_sees_the_fixed_point_route():
+    """The bench tracer wraps ``sugeno_fixed_point`` and
+    ``DistributionProfile.at`` by name; a traced fixed-point integral must
+    record spans for both."""
+    script = textwrap.dedent("""
+        import contextlib, io, json
+        import tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        from fuzzyhh import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["integrate", "-f", "x^2/2", "-a", "0", "-b", "1",
+                             "--method", "fixedpoint"])
+        print(json.dumps(dict(tracer.layer_metrics(1), code=code)))
+    """)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["code"] == 0
+    assert got["measure.profile_queries"] > 0
+    assert got["sugeno.fixed_point_ms"] > 0

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyhh.measure import (
+    INVERSION_TOL,
     DistributionProfile,
-    GridScan,
     Monotonicity,
-    MonotoneClosedForm,
     RealInterval,
     affine_root_function,
     constant_function,
@@ -27,7 +26,6 @@ from fuzzyhh.expressions import (
 from fuzzyhh.sugeno import (
     IntegralMethod,
     NegativeFunction,
-    NoSignChange,
     sugeno_fixed_point,
     sugeno_integral,
     sugeno_supmin,
@@ -53,7 +51,7 @@ def bisect_root(g, lo, hi, tol=1e-13):
 class TestFixedPoint:
     def test_quartic_halved_matches_printed_value(self):
         f = function_from_expression("x^4/2", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()))
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx(0.2023, abs=5e-4)
         # and the root of its own equation b = (1 - b)^4 / 2, derived independently
         root = bisect_root(lambda b: (1.0 - b) ** 4 / 2.0 - b, 0.0, 1.0)
@@ -61,47 +59,44 @@ class TestFixedPoint:
 
     def test_square_halved_is_two_minus_sqrt_three(self):
         f = function_from_expression("x^2/2", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()), tol=1e-12)
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-9)
 
     def test_three_square(self):
         f = function_from_expression("3*x^2", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()), tol=1e-12)
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx((7.0 - math.sqrt(13.0)) / 6.0, abs=1e-9)
 
     def test_identity_function_gives_half(self):
         f = function_from_expression("x", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()), tol=1e-12)
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx(0.5, abs=1e-9)
 
     def test_residual_certifies_fixed_point(self):
         f = function_from_expression("x^2/2", UNIT)
-        profile = DistributionProfile(f, UNIT, MonotoneClosedForm())
-        res = sugeno_fixed_point(profile, tol=1e-9)
-        assert res.residual <= 1e-7
-        assert abs(profile.at(res.value) - res.value) == pytest.approx(res.residual)
+        profile = DistributionProfile(f, UNIT)
+        res = sugeno_fixed_point(profile)
+        past = math.nextafter(res.value, 2.0)
+        assert profile.at(res.value) >= res.value and profile.at(past) < past
+        assert res.residual == max(past - res.value, INVERSION_TOL) == INVERSION_TOL
 
-    def test_plateau_raises_no_sign_change(self):
-        f = constant_function(0.3, UNIT)
-        with pytest.raises(NoSignChange):
-            sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()))
+    def test_plateau_gives_the_plateau_value(self):
+        # F jumps across the diagonal at a constant's value: no root of
+        # F(b) = b, but the sup-level is the constant (L when it saturates)
+        for k in (0.3, 0.999, 2.0):
+            res = sugeno_fixed_point(DistributionProfile(constant_function(k, UNIT), UNIT))
+            assert res.value == min(k, 1.0)
 
     def test_steep_distribution_is_not_a_jump(self):
-        # F(b) = 1 - (b - 0.5)/1e-4 on [0.5, 0.5001] falls with slope -1e4, so
-        # at width tol the gap is still 1e-5; b = F(b) gives b = 0.5001/1.0001
+        # F(b) = 1 - (b - 0.5)/1e-4 on [0.5, 0.5001] falls with slope -1e4;
+        # b = F(b) gives b = 0.5001/1.0001
         f = function_from_expression("0.0001*x + 0.5", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, MonotoneClosedForm()))
+        res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx(0.5001 / 1.0001, abs=1e-9)
         assert res.value == pytest.approx(0.5000499950, abs=1e-9)
-        for k in (0.3, 0.999):  # constants below L still jump across the diagonal
-            with pytest.raises(NoSignChange):
-                sugeno_fixed_point(DistributionProfile(constant_function(k, UNIT), UNIT,
-                                                       MonotoneClosedForm()))
-
-    def test_grid_backed_profile_agrees(self):
-        f = function_from_expression("x^4/2", UNIT)
-        res = sugeno_fixed_point(DistributionProfile(f, UNIT, GridScan(10**6)))
-        assert res.value == pytest.approx(0.2023, abs=5e-4)
+        # slope -1e10: as steep as the inversion tolerance resolves
+        f = function_from_expression("1e-10*x + 0.5", UNIT)
+        assert sugeno_fixed_point(DistributionProfile(f, UNIT)).value == pytest.approx(0.5, abs=1e-9)
 
 
 class TestSupmin:
@@ -206,9 +201,23 @@ class TestDispatcher:
         assert res.residual <= 1e-9
         assert calls == [4097] * 3
 
-    def test_forced_fixedpoint_propagates_plateau(self):
-        with pytest.raises(NoSignChange):
-            sugeno_integral(constant_function(0.3, UNIT), UNIT, method="fixedpoint")
+    def test_forced_fixedpoint_integrates_a_plateau(self):
+        for k in (0.3, 0.999):
+            res = sugeno_integral(constant_function(k, UNIT), UNIT, method="fixedpoint")
+            assert (res.value, res.method, res.pieces) == (k, IntegralMethod.FIXED_POINT, 1)
+
+    @pytest.mark.parametrize(
+        "src", ["abs(sin(3*x))", "x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", "box"])
+    def test_forced_fixedpoint_without_a_hint_is_the_exact_grid(self, src):
+        A = RealInterval(0.2, 0.9)
+        if src == "box":  # jumps from 0.1 to 0.8 and back
+            f = from_callable(lambda x: np.where((x >= 0.4) & (x <= 0.6), 0.8, 0.1), A)
+        else:
+            f = function_from_expression(src, UNIT)
+        assert f.monotonicity is Monotonicity.UNKNOWN
+        res = sugeno_integral(f, A, grid=12_345, method="fixedpoint")
+        assert res == sugeno_supmin_exact(f, A, 12_345)
+        assert res.method is IntegralMethod.SUPMIN_GRID
 
     @pytest.mark.parametrize("method", ["auto", "fixedpoint", "supmin"])
     def test_grid_validated_on_every_route(self, method):
@@ -245,7 +254,7 @@ class TestPropositionSuite:
 
     def test_threshold_rules(self):
         f = function_from_expression("x^2/2", UNIT)
-        profile = DistributionProfile(f, UNIT, MonotoneClosedForm())
+        profile = DistributionProfile(f, UNIT)
         value = sugeno_integral(f, UNIT, tol=1e-12).value
         for beta in (0.05, 0.15, 0.25, 0.4, 0.9):
             if profile.at(beta) >= beta:
@@ -256,7 +265,7 @@ class TestPropositionSuite:
     def test_strict_characterizations(self):
         # value > alpha iff some gamma > alpha keeps F(gamma) > alpha, and dually
         f = function_from_expression("x^2/2", UNIT)
-        profile = DistributionProfile(f, UNIT, MonotoneClosedForm())
+        profile = DistributionProfile(f, UNIT)
         value = sugeno_integral(f, UNIT, tol=1e-12).value
         alpha_low, alpha_high = 0.2, 0.3
         assert value > alpha_low
@@ -296,17 +305,8 @@ def test_constant_rule_property(k, lo, width):
 
 
 def _oracle(f, A):
-    """Nested-bisection fixed point; the exact grid sup-min where it has none.
-
-    Returns (value, tolerance): 1e-9 for the fixed point, the grid's own
-    cell measure on top of that for the sup-min.
-    """
-    try:
-        profile = DistributionProfile(f, A, MonotoneClosedForm())
-        return sugeno_fixed_point(profile, tol=1e-13).value, 1e-9
-    except NoSignChange:
-        res = sugeno_supmin_exact(f, A)
-        return res.value, res.residual + 1e-9
+    """``sugeno_fixed_point`` over the closed-form profile of a monotone f."""
+    return sugeno_fixed_point(DistributionProfile(f, A)).value
 
 
 def _power_affine(draw, increasing, hi):
@@ -343,10 +343,9 @@ def monotone_cases(draw):
 def test_crossing_kernel_matches_the_oracles(case):
     f, A = case
     res = sugeno_integral(f, A)
-    want, tol = _oracle(f, A)
     assert res.method is IntegralMethod.FIXED_POINT
     assert res.residual <= 1e-9
-    assert abs(res.value - want) <= tol
+    assert abs(res.value - _oracle(f, A)) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,8 +368,7 @@ def test_crossing_kernel_on_constants_and_saturated_integrands(lo, width, scale,
     ]
     for f, exact in cases:
         res = sugeno_integral(f, A)
-        want, tol = _oracle(f, A)
-        assert abs(res.value - want) <= tol
+        assert abs(res.value - _oracle(f, A)) <= 1e-9
         if exact is not None:
             assert res.value == pytest.approx(exact, abs=1e-9)
         if scale >= 1.0:
@@ -403,8 +401,7 @@ def test_crossing_kernel_on_a_jump_at_the_crossing(lo, width, at, below, above, 
     res = sugeno_integral(f, A)
     assert res.method is IntegralMethod.FIXED_POINT
     assert res.value == pytest.approx(side, abs=1e-9)
-    want, tol = _oracle(f, A)
-    assert abs(res.value - want) <= tol
+    assert abs(res.value - _oracle(f, A)) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -672,9 +669,18 @@ class TestPiecewiseForm:
         # F(b) = 6e-5*(1 - 2b) meets the diagonal at 6e-5/(1 + 1.2e-4)
         assert res.value == pytest.approx(6e-5 / (1 + 1.2e-4), abs=1e-9)
         assert res.value == pytest.approx(sugeno_supmin_exact(f, UNIT).value, abs=2e-6)
-        # an integrand the extension bounds by zero still takes the shortcut
+        # a zero integrand takes the route its hint selects
         zero = sugeno_integral(function_from_expression("0*x", UNIT), UNIT)
-        assert (zero.value, zero.method) == (0.0, IntegralMethod.SUPMIN_GRID)
+        assert (zero.value, zero.method, zero.hint) == (0.0, IntegralMethod.FIXED_POINT, "certified")
+
+    def test_callable_spike_between_the_guard_points_is_integrated(self):
+        """The same kind of spike in a callable, which has no interval
+        extension: the grid form sees it."""
+        f = from_callable(lambda x: np.maximum(0, 0.5 - abs(x - 0.9001) / 6e-5), UNIT)
+        assert f.evaluate(UNIT.grid(sugeno.CROSSING_POINTS)).max() <= 0.0
+        res = sugeno_integral(f, UNIT)
+        assert res == sugeno_supmin_exact(f, UNIT)
+        assert res.value == pytest.approx(6e-5 / (1 + 1.2e-4), abs=2e-6)
 
     def test_negative_dip_between_the_guard_points_raises(self):
         f = function_from_expression(
