@@ -1,12 +1,12 @@
 """Sugeno integrals on real intervals and their generalized-preinvex upper bounds.
 
 The package splits into a measure layer (intervals, level-set distribution
-functions), the integral itself (a monotone crossing search and an exact
-grid sup-min, with fixed-point and threshold-sweep oracles, and the
-sup-level kernel ``solve_beta``), sampling checkers for generalized-convexity
-hypotheses, the bounds (each the integral of its hypothesis's majorant by
-``solve_beta``), a small expression DSL, and a CLI that ties
-them together.
+functions), the integral itself (a monotone crossing search, a crossing
+search over certified monotone pieces and an exact grid sup-min, with
+fixed-point and threshold-sweep oracles, and the sup-level kernel
+``solve_beta``), sampling checkers for generalized-convexity hypotheses, the
+bounds (each the integral of its hypothesis's majorant by ``solve_beta``), a
+small expression DSL, and a CLI that ties them together.
 """
 
 from .measure import (
@@ -17,11 +17,7 @@ from .measure import (
     RealInterval,
     ScalarFunction,
     StrategyMismatch,
-    affine_root_function,
-    constant_function,
     from_callable,
-    power_affine_function,
-    power_function,
 )
 from .sugeno import (
     IntegralMethod,

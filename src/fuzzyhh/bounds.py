@@ -299,27 +299,26 @@ def endpoint_bound(
     alpha: float | None = None,
     m: float | None = None,
 ) -> BoundResult:
-    """Evaluate f's endpoint scalars on [a, a + L] and solve the selected route.
+    """Evaluate f's endpoint scalars on [a, a + L] and solve the route the
+    flags select; ``BoundInputs`` rejects any other mix of them.
 
-    The scaled-argument route also evaluates fscaled = f((a + L)/m), raising
+    Given alpha and m > 0, fscaled = f((a + L)/m) is evaluated too, raising
     ``DomainEscape`` when that point lies outside f's declared domain.
     """
     fa = float(f.evaluate(iv.a))
     fend = float(f.evaluate(iv.end))
-    if r is not None:
-        return r_preinvex_bound(BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r))
-    if alpha is None or m is None:
-        raise ValueError("select a route: r, or alpha and m")
-    point = iv.end / m
-    if not f.domain.contains(point, slack=1e-12):
-        raise DomainEscape(
-            f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
-            f"[{f.domain.lo:g}, {f.domain.hi:g}]"
-        )
-    fscaled = float(f.evaluate(f.domain.clip(point)))
-    return alpha_m_bound(
-        BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, alpha=alpha, m=m, fscaled=fscaled)
-    )
+    fscaled = None
+    if alpha is not None and m is not None and m > 0:  # alpha_m_bound rejects m <= 0
+        point = iv.end / m
+        if not f.domain.contains(point, slack=1e-12):
+            raise DomainEscape(
+                f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
+                f"[{f.domain.lo:g}, {f.domain.hi:g}]"
+            )
+        fscaled = float(f.evaluate(f.domain.clip(point)))
+    inputs = BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r, alpha=alpha, m=m,
+                         fscaled=fscaled)
+    return r_preinvex_bound(inputs) if inputs.r is not None else alpha_m_bound(inputs)
 
 
 @dataclass(frozen=True)
@@ -343,12 +342,13 @@ def verify_fuzzy_hh(
 ) -> FuzzyHHReport:
     """End-to-end check that the Sugeno integral stays below its bound.
 
-    Computes the integral over [a, a + L], then ``endpoint_bound`` for the
-    selected route, and passes iff margin >= -tol.  The caller is
+    Computes ``endpoint_bound`` for the selected route (first, so that
+    flags selecting no route fail before the integral runs), then the
+    integral over [a, a + L], and passes iff margin >= -tol.  The caller is
     responsible for having certified the convexity hypothesis; this routine
     only composes the two computations.
     """
-    integral = sugeno_integral(f, iv.domain, grid=grid)
     bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
+    integral = sugeno_integral(f, iv.domain, grid=grid)
     margin = bound.bound - integral.value
     return FuzzyHHReport(integral, bound, margin, margin >= -tol)

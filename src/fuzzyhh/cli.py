@@ -41,7 +41,7 @@ from .convexity import (
     scaled_eta,
 )
 from .expressions import EvalError, ExprSyntaxError, function_from_expression
-from .measure import MeasureError, RealInterval
+from .measure import RealInterval
 from .sugeno import NegativeFunction, sugeno_integral
 
 __all__ = ["build_parser", "main", "app"]
@@ -104,11 +104,9 @@ def _add_common(parser: argparse.ArgumentParser, need_function: bool = True) -> 
         parser.add_argument("--fdomain", type=str, default=None, metavar="LO:HI",
                             help="declared evaluation domain of f (wider than [a, b] "
                                  "when the scaled-argument route evaluates f(v/m))")
-        parser.add_argument("--method", choices=("fixedpoint", "supmin"), default=None,
-                            help="force the integration route: fixedpoint bisects "
-                                 "F(b) >= b over the closed-form level measure (the "
-                                 "exact grid form when f has no monotonicity hint), "
-                                 "supmin sweeps --grid thresholds")
+        parser.add_argument("--method", choices=("supmin",), default=None,
+                            help="force the integration route: supmin sweeps --grid "
+                                 "thresholds (the assumption-free oracle)")
         parser.add_argument("--grid", type=int, default=1_000_000,
                             help="grid size for sampled distributions (default 1e6)")
         parser.add_argument("--samples", type=int, default=100_000,
@@ -264,6 +262,8 @@ def _run_check(ns: argparse.Namespace) -> int:
     K = _interval(ns)
     f = _build_function(ns, K)
     eta = _parse_eta(ns.eta)
+    if ns.r is not None and (ns.alpha is not None or ns.m is not None):
+        raise ValueError("select one route: --r or --alpha/--m")
     if ns.r is not None:
         rep = check_r_preinvex(f, K, eta, ns.r, samples=ns.samples, seed=ns.seed)
         hypothesis = f"r-preinvex (r = {ns.r:g})"
@@ -296,8 +296,6 @@ def _run_bound(ns: argparse.Namespace) -> int:
     eta_len = _eta_len(ns)
     iv = InvexInterval(ns.a, eta_len)
     f = _build_function(ns, iv.domain)
-    if ns.r is None and (ns.alpha is None or ns.m is None):
-        raise ValueError("bound needs --r, or --alpha and --m")
     rep = verify_fuzzy_hh(f, iv, r=ns.r, alpha=ns.alpha, m=ns.m, grid=ns.grid)
     result = {
         "integral": rep.integral.value,
@@ -374,9 +372,6 @@ def _sweep_row(ns: argparse.Namespace, param: str, value: float,
     r = value if param == "r" else ns.r
     alpha = value if param == "alpha" else ns.alpha
     m = value if param == "m" else ns.m
-    if r is None and (alpha is None or m is None):
-        raise ValueError(f"sweep over {param!r} needs the other route flags fixed "
-                         "(--r, or --alpha and --m)")
     f, integral = fixed or _sweep_integral(ns, iv)
     bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
     return {"param": value, "integral": integral, "beta": bound.beta,
@@ -430,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{PROG}: no root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
     except (MissingScaledValue, DomainEscape, NonPositiveFunction,
-            NegativeFunction, MeasureError, ValueError) as exc:
+            NegativeFunction, ValueError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,10 +31,6 @@ __all__ = [
     "INVERSION_TOL",
     "DistributionProfile",
     "follows",
-    "constant_function",
-    "power_function",
-    "power_affine_function",
-    "affine_root_function",
     "from_callable",
 ]
 
@@ -137,7 +133,7 @@ class ScalarFunction:
     of f and f' over it, or None where it cannot bound them
     (``expressions.extend_expression``).  Only ``function_from_expression``
     sets it; with it the monotonicity hint is certified, without it the hint
-    is declared by whoever built the function.
+    is declared by the caller of ``from_callable``.
     """
 
     domain: RealInterval
@@ -156,17 +152,6 @@ class ScalarFunction:
             return "unknown"
         return "certified" if self.extension is not None else "declared"
 
-    def power(self, r: float, name: str | None = None) -> "ScalarFunction":
-        """Pointwise power f**r; monotone hints survive only for r > 0."""
-        base = self.evaluate
-        mono = self.monotonicity if r > 0 else Monotonicity.UNKNOWN
-        return ScalarFunction(
-            domain=self.domain,
-            evaluate=lambda x: np.power(base(x), r),
-            monotonicity=mono,
-            name=name or f"({self.name})^{r:g}",
-        )
-
 
 def from_callable(
     fn: Callable,
@@ -177,64 +162,6 @@ def from_callable(
     """Wrap a plain callable.  ``fn`` must accept a float and a numpy array
     alike and act elementwise on arrays, as ``ScalarFunction.evaluate`` does."""
     return ScalarFunction(domain=domain, evaluate=fn, monotonicity=monotonicity, name=name)
-
-
-def constant_function(k: float, domain: RealInterval = RealInterval(0.0, 1.0)) -> ScalarFunction:
-    """f(x) = k.  Weakly monotone, so closed-form inversion applies."""
-
-    def ev(x):
-        if np.ndim(x) == 0:
-            return float(k)
-        return np.full(np.shape(x), float(k))
-
-    return ScalarFunction(domain, ev, Monotonicity.INCREASING, name=f"{k:g}")
-
-
-def power_function(c: float, p: float, domain: RealInterval) -> ScalarFunction:
-    """f(x) = c * x**p on a domain with lo >= 0."""
-    if domain.lo < 0:
-        raise ValueError("power functions require a non-negative domain")
-
-    def ev(x):
-        return c * np.power(x, p)
-
-    mono = Monotonicity.INCREASING if c >= 0 else Monotonicity.DECREASING
-    return ScalarFunction(domain, ev, mono, name=f"{c:g}*x^{p:g}")
-
-
-def power_affine_function(c: float, p: float, d: float, domain: RealInterval) -> ScalarFunction:
-    """f(x) = c * x**p + d on a domain with lo >= 0."""
-    if domain.lo < 0:
-        raise ValueError("power functions require a non-negative domain")
-
-    def ev(x):
-        return c * np.power(x, p) + d
-
-    mono = Monotonicity.INCREASING if c >= 0 else Monotonicity.DECREASING
-    return ScalarFunction(domain, ev, mono, name=f"{c:g}*x^{p:g}+{d:g}")
-
-
-def affine_root_function(c: float, d: float, r: float, domain: RealInterval) -> ScalarFunction:
-    """f(x) = (c*x + d)**(1/r), the family whose r-th power is affine.
-
-    Requires c*x + d >= 0 across the domain and r != 0.
-    """
-    if r == 0:
-        raise ValueError("r must be nonzero")
-    if min(c * domain.lo + d, c * domain.hi + d) < 0:
-        raise ValueError("c*x + d must stay non-negative on the domain")
-
-    def ev(x):
-        return np.power(c * np.asarray(x, dtype=float) + d, 1.0 / r) if np.ndim(x) else float(
-            (c * float(x) + d) ** (1.0 / r)
-        )
-
-    inner_up = c >= 0
-    outer_up = r > 0
-    mono = Monotonicity.INCREASING if inner_up == outer_up else Monotonicity.DECREASING
-    if c == 0:
-        mono = Monotonicity.INCREASING
-    return ScalarFunction(domain, ev, mono, name=f"({c:g}*x+{d:g})^(1/{r:g})")
 
 
 @dataclass(frozen=True)

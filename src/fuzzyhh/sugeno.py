@@ -50,19 +50,20 @@ it, "unknown" when the value rests on none.
   plateaus, aliasing, tiny n) the whole sample is sorted.  Either way the
   result is the same float.  ``residual`` is the cell measure mu / n.
 
-Two more routes stay as oracles and as opt-in methods:
+Two more routes stay as oracles:
 
 * ``sugeno_fixed_point`` integrates a monotone f as sup{b : F(b) >= b}
   with ``solve_beta``, F from the closed-form ``DistributionProfile``.
   ``solve_beta`` is the one sup-level kernel of the package: every bound of
   ``bounds`` is the same problem for a majorant.  Plateaus, jumps and steep
   stretches of F need no special case, since the bisection ends on adjacent
-  floats whatever F does between them.  ``method="fixedpoint"`` takes it
-  for f with a hint and the grid form for every other f.
+  floats whatever F does between them.  It is a library and test oracle:
+  ``sugeno_integral`` never calls it.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
   sweep against a midpoint-grid distribution.  It is deliberately plain: it
-  serves as an independent, assumption-free oracle.
+  serves as an independent, assumption-free oracle, and ``method="supmin"``
+  selects it.
 
 Everything here is pure and re-entrant; results are deterministic.
 """
@@ -655,14 +656,12 @@ def sugeno_integral(
     ``method`` is "auto" (the monotone crossing form when f carries a
     monotonicity hint, the piecewise form when f has an interval extension
     and certified pieces on A, else the exact sup-min of a ``grid``-cell
-    sample), "fixedpoint" (``sugeno_fixed_point`` on the closed-form
-    distribution when f carries a hint, else the same exact sup-min) or
-    "supmin" (oracle sweep).  Every integrand takes the route its hint and
-    ``method`` select, a zero one included.  ``tol`` is the final crossing
-    cell width of the monotone form and the final level bracket of the
-    piecewise form.
+    sample) or "supmin" (the oracle sweep of ``grid`` thresholds).  Every
+    integrand takes the route its hint and ``method`` select, a zero one
+    included.  ``tol`` is the final crossing cell width of the monotone form
+    and the final level bracket of the piecewise form.
     """
-    if method not in ("auto", "fixedpoint", "supmin"):
+    if method not in ("auto", "supmin"):
         raise ValueError(f"unknown method {method!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -675,13 +674,10 @@ def sugeno_integral(
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
     if f.monotonicity is not Monotonicity.UNKNOWN:
-        if method == "fixedpoint":
-            res = sugeno_fixed_point(DistributionProfile(f, A))
-            return dataclasses.replace(res, hint=f.hint, pieces=1)
         res = _monotone_crossing(f, A, xs, ys, tol)
         if res is not None:
             return res
-    elif method == "auto" and f.extension is not None and A.length() > 0.0:
+    elif f.extension is not None and A.length() > 0.0:
         try:
             return _piecewise(f, A, xs, ys, tol)
         except _GiveUp:

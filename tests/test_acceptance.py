@@ -34,13 +34,7 @@ from fuzzyhh.convexity import (
 )
 from fuzzyhh.expressions import function_from_expression
 from fuzzyhh.golden import run_entry
-from fuzzyhh.measure import (
-    DistributionProfile,
-    RealInterval,
-    affine_root_function,
-    constant_function,
-    power_affine_function,
-)
+from fuzzyhh.measure import DistributionProfile, RealInterval
 from fuzzyhh.sugeno import sugeno_integral, sugeno_supmin
 from test_cli import REPORT_SCHEMA
 
@@ -149,7 +143,7 @@ def test_criterion_4_oracle_equivalence():
         lo = rng.uniform(0.0, 0.9)
         hi = lo + max(rng.uniform(0.0, 1.0 - lo), 0.01)
         A = RealInterval(lo, min(hi, 1.0))
-        f = power_affine_function(c, p, d, RealInterval(0.0, 1.0))
+        f = function_from_expression(f"{c!r}*x^{p!r}+{d!r}", RealInterval(0.0, 1.0))
         fixed = sugeno_integral(f, A).value
         sweep = sugeno_supmin(f, A, 10**6).value
         worst = max(worst, abs(fixed - sweep))
@@ -168,7 +162,7 @@ def test_criterion_5_characterizing_properties():
         k = rng.uniform(0.0, 1.5)
         lo = rng.uniform(0.0, 0.9)
         A = RealInterval(lo, lo + rng.uniform(0.05, 1.0 - min(lo, 0.9)))
-        value = sugeno_integral(constant_function(k, A), A).value
+        value = sugeno_integral(function_from_expression(repr(k), A), A).value
         assert abs(value - min(k, A.length())) <= 1e-9
 
     # monotonicity in the integrand
@@ -176,8 +170,9 @@ def test_criterion_5_characterizing_properties():
         c = rng.uniform(0.0, 1.0)
         d = rng.uniform(0.0, 1.0)
         p = rng.uniform(0.3, 3.0)
-        f = power_affine_function(c, p, d, UNIT)
-        g = power_affine_function(c + rng.uniform(0.0, 1.0), p, d + rng.uniform(0.0, 1.0), UNIT)
+        dc, dd = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        f = function_from_expression(f"{c!r}*x^{p!r}+{d!r}", UNIT)
+        g = function_from_expression(f"{c + dc!r}*x^{p!r}+{d + dd!r}", UNIT)
         vf = sugeno_integral(f, UNIT, tol=1e-12).value
         vg = sugeno_integral(g, UNIT, tol=1e-12).value
         assert vf <= vg + 1e-9
@@ -187,7 +182,7 @@ def test_criterion_5_characterizing_properties():
     for _ in range(100):
         c = rng.uniform(0.1, 2.0)
         p = rng.uniform(0.3, 3.0)
-        f = power_affine_function(c, p, 0.0, UNIT)
+        f = function_from_expression(f"{c!r}*x^{p!r}", UNIT)
         beta = rng.uniform(0.0, 1.2)
         profile = DistributionProfile(f, UNIT)
         value = sugeno_integral(f, UNIT, tol=1e-12).value
@@ -213,7 +208,7 @@ def test_criterion_6_tight_family_margins_and_residuals():
         c = rng.uniform(0.05, 1.0)
         d = rng.uniform(0.0, 1.0)
         r = rng.uniform(0.25, 3.0)
-        f = affine_root_function(c, d, r, UNIT)
+        f = function_from_expression(f"({c!r}*x+{d!r})^(1/{r!r})", UNIT)
         rep = verify_fuzzy_hh(f, iv, r=r)
         worst_margin = min(worst_margin, rep.margin)
         assert rep.margin >= -1e-6
@@ -234,10 +229,10 @@ def test_criterion_6_tight_family_margins_and_residuals():
         r = rng.uniform(0.25, 3.0) * (-1.0 if k % 4 >= 2 else 1.0)
         c = rng.uniform(0.05, 1.0) * (-1.0 if k % 2 else 1.0)
         d = max(0.0, -c) + rng.uniform(0.05, 1.0)  # c*x + d >= 0.05 on [0, 1]
-        f = affine_root_function(c, d, r, UNIT)
+        f = function_from_expression(f"({c!r}*x+{d!r})^(1/{r!r})", UNIT)
         rep = verify_fuzzy_hh(f, iv, r=r)
         fa, fend = float(f(0.0)), float(f(1.0))
-        majorant = affine_root_function(fend**r - fa**r, fa**r, r, UNIT)
+        majorant = function_from_expression(f"({fend**r - fa**r!r}*x+{fa**r!r})^(1/{r!r})", UNIT)
         expected = sugeno_integral(majorant, UNIT)
         gap = abs(rep.bound.bound - expected.value)
         worst_margin = min(worst_margin, rep.margin)
@@ -321,9 +316,10 @@ def test_criterion_8_checker_coherence():
         f = function_from_expression(src, UNIT)
         rep = check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=samples, seed=seed)
         assert rep.holds
-        certified.append((f, r))
-    for f, r in certified:
-        assert check_preinvex(f.power(r), UNIT, AFFINE_ETA, samples=samples, seed=seed).holds
+        certified.append((src, r))
+    for src, r in certified:
+        powered = function_from_expression(f"({src})^{r!r}", UNIT)
+        assert check_preinvex(powered, UNIT, AFFINE_ETA, samples=samples, seed=seed).holds
 
     # every emitted witness independently re-violates its definition
     violations = []

@@ -17,7 +17,7 @@ from fuzzyhh.bounds import (
 )
 from fuzzyhh.convexity import DomainEscape, InvexInterval
 from fuzzyhh.expressions import function_from_expression
-from fuzzyhh.measure import RealInterval, affine_root_function, constant_function
+from fuzzyhh.measure import RealInterval
 
 UNIT = RealInterval(0.0, 1.0)
 
@@ -563,7 +563,7 @@ class TestClassicalComparators:
         f2 = function_from_expression("x^2/2", UNIT)
         _, rhs = classical_hh_preinvex(f2, iv)
         assert rhs == pytest.approx(0.25, abs=1e-12)
-        fc = constant_function(0.7, UNIT)
+        fc = function_from_expression("0.7", UNIT)
         assert classical_hh_preinvex(fc, iv) == (0.7, 0.7)
 
 
@@ -584,7 +584,7 @@ class TestVerify:
         assert report.bound.beta == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-9)
 
     def test_constant_degenerate(self):
-        report = verify_fuzzy_hh(constant_function(0.3, UNIT), InvexInterval(0.0, 1.0), r=0.5)
+        report = verify_fuzzy_hh(function_from_expression("0.3", UNIT), InvexInterval(0.0, 1.0), r=0.5)
         assert report.bound.case is BoundCase.DEGENERATE
         assert report.integral.value == pytest.approx(0.3, abs=1e-9)
         assert report.bound.bound == pytest.approx(0.3, abs=1e-12)
@@ -608,7 +608,7 @@ class TestVerify:
             c = rng.uniform(0.05, 1.0)
             d = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.25, 3.0)
-            f = affine_root_function(c, d, r, UNIT)
+            f = function_from_expression(f"({c!r}*x+{d!r})^(1/{r!r})", UNIT)
             report = verify_fuzzy_hh(f, InvexInterval(0.0, 1.0), r=r)
             assert report.passed
             assert abs(report.margin) <= 1e-6

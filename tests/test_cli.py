@@ -167,17 +167,16 @@ class TestIntegrate:
         assert err.startswith("fuzzyhh: ") and "grid must be positive" in err
 
     def test_steep_distribution_fixedpoint(self, capsys):
+        # the monotone form, reported as fixed_point, on a distribution of slope -1e4
         code, report, _ = run_json(
-            capsys, "integrate", "-f", "0.0001*x+0.5", "-a", "0", "-b", "1",
-            "--method", "fixedpoint",
-        )
+            capsys, "integrate", "-f", "0.0001*x+0.5", "-a", "0", "-b", "1")
         assert code == 0
         assert report["result"]["integral"] == pytest.approx(0.5001 / 1.0001, abs=1e-9)
+        assert report["provenance"]["method"] == "fixed_point"
 
     @pytest.mark.parametrize("src, want", [("1e-10*x+0.5", 0.5), ("0.3", 0.3)])
     def test_fixedpoint_on_jumps_and_plateaus(self, capsys, src, want):
-        code, report, _ = run_json(
-            capsys, "integrate", "-f", src, "-a", "0", "-b", "1", "--method", "fixedpoint")
+        code, report, _ = run_json(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
         assert code == 0
         assert report["result"]["integral"] == pytest.approx(want, abs=1e-9)
         assert report["provenance"]["method"] == "fixed_point"
@@ -427,6 +426,35 @@ class TestUsage:
         code, _, _ = run(capsys, "integrate", "-f", "x", "-a", "zero", "-b", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_scale_outside_its_range_exits_one(self, capsys, m):
+        # m = 0 used to raise ZeroDivisionError at (a + L)/m, m = -1 to blame the domain
+        code, out, err = run(capsys, "bound", "-f", "x^2/2", "-a", "0", "-b", "1",
+                             "--alpha", "0.5", "--m", m)
+        assert code == 1 and out == ""
+        assert err == "fuzzyhh: m must lie in (0, 1]\n"
+
+    def test_fixedpoint_is_not_a_method(self, capsys):
+        code, out, err = run(capsys, "integrate", "-f", "x", "-a", "0", "-b", "1",
+                             "--method", "fixedpoint")
+        assert code == 1 and out == ""
+        assert "invalid choice: 'fixedpoint'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--r", "1", "--alpha", "0.5", "--m", "0.5"),
+        ("bound", "--r", "1", "--alpha", "0.5"),
+        ("sweep", "--param", "m", "--values", "0.4,0.7,1", "--r", "1", "--alpha", "0.5"),
+        ("sweep", "--param", "r", "--values", "0.5,1", "--alpha", "0.5", "--m", "0.5"),
+        ("check", "--r", "1", "--m", "0.5"),
+        ("check", "--r", "1", "--alpha", "0.5", "--m", "0.5"),
+    ])
+    def test_mixed_route_flags_exit_one(self, capsys, argv):
+        # each used to run the r route and ignore the scaled-argument flags
+        code, out, err = run(capsys, argv[0], "-f", "x^2/2", "-a", "0", "-b", "1",
+                             "--fdomain", "0:3", *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("fuzzyhh: select ")
+
     def test_out_writes_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run(
@@ -439,25 +467,36 @@ class TestUsage:
 
 
 def test_tracer_sees_the_fixed_point_route():
-    """The bench tracer wraps ``sugeno_fixed_point`` and
-    ``DistributionProfile.at`` by name; a traced fixed-point integral must
-    record spans for both."""
+    """The bench tracer wraps library functions by name: every name it hooks
+    must resolve, and ``sugeno_fixed_point`` over a ``DistributionProfile``,
+    called under the tracer, must record spans for both."""
     script = textwrap.dedent("""
-        import contextlib, io, json
+        import importlib, json
         import tracing
         tracer = tracing.Tracer()
         tracer.install()
-        from fuzzyhh import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["integrate", "-f", "x^2/2", "-a", "0", "-b", "1",
-                             "--method", "fixedpoint"])
-        print(json.dumps(dict(tracer.layer_metrics(1), code=code)))
+        hooks = [*tracing.PLAIN, *(("convexity", name) for name in tracing.CHECKS),
+                 ("bounds", "solve_beta"), ("expressions", "function_from_expression"),
+                 ("measure", "DistributionProfile.at")]
+        missing = []
+        for module, name in hooks:
+            obj = importlib.import_module("fuzzyhh." + module)
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(module + "." + name)
+        from fuzzyhh import expressions, measure, sugeno
+        A = measure.RealInterval(0.0, 1.0)
+        f = expressions.function_from_expression("x^2/2", A)
+        res = sugeno.sugeno_fixed_point(measure.DistributionProfile(f, A))
+        print(json.dumps(dict(tracer.layer_metrics(1), missing=missing, value=res.value)))
     """)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     got = json.loads(out.splitlines()[-1])
-    assert got["code"] == 0
+    assert got["missing"] == []
+    assert got["value"] == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-9)
     assert got["measure.profile_queries"] > 0
     assert got["sugeno.fixed_point_ms"] > 0

@@ -16,7 +16,7 @@ from fuzzyhh.convexity import (
     scaled_eta,
 )
 from fuzzyhh.expressions import function_from_expression
-from fuzzyhh.measure import RealInterval, constant_function
+from fuzzyhh.measure import RealInterval
 
 UNIT = RealInterval(0.0, 1.0)
 SAMPLES = 20_000
@@ -103,7 +103,7 @@ class TestPreinvex:
 
     def test_constant_is_preinvex(self):
         assert check_preinvex(
-            constant_function(0.7, UNIT), UNIT, AFFINE_ETA, samples=SAMPLES, seed=SEED
+            function_from_expression("0.7", UNIT), UNIT, AFFINE_ETA, samples=SAMPLES, seed=SEED
         ).holds
 
     def test_path_leaving_domain_raises(self):
@@ -132,14 +132,10 @@ class TestRPreinvex:
         assert check_r_preinvex(f, UNIT, AFFINE_ETA, 0.0, samples=SAMPLES, seed=SEED).holds
 
     def test_nonpositive_function_rejected_for_nonpositive_r(self):
-        with pytest.raises(NonPositiveFunction):
-            check_r_preinvex(
-                constant_function(0.0, UNIT), UNIT, AFFINE_ETA, -1.0, samples=SAMPLES, seed=SEED
-            )
-        with pytest.raises(NonPositiveFunction):
-            check_r_preinvex(
-                constant_function(0.0, UNIT), UNIT, AFFINE_ETA, 0.0, samples=SAMPLES, seed=SEED
-            )
+        zero = function_from_expression("0", UNIT)
+        for r in (-1.0, 0.0):
+            with pytest.raises(NonPositiveFunction):
+                check_r_preinvex(zero, UNIT, AFFINE_ETA, r, samples=SAMPLES, seed=SEED)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_rejected(self, r):
@@ -153,7 +149,7 @@ class TestRPreinvex:
             f = function_from_expression(src, UNIT)
             certified = check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=SAMPLES, seed=SEED)
             assert certified.holds
-            powered = f.power(r)
+            powered = function_from_expression(f"({src})^{r!r}", UNIT)
             assert check_preinvex(powered, UNIT, AFFINE_ETA, samples=SAMPLES, seed=SEED).holds
 
 
@@ -241,7 +237,7 @@ class TestDegenerationChain:
         # constants violate the m < 1 scaled hypothesis exactly at t = 1:
         # f(v) = 1 > m * f(v/m) = 1/2; two samples suffice because t = 0, 1
         # are injected deterministically
-        probe = constant_function(1.0, RealInterval(0.0, 2.0))
+        probe = function_from_expression("1", RealInterval(0.0, 2.0))
         report = check_m_preinvex(probe, UNIT, AFFINE_ETA, 0.5, samples=2, seed=SEED)
         assert report.samples_checked == 2
         assert not report.holds

@@ -11,9 +11,7 @@ from fuzzyhh.measure import (
     Monotonicity,
     RealInterval,
     StrategyMismatch,
-    constant_function,
     from_callable,
-    power_function,
 )
 from fuzzyhh.expressions import function_from_expression
 
@@ -105,16 +103,9 @@ def test_distribution_vanishes_above_sup(beta):
 
 
 def test_constant_function_distribution_is_a_step():
-    f = constant_function(0.4, UNIT)
+    f = function_from_expression("0.4", UNIT)
     profile = DistributionProfile(f, UNIT)
     assert profile.at(0.0) == 1.0
     assert profile.at(0.4) == 1.0
     assert profile.at(0.4000001) == 0.0
-
-
-def test_scalar_function_power_keeps_increasing_hint():
-    f = power_function(2.0, 3.0, UNIT)
-    g = f.power(0.5)
-    assert g.monotonicity is Monotonicity.INCREASING
-    assert g(0.25) == pytest.approx(math.sqrt(2.0 * 0.25**3))
 

@@ -11,10 +11,7 @@ from fuzzyhh.measure import (
     DistributionProfile,
     Monotonicity,
     RealInterval,
-    affine_root_function,
-    constant_function,
     from_callable,
-    power_affine_function,
 )
 from fuzzyhh import sugeno
 from fuzzyhh.expressions import (
@@ -84,7 +81,8 @@ class TestFixedPoint:
         # F jumps across the diagonal at a constant's value: no root of
         # F(b) = b, but the sup-level is the constant (L when it saturates)
         for k in (0.3, 0.999, 2.0):
-            res = sugeno_fixed_point(DistributionProfile(constant_function(k, UNIT), UNIT))
+            f = function_from_expression(repr(k), UNIT)
+            res = sugeno_fixed_point(DistributionProfile(f, UNIT))
             assert res.value == min(k, 1.0)
 
     def test_steep_distribution_is_not_a_jump(self):
@@ -107,16 +105,17 @@ class TestSupmin:
         assert res.value == pytest.approx(0.2023, abs=1e-3)
 
     def test_constant_within_sweep_resolution(self):
-        res = sugeno_supmin(constant_function(0.3, UNIT), UNIT, 10**4)
+        res = sugeno_supmin(function_from_expression("0.3", UNIT), UNIT, 10**4)
         assert res.value == pytest.approx(0.3, abs=2e-4)
 
     def test_constant_above_length_clamps_to_length(self):
-        res = sugeno_supmin(constant_function(2.0, UNIT), UNIT, 10**4)
+        res = sugeno_supmin(function_from_expression("2.0", UNIT), UNIT, 10**4)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_grid_variant_is_exact_for_constants(self):
-        assert sugeno_supmin_exact(constant_function(0.3, UNIT), UNIT, 10**5).value == 0.3
-        assert sugeno_supmin_exact(constant_function(2.0, UNIT), UNIT, 10**5).value == 1.0
+        for k, want in ((0.3, 0.3), (2.0, 1.0)):
+            f = function_from_expression(repr(k), UNIT)
+            assert sugeno_supmin_exact(f, UNIT, 10**5).value == want
 
     def test_exact_grid_rejects_negative_samples(self):
         # zero at every point of the 4097-point guard grid, -0.1998 between them
@@ -129,7 +128,7 @@ class TestSupmin:
 
     def test_rejects_tiny_threshold_count(self):
         with pytest.raises(ValueError):
-            sugeno_supmin(constant_function(0.3, UNIT), UNIT, 1)
+            sugeno_supmin(function_from_expression("0.3", UNIT), UNIT, 1)
 
 
 class TestDispatcher:
@@ -156,7 +155,7 @@ class TestDispatcher:
 
     def test_constant_rule_is_exact_through_fallback(self):
         for k in (0.0, 0.3, 0.95, 1.0, 2.0):
-            res = sugeno_integral(constant_function(k, UNIT), UNIT)
+            res = sugeno_integral(function_from_expression(repr(k), UNIT), UNIT)
             assert res.value == pytest.approx(min(k, 1.0), abs=1e-9)
 
     def test_step_function_falls_back_to_supmin(self):
@@ -201,31 +200,31 @@ class TestDispatcher:
         assert res.residual <= 1e-9
         assert calls == [4097] * 3
 
-    def test_forced_fixedpoint_integrates_a_plateau(self):
-        for k in (0.3, 0.999):
-            res = sugeno_integral(constant_function(k, UNIT), UNIT, method="fixedpoint")
-            assert (res.value, res.method, res.pieces) == (k, IntegralMethod.FIXED_POINT, 1)
-
-    @pytest.mark.parametrize(
-        "src", ["abs(sin(3*x))", "x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", "box"])
-    def test_forced_fixedpoint_without_a_hint_is_the_exact_grid(self, src):
-        A = RealInterval(0.2, 0.9)
-        if src == "box":  # jumps from 0.1 to 0.8 and back
-            f = from_callable(lambda x: np.where((x >= 0.4) & (x <= 0.6), 0.8, 0.1), A)
-        else:
-            f = function_from_expression(src, UNIT)
-        assert f.monotonicity is Monotonicity.UNKNOWN
-        res = sugeno_integral(f, A, grid=12_345, method="fixedpoint")
-        assert res == sugeno_supmin_exact(f, A, 12_345)
-        assert res.method is IntegralMethod.SUPMIN_GRID
-
-    @pytest.mark.parametrize("method", ["auto", "fixedpoint", "supmin"])
+    @pytest.mark.parametrize("method", ["auto", "supmin"])
     def test_grid_validated_on_every_route(self, method):
         # x is declared increasing, so "auto" never reaches the grid form
         f = function_from_expression("x", UNIT)
         for grid in (0, -3):
             with pytest.raises(ValueError, match="grid must be positive"):
                 sugeno_integral(f, UNIT, grid=grid, method=method)
+
+    def test_fixedpoint_is_not_a_method(self):
+        # the fixed point is an oracle (sugeno_fixed_point), not a route
+        f = function_from_expression("x", UNIT)
+        with pytest.raises(ValueError, match="unknown method 'fixedpoint'"):
+            sugeno_integral(f, UNIT, method="fixedpoint")
+
+    def test_misdeclared_hint_gives_the_exact_grid_value(self):
+        """abs(sin(3x)) declared increasing: the guard sample breaks the hint,
+        so "auto" hands the call to the grid form, and the oracle sweep makes
+        no use of the hint."""
+        f = from_callable(lambda x: np.abs(np.sin(3 * np.asarray(x, dtype=float))), UNIT,
+                          Monotonicity.INCREASING)
+        exact = sugeno_supmin_exact(f, UNIT)
+        assert exact.value == pytest.approx(0.609904, abs=1e-6)
+        assert sugeno_integral(f, UNIT) == exact
+        sweep = sugeno_integral(f, UNIT, method="supmin")
+        assert abs(sweep.value - exact.value) <= sweep.residual
 
     def test_forced_supmin_path(self):
         f = function_from_expression("x^2/2", UNIT)
@@ -240,14 +239,14 @@ class TestPropositionSuite:
     def test_bounded_by_interval_length(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            c, d = rng.uniform(0.0, 3.0, 2)
+            c, d = rng.uniform(0.0, 3.0, 2).tolist()
             p = rng.uniform(0.3, 3.0)
-            f = power_affine_function(c, p, d, UNIT)
+            f = function_from_expression(f"{c!r}*x^{p!r}+{d!r}", UNIT)
             assert sugeno_integral(f, UNIT).value <= UNIT.length() + 1e-12
 
     def test_monotone_in_the_integrand(self):
-        f = power_affine_function(1.0, 2.0, 0.1, UNIT)
-        g = power_affine_function(1.5, 2.0, 0.2, UNIT)  # g >= f pointwise
+        f = function_from_expression("x^2+0.1", UNIT)
+        g = function_from_expression("1.5*x^2+0.2", UNIT)  # g >= f pointwise
         vf = sugeno_integral(f, UNIT, tol=1e-12).value
         vg = sugeno_integral(g, UNIT, tol=1e-12).value
         assert vf <= vg + 1e-9
@@ -278,12 +277,12 @@ class TestPropositionSuite:
     def test_oracle_agreement_smoke(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            c, d = rng.uniform(0.0, 1.0, 2)
+            c, d = rng.uniform(0.0, 1.0, 2).tolist()
             p = rng.uniform(0.25, 4.0)
             lo = rng.uniform(0.0, 0.5)
             hi = lo + rng.uniform(0.1, 0.5)
             A = RealInterval(lo, hi)
-            f = power_affine_function(c, p, d, RealInterval(0.0, 1.0))
+            f = function_from_expression(f"{c!r}*x^{p!r}+{d!r}", RealInterval(0.0, 1.0))
             fixed = sugeno_integral(f, A).value
             sweep = sugeno_supmin(f, A, 10**5).value
             assert abs(fixed - sweep) <= 1e-3
@@ -297,7 +296,7 @@ class TestPropositionSuite:
 )
 def test_constant_rule_property(k, lo, width):
     A = RealInterval(lo, lo + width)
-    res = sugeno_integral(constant_function(k, A), A)
+    res = sugeno_integral(function_from_expression(repr(k), A), A)
     assert res.value == pytest.approx(min(k, A.length()), abs=1e-9)
 
 
@@ -313,10 +312,11 @@ def _power_affine(draw, increasing, hi):
     p = draw(st.floats(0.2, 4.0))
     c = draw(st.floats(0.01, 3.0))
     if increasing:
-        return power_affine_function(c, p, draw(st.floats(0.0, 1.5)), RealInterval(0.0, 3.0))
-    # lowest value on [0, hi] is d - c * hi^p, kept non-negative
-    d = c * hi**p + draw(st.floats(0.0, 1.0))
-    return power_affine_function(-c, p, d, RealInterval(0.0, 3.0))
+        d = draw(st.floats(0.0, 1.5))
+    else:
+        # lowest value on [0, hi] is d - c * hi^p, kept non-negative
+        c, d = -c, c * hi**p + draw(st.floats(0.0, 1.0))
+    return function_from_expression(f"{c!r}*x^{p!r}+{d!r}", RealInterval(0.0, 3.0))
 
 
 def _affine_root(draw, increasing, hi):
@@ -326,7 +326,7 @@ def _affine_root(draw, increasing, hi):
         c = -c
     # c*x + d stays at least 0.05 on [0, 3], so r < 0 never meets a zero base
     d = max(0.0, -3.0 * c) + draw(st.floats(0.05, 1.0))
-    return affine_root_function(c, d, r, RealInterval(0.0, 3.0))
+    return function_from_expression(f"({c!r}*x+{d!r})^(1/{r!r})", RealInterval(0.0, 3.0))
 
 
 @st.composite
@@ -361,10 +361,10 @@ def test_crossing_kernel_on_constants_and_saturated_integrands(lo, width, scale,
     A = RealInterval(lo, lo + width)
     level = scale * width
     slope = 0.5 if increasing else -0.5
+    d = level - slope * (lo if increasing else lo + width)
     cases = [
-        (constant_function(level, A), min(level, width)),
-        (power_affine_function(slope, 1.0, level - slope * (lo if increasing else lo + width),
-                               RealInterval(0.0, 3.0)), None),
+        (function_from_expression(repr(level), A), min(level, width)),
+        (function_from_expression(f"{slope!r}*x+{d!r}", RealInterval(0.0, 3.0)), None),
     ]
     for f, exact in cases:
         res = sugeno_integral(f, A)
