@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -82,7 +84,13 @@ def _parse_eta(text: str) -> EtaMap:
     if text == "affine":
         return AFFINE_ETA
     if text.startswith("scaled:"):
-        return scaled_eta(float(text.split(":", 1)[1]))
+        try:
+            factor = float(text.split(":", 1)[1])
+        except ValueError:
+            factor = math.nan
+        if not math.isfinite(factor):
+            raise ValueError(f"--eta scaled:<factor> needs a finite factor, got {text!r}")
+        return scaled_eta(factor)
     raise ValueError(f"unknown eta map {text!r}; use 'affine' or 'scaled:<factor>'")
 
 
@@ -147,6 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated parameter values (empty: header-only CSV)")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one parser serves every main() call
+    return build_parser()
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -379,6 +393,8 @@ def _sweep_row(ns: argparse.Namespace, param: str, value: float,
 
 
 def _run_sweep(ns: argparse.Namespace) -> int:
+    if ns.format != "text":
+        raise ValueError("sweep writes CSV; --format json is not supported")
     values = [float(v) for v in ns.values.split(",") if v.strip() != ""]
     fixed = None
     if values and ns.param != "eta-len":
@@ -408,9 +424,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

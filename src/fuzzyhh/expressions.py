@@ -588,7 +588,7 @@ def _real_power(lo: float, hi: float, e: float):
 
 
 def _integer(e: float) -> bool:
-    return e == math.floor(e) and abs(e) < 2.0**53
+    return math.isfinite(e) and e == math.floor(e) and abs(e) < 2.0**53
 
 
 def _reaches(a: float, b: float, phase: float) -> bool:

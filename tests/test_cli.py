@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from fuzzyhh import bounds
+from fuzzyhh import bounds, cli
 from fuzzyhh.cli import main
 
 # The stable report contract: field names and types; extra fields are allowed.
@@ -94,6 +95,22 @@ class TestIntegrate:
         assert code == 0
         assert report["provenance"]["method"] == "supmin_grid"
         assert report["result"]["integral"] == pytest.approx(expected, abs=2e-3)
+
+    @pytest.mark.parametrize("src, b, code", [
+        ("x^(1/5e-324)", "0.5", 0),  # x^inf is 0 on [0, 1)
+        ("pow(x, 1/5e-324)", "2", 1),  # and inf past 1
+        ("x^((1/5e-324)-(1/5e-324))", "0.5", 1),  # x^nan
+    ])
+    def test_non_finite_constant_exponent(self, capsys, src, b, code):
+        # used to raise OverflowError (inf) or report a ValueError (nan) from
+        # the interval extension's integer test
+        got, out, err = run(capsys, "integrate", "-f", src, "-a", "0", "-b", b)
+        assert got == code
+        if code == 0:
+            assert "integral = 0\n" in out
+        else:
+            assert out == ""
+            assert err.startswith("fuzzyhh: expression not evaluable: ")
 
     def test_malformed_expression_exits_one(self, capsys):
         code, out, err = run(capsys, "integrate", "-f", "(1-x", "-a", "0", "-b", "1")
@@ -234,6 +251,14 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("fuzzyhh: ") and "r must be finite" in err
+
+    @pytest.mark.parametrize("factor", ["abc", "nan", "inf"])
+    def test_eta_factor_must_be_finite(self, capsys, factor):
+        # used to blame float() or the integrand instead of --eta
+        code, out, err = run(capsys, "check", "-f", "x^2", "-a", "0", "-b", "1",
+                             "--eta", f"scaled:{factor}")
+        assert code == 1 and out == ""
+        assert err == f"fuzzyhh: --eta scaled:<factor> needs a finite factor, got 'scaled:{factor}'\n"
 
     def test_plain_preinvexity_default(self, capsys):
         code, report, _ = run_json(
@@ -407,6 +432,14 @@ class TestSweep:
         assert out == ""
         assert err.startswith("fuzzyhh: ") and "r must be finite" in err
 
+    def test_json_format_is_a_usage_error(self, capsys):
+        # used to write CSV anyway
+        argv = ("sweep", "-f", "x^2", "-a", "0", "-b", "1", "--param", "r", "--values", "0.5,1")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 1 and out == ""
+        assert err == "fuzzyhh: sweep writes CSV; --format json is not supported\n"
+        assert run(capsys, *argv, "--format", "text") == run(capsys, *argv)
+
     def test_m_sweep_with_fixed_alpha(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "-f", "x^2", "-a", "0", "-b", "1",
@@ -464,6 +497,56 @@ class TestUsage:
         assert code == 0
         on_disk = json.loads(path.read_text())
         assert on_disk["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
+
+
+# one call of each kind, interleaved so that a flag left over from one call
+# would change the next: json after text, --r before --alpha/--m, and so on
+REUSE_CALLS = [
+    ("integrate", "-f", "x", "-a", "zero", "-b", "1"),
+    ("--help",),
+    ("reproduce", "all", "--format", "json"),
+    ("bound", "-f", "x^3/3", "-a", "0", "-b", "1", "--r", "0.5", "--format", "json"),
+    ("bound", "-f", "x^2/2", "-a", "0", "-b", "1", "--alpha", "0.5", "--m", "0.3333333",
+     "--fdomain", "0:4", "--format", "json"),
+    ("check", "-f", "sqrt(x)", "-a", "0", "-b", "1", "--r", "1", "--samples", "20000"),
+    ("integrate", "-f", "x^2/2", "-a", "0", "-b", "1"),
+    ("sweep", "-f", "x^2", "-a", "0", "-b", "1", "--param", "r", "--values", "0.5,1,2"),
+]
+
+
+def _without_elapsed(text):
+    return re.sub(r'("elapsed_s": |elapsed: )[^,\n]*', r"\1", text)
+
+
+def test_main_builds_one_parser_and_leaks_no_flags(capsys, monkeypatch):
+    """main() builds its parser on the first call only, and each later call
+    prints and exits as the same call does first in a fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    # bytes, since text mode would turn the CSV's \r\n into \n
+    fresh = [subprocess.run([sys.executable, "-m", "fuzzyhh.cli", *argv], env=env,
+                            capture_output=True) for argv in REUSE_CALLS]
+    build = cli.build_parser
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setenv("COLUMNS", "80")  # the help width of the fresh processes
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            for argv, want in zip(REUSE_CALLS, fresh):
+                code, out, err = run(capsys, *argv)
+                assert (code, _without_elapsed(out), err) == (
+                    want.returncode, _without_elapsed(want.stdout.decode()),
+                    want.stderr.decode()), argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [p.returncode for p in fresh] == [1, 0, 0, 0, 0, 2, 0, 0]
 
 
 def test_tracer_sees_the_fixed_point_route():

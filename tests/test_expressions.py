@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyhh.expressions import (
@@ -229,8 +229,14 @@ _any_ast = st.recursive(_any_leaf, _any_nodes, max_leaves=10)
 _XS = (np.linspace(-2.0, 3.0, 51), np.linspace(0.05, 2.0, 40), np.array([0.0, 0.5, 1.0]))
 
 
+_HUGE = BinOp("/", Num(1.0), Num(5e-324))  # folds to inf
+
+
 @settings(max_examples=400, deadline=None)
 @given(tree=_any_ast, x=st.floats(min_value=-3.0, max_value=3.0))
+# non-finite constant exponents used to crash the extension's integer test
+@example(tree=Call("pow", (Var(), _HUGE)), x=0.0)
+@example(tree=BinOp("^", Var(), BinOp("-", _HUGE, _HUGE)), x=0.0)
 def test_compiled_matches_the_tree_walk_bit_for_bit(tree, x):
     compiled = compile_expression(tree)
     for xs in _XS:
