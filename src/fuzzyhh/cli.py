@@ -276,6 +276,8 @@ def _run_check(ns: argparse.Namespace) -> int:
     K = _interval(ns)
     f = _build_function(ns, K)
     eta = _parse_eta(ns.eta)
+    if ns.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {ns.seed}")
     if ns.r is not None and (ns.alpha is not None or ns.m is not None):
         raise ValueError("select one route: --r or --alpha/--m")
     if ns.r is not None:
@@ -392,10 +394,20 @@ def _sweep_row(ns: argparse.Namespace, param: str, value: float,
             "bound": bound.bound, "case": bound.case.value}
 
 
+def _sweep_value(param: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"--values: {param} must be finite, got {text!r}")
+    return value
+
+
 def _run_sweep(ns: argparse.Namespace) -> int:
     if ns.format != "text":
         raise ValueError("sweep writes CSV; --format json is not supported")
-    values = [float(v) for v in ns.values.split(",") if v.strip() != ""]
+    values = [_sweep_value(ns.param, v) for v in ns.values.split(",") if v.strip() != ""]
     fixed = None
     if values and ns.param != "eta-len":
         # only eta_len moves the interval, so one integral serves every row

@@ -11,6 +11,8 @@ All checkers consume the same sample stream for a given (K, samples, seed),
 so hypotheses that degenerate into one another (r = 1, m = 1, alpha = 1)
 produce bitwise-identical reports.  The endpoints t = 0 and t = 1 are always
 included deterministically; violations concentrate there surprisingly often.
+The inequality checkers draw and evaluate the stream in blocks of ``BLOCK``
+draws, with the same floats, witness and errors as one whole-array pass.
 
 Inequality slack is 1e-9; closed-set membership slack is 1e-12 (floating
 point evaluation of path maps lands marginally outside closed intervals, and
@@ -57,7 +59,7 @@ class DomainEscape(ConvexityError):
 
 
 class NonPositiveFunction(ConvexityError):
-    """r <= 0 power-mean hypotheses require a strictly positive function."""
+    """Power-mean hypotheses need f > 0 (r <= 0) or f >= 0 (r > 0) on the sample."""
 
 
 @dataclass(frozen=True)
@@ -129,18 +131,38 @@ class HypothesisReport:
     max_violation: float
 
 
-def _draw(K: RealInterval, samples: int, seed: int):
-    """Shared sample stream: identical across checkers for a given seed."""
+#: Draws per block of the checkers' sample stream: a block's dozen arrays stay
+#: in a 2 MB L2 cache (at 1e5 draws, 4 096 and 32 768 were slower).
+BLOCK = 1 << 14
+
+
+def _blocks(K: RealInterval, samples: int, seed: int, block: int = BLOCK):
+    """The shared sample stream in (u, v, t) blocks of ``block`` reused arrays.
+
+    Concatenated, they hold exactly the floats of ``default_rng(seed)``
+    drawing ``uniform(K.lo, K.hi, samples)`` twice, then ``uniform(0, 1,
+    samples)`` with t = 0 and t = 1 first: three copies of the generator,
+    advanced by 0, samples and 2 * samples draws, fill them with ``random()``,
+    scaled in place as ``uniform`` scales it.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(K.lo, K.hi, samples)
-    v = rng.uniform(K.lo, K.hi, samples)
-    t = rng.uniform(0.0, 1.0, samples)
-    t[0] = 0.0
-    if samples >= 2:
-        t[1] = 1.0
-    return u, v, t
+    gens = [np.random.default_rng(seed) for _ in range(3)]
+    gens[0].uniform(K.lo, K.hi, 0)  # uniform's own check that hi - lo is finite
+    for k, gen in enumerate(gens):
+        gen.bit_generator.advance(k * samples)
+    scale = K.hi - K.lo
+    bufs = np.empty((3, min(block, samples)))
+    for start in range(0, samples, block):
+        u, v, t = bufs[:, : min(block, samples - start)]
+        for gen, x in zip(gens, (u, v, t)):
+            gen.random(out=x)
+        for x in (u, v):
+            x *= scale
+            x += K.lo
+        if start == 0:
+            t[:2] = (0.0, 1.0)[: t.size]
+        yield u, v, t
 
 
 def _path_points(f: ScalarFunction, u, t, eta_uv, kind: str):
@@ -154,20 +176,32 @@ def _path_points(f: ScalarFunction, u, t, eta_uv, kind: str):
             f"{kind}: path point {path[i]:g} leaves the declared domain "
             f"[{lo:g}, {hi:g}] (u={u[i]:g}, t={t[i]:g})"
         )
-    return np.clip(path, lo, hi)
+    return np.clip(path, lo, hi, out=path)
 
 
-def _inequality_report(u, v, t, lhs, rhs, kind: str) -> HypothesisReport:
-    violation = lhs - rhs
-    i = int(np.argmax(violation))
-    worst = float(violation[i])
+def _inequality_report(K: RealInterval, samples: int, seed: int, sides, kind: str):
+    """Run ``sides(u, v, t) -> (lhs, rhs)`` over the stream's blocks and report
+    the first draw where lhs - rhs is largest (a NaN first), as ``np.argmax``
+    over the whole sample would.  When a block raises, ``sides`` runs once
+    over the whole sample as one block, so the error is the one the unblocked
+    check raises, in its order.
+    """
+    worst, best = -math.inf, None
+    try:
+        for u, v, t in _blocks(K, samples, seed):
+            lhs, rhs = sides(u, v, t)
+            violation = lhs - rhs
+            i = int(np.argmax(violation))
+            w = float(violation[i])
+            if not math.isnan(worst) and not w <= worst:
+                worst = w
+                best = (float(u[i]), float(v[i]), float(t[i]), float(lhs[i]), float(rhs[i]))
+    except Exception:
+        sides(*next(_blocks(K, samples, seed, samples)))  # the unblocked call's error
+        raise
     if worst <= INEQ_SLACK:
-        return HypothesisReport(True, len(t), None, worst)
-    witness = Witness(
-        u=float(u[i]), v=float(v[i]), t=float(t[i]),
-        lhs=float(lhs[i]), rhs=float(rhs[i]), kind=kind,
-    )
-    return HypothesisReport(False, len(t), witness, worst)
+        return HypothesisReport(True, samples, None, worst)
+    return HypothesisReport(False, samples, Witness(*best, kind=kind), worst)
 
 
 def check_invex(
@@ -178,7 +212,7 @@ def check_invex(
     A path point outside K (beyond 1e-12 slack) is the violation itself; the
     witness records the escape distance as lhs against rhs = 0.
     """
-    u, v, t = _draw(K, samples, seed)
+    u, v, t = next(_blocks(K, samples, seed, samples))
     path = u + t * eta.apply(v, u)
     escape = np.maximum(K.lo - path, path - K.hi)
     i = int(np.argmax(escape))
@@ -208,7 +242,7 @@ def check_condition_c(
     ``DomainEscape`` only if an intermediate point leaves eta's own declared
     domain (the identities are otherwise still evaluable formulas).
     """
-    y, x, t = _draw(K, samples, seed)
+    y, x, t = next(_blocks(K, samples, seed, samples))
     rng = np.random.default_rng(seed + 1)
     t1 = rng.uniform(0.0, 1.0, samples)
     t2 = rng.uniform(0.0, 1.0, samples)
@@ -269,13 +303,16 @@ def check_preinvex(
     Assumes invexity of K under eta has been certified separately; a path
     point that leaves f's domain raises ``DomainEscape``.
     """
-    u, v, t = _draw(K, samples, seed)
-    path = _path_points(f, u, t, eta.apply(v, u), "preinvex")
-    lhs = np.asarray(f.evaluate(path), dtype=float)
-    rhs = (1.0 - t) * np.asarray(f.evaluate(u), dtype=float) + t * np.asarray(
-        f.evaluate(v), dtype=float
-    )
-    return _inequality_report(u, v, t, lhs, rhs, "preinvex")
+
+    def sides(u, v, t):
+        path = _path_points(f, u, t, eta.apply(v, u), "preinvex")
+        lhs = np.asarray(f.evaluate(path), dtype=float)
+        rhs = (1.0 - t) * np.asarray(f.evaluate(u), dtype=float) + t * np.asarray(
+            f.evaluate(v), dtype=float
+        )
+        return lhs, rhs
+
+    return _inequality_report(K, samples, seed, sides, "preinvex")
 
 
 def check_r_preinvex(
@@ -290,25 +327,33 @@ def check_r_preinvex(
 
     r != 0 uses ((1-t)*f(u)**r + t*f(v)**r)**(1/r); r = 0 uses the geometric
     mean f(u)**(1-t) * f(v)**t.  r must be finite.  For r <= 0 the function
-    must be strictly positive on the sample (``NonPositiveFunction``
+    must be strictly positive on the sample, and for r > 0 non-negative, as
+    the power mean of a negative value is undefined (``NonPositiveFunction``
     otherwise).
     """
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r:g}")
-    u, v, t = _draw(K, samples, seed)
-    path = _path_points(f, u, t, eta.apply(v, u), "r-preinvex")
-    fu = np.asarray(f.evaluate(u), dtype=float)
-    fv = np.asarray(f.evaluate(v), dtype=float)
-    if r <= 0 and (np.any(fu <= 0.0) or np.any(fv <= 0.0)):
-        raise NonPositiveFunction(
-            f"r = {r:g} <= 0 requires f > 0 on K; a sampled value was <= 0"
-        )
-    lhs = np.asarray(f.evaluate(path), dtype=float)
-    if r != 0:
-        rhs = ((1.0 - t) * fu**r + t * fv**r) ** (1.0 / r)
-    else:
-        rhs = fu ** (1.0 - t) * fv**t
-    return _inequality_report(u, v, t, lhs, rhs, "r-preinvex")
+
+    def sides(u, v, t):
+        path = _path_points(f, u, t, eta.apply(v, u), "r-preinvex")
+        fu = np.asarray(f.evaluate(u), dtype=float)
+        fv = np.asarray(f.evaluate(v), dtype=float)
+        if r <= 0 and (np.any(fu <= 0.0) or np.any(fv <= 0.0)):
+            raise NonPositiveFunction(
+                f"r = {r:g} <= 0 requires f > 0 on K; a sampled value was <= 0"
+            )
+        if r > 0 and (np.any(fu < 0.0) or np.any(fv < 0.0)):
+            raise NonPositiveFunction(
+                f"r = {r:g} > 0 requires f >= 0 on K; a sampled value was < 0"
+            )
+        lhs = np.asarray(f.evaluate(path), dtype=float)
+        if r != 0:
+            rhs = ((1.0 - t) * fu**r + t * fv**r) ** (1.0 / r)
+        else:
+            rhs = fu ** (1.0 - t) * fv**t
+        return lhs, rhs
+
+    return _inequality_report(K, samples, seed, sides, "r-preinvex")
 
 
 def check_alpha_m_preinvex(
@@ -330,24 +375,27 @@ def check_alpha_m_preinvex(
         raise ValueError("alpha must lie in (0, 1]")
     if not 0 < m <= 1:
         raise ValueError("m must lie in (0, 1]")
-    u, v, t = _draw(K, samples, seed)
-    path = _path_points(f, u, t, eta.apply(v, u), "alpha-m-preinvex")
-    scaled = v / m
     lo, hi = f.domain.lo, f.domain.hi
-    outside = (scaled < lo - SET_SLACK) | (scaled > hi + SET_SLACK)
-    if np.any(outside):
-        i = int(np.argmax(outside))
-        raise DomainEscape(
-            f"alpha-m-preinvex: v/m = {scaled[i]:g} leaves the declared domain "
-            f"[{lo:g}, {hi:g}]; declare a wider one"
+
+    def sides(u, v, t):
+        path = _path_points(f, u, t, eta.apply(v, u), "alpha-m-preinvex")
+        scaled = v / m
+        outside = (scaled < lo - SET_SLACK) | (scaled > hi + SET_SLACK)
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise DomainEscape(
+                f"alpha-m-preinvex: v/m = {scaled[i]:g} leaves the declared domain "
+                f"[{lo:g}, {hi:g}]; declare a wider one"
+            )
+        np.clip(scaled, lo, hi, out=scaled)
+        t_alpha = t**alpha
+        lhs = np.asarray(f.evaluate(path), dtype=float)
+        rhs = (1.0 - t_alpha) * np.asarray(f.evaluate(u), dtype=float) + m * t_alpha * np.asarray(
+            f.evaluate(scaled), dtype=float
         )
-    scaled = np.clip(scaled, lo, hi)
-    t_alpha = t**alpha
-    lhs = np.asarray(f.evaluate(path), dtype=float)
-    rhs = (1.0 - t_alpha) * np.asarray(f.evaluate(u), dtype=float) + m * t_alpha * np.asarray(
-        f.evaluate(scaled), dtype=float
-    )
-    return _inequality_report(u, v, t, lhs, rhs, "alpha-m-preinvex")
+        return lhs, rhs
+
+    return _inequality_report(K, samples, seed, sides, "alpha-m-preinvex")
 
 
 def check_m_preinvex(

@@ -260,6 +260,20 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err == f"fuzzyhh: --eta scaled:<factor> needs a finite factor, got 'scaled:{factor}'\n"
 
+    @pytest.mark.parametrize("r", ["0.5", "2"])
+    def test_negative_function_with_positive_r_exits_one(self, capsys, r):
+        # --r 0.5 used to print a NaN witness (not JSON) and exit 2, --r 2 to report "holds"
+        code, out, err = run(capsys, "check", "-f", "x-0.5", "-a", "0", "-b", "1", "--r", r,
+                             "--format", "json")
+        assert code == 1 and out == ""
+        assert err == f"fuzzyhh: r = {float(r):g} > 0 requires f >= 0 on K; a sampled value was < 0\n"
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # used to exit 1 with numpy's "expected non-negative integer"
+        code, out, err = run(capsys, "check", "-f", "x^2", "-a", "0", "-b", "1", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "fuzzyhh: --seed must be non-negative, got -1\n"
+
     def test_plain_preinvexity_default(self, capsys):
         code, report, _ = run_json(
             capsys, "check", "-f", "x^2", "-a", "0", "-b", "1", "--samples", "20000"
@@ -431,6 +445,16 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err.startswith("fuzzyhh: ") and "r must be finite" in err
+
+    @pytest.mark.parametrize("param, values, bad", [
+        ("r", "1,abc", "abc"), ("m", "0.5, inf", " inf"), ("eta-len", "1,-nan", "-nan"),
+    ])
+    def test_values_errors_name_the_flag(self, capsys, param, values, bad):
+        # a non-numeric entry used to exit 1 with a bare float() message
+        code, out, err = run(capsys, "sweep", "-f", "x^2", "-a", "0", "-b", "1",
+                             "--param", param, f"--values={values}")
+        assert code == 1 and out == ""
+        assert err == f"fuzzyhh: --values: {param} must be finite, got {bad!r}\n"
 
     def test_json_format_is_a_usage_error(self, capsys):
         # used to write CSV anyway

@@ -1,12 +1,21 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyhh.convexity import (
     AFFINE_ETA,
+    BLOCK,
+    INEQ_SLACK,
     DomainEscape,
     EtaMap,
+    HypothesisReport,
     NonPositiveFunction,
+    Witness,
+    _blocks,
+    _inequality_report,
     check_alpha_m_preinvex,
     check_condition_c,
     check_invex,
@@ -15,8 +24,8 @@ from fuzzyhh.convexity import (
     check_r_preinvex,
     scaled_eta,
 )
-from fuzzyhh.expressions import function_from_expression
-from fuzzyhh.measure import RealInterval
+from fuzzyhh.expressions import compile_expression, function_from_expression, parse_expression
+from fuzzyhh.measure import SET_SLACK, RealInterval, from_callable
 
 UNIT = RealInterval(0.0, 1.0)
 SAMPLES = 20_000
@@ -242,3 +251,243 @@ class TestDegenerationChain:
         assert report.samples_checked == 2
         assert not report.holds
         assert report.witness.t == 1.0
+
+    def test_chain_over_several_blocks(self):
+        samples = 3 * BLOCK + 5  # a partial last block
+        for src in ("x^2", "sqrt(x)"):
+            f = function_from_expression(src, UNIT)
+            reports = (
+                check_preinvex(f, UNIT, AFFINE_ETA, samples=samples, seed=SEED),
+                check_r_preinvex(f, UNIT, AFFINE_ETA, 1.0, samples=samples, seed=SEED),
+                check_m_preinvex(f, UNIT, AFFINE_ETA, 1.0, samples=samples, seed=SEED),
+                check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, 1.0, 1.0, samples=samples, seed=SEED),
+            )
+            assert len({(report_key(rep), rep.max_violation) for rep in reports}) == 1
+
+
+class TestPositivePowerMean:
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_negative_values_are_rejected(self, r):
+        # used to give a NaN witness (and a RuntimeWarning) at r = 0.5, "holds" at r = 2
+        f = function_from_expression("x-0.5", UNIT)
+        with pytest.raises(NonPositiveFunction, match=r"> 0 requires f >= 0 on K"):
+            check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=SAMPLES, seed=SEED)
+
+    def test_zero_values_are_allowed(self):
+        zero = function_from_expression("0", UNIT)
+        report = check_r_preinvex(zero, UNIT, AFFINE_ETA, 0.5, samples=SAMPLES, seed=SEED)
+        assert report.holds and report.max_violation == 0.0
+
+
+# -- the blocked stream and checks against the whole-array checks ----------------
+
+
+def ref_draw(K, samples, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(K.lo, K.hi, samples)
+    v = rng.uniform(K.lo, K.hi, samples)
+    t = rng.uniform(0.0, 1.0, samples)
+    t[0] = 0.0
+    if samples >= 2:
+        t[1] = 1.0
+    return u, v, t
+
+
+def ref_path(f, u, t, eta_uv, kind):
+    path = u + t * eta_uv
+    lo, hi = f.domain.lo, f.domain.hi
+    outside = (path < lo - SET_SLACK) | (path > hi + SET_SLACK)
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        raise DomainEscape(
+            f"{kind}: path point {path[i]:g} leaves the declared domain "
+            f"[{lo:g}, {hi:g}] (u={u[i]:g}, t={t[i]:g})"
+        )
+    return np.clip(path, lo, hi)
+
+
+def ref_report(u, v, t, lhs, rhs, kind):
+    violation = lhs - rhs
+    i = int(np.argmax(violation))
+    worst = float(violation[i])
+    if worst <= INEQ_SLACK:
+        return HypothesisReport(True, len(t), None, worst)
+    witness = Witness(float(u[i]), float(v[i]), float(t[i]), float(lhs[i]), float(rhs[i]), kind)
+    return HypothesisReport(False, len(t), witness, worst)
+
+
+def ref_preinvex(f, K, eta, samples, seed):
+    u, v, t = ref_draw(K, samples, seed)
+    lhs = f.evaluate(ref_path(f, u, t, eta.apply(v, u), "preinvex"))
+    rhs = (1.0 - t) * f.evaluate(u) + t * f.evaluate(v)
+    return ref_report(u, v, t, lhs, rhs, "preinvex")
+
+
+def ref_r_preinvex(f, K, eta, r, samples, seed):
+    u, v, t = ref_draw(K, samples, seed)
+    path = ref_path(f, u, t, eta.apply(v, u), "r-preinvex")
+    fu, fv = f.evaluate(u), f.evaluate(v)
+    if r <= 0 and (np.any(fu <= 0.0) or np.any(fv <= 0.0)):
+        raise NonPositiveFunction(f"r = {r:g} <= 0 requires f > 0 on K; a sampled value was <= 0")
+    if r > 0 and (np.any(fu < 0.0) or np.any(fv < 0.0)):
+        raise NonPositiveFunction(f"r = {r:g} > 0 requires f >= 0 on K; a sampled value was < 0")
+    lhs = f.evaluate(path)
+    if r != 0:
+        rhs = ((1.0 - t) * fu**r + t * fv**r) ** (1.0 / r)
+    else:
+        rhs = fu ** (1.0 - t) * fv**t
+    return ref_report(u, v, t, lhs, rhs, "r-preinvex")
+
+
+def ref_alpha_m_preinvex(f, K, eta, alpha, m, samples, seed):
+    u, v, t = ref_draw(K, samples, seed)
+    path = ref_path(f, u, t, eta.apply(v, u), "alpha-m-preinvex")
+    scaled = v / m
+    lo, hi = f.domain.lo, f.domain.hi
+    outside = (scaled < lo - SET_SLACK) | (scaled > hi + SET_SLACK)
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        raise DomainEscape(
+            f"alpha-m-preinvex: v/m = {scaled[i]:g} leaves the declared domain "
+            f"[{lo:g}, {hi:g}]; declare a wider one"
+        )
+    scaled = np.clip(scaled, lo, hi)
+    t_alpha = t**alpha
+    lhs = f.evaluate(path)
+    rhs = (1.0 - t_alpha) * f.evaluate(u) + m * t_alpha * f.evaluate(scaled)
+    return ref_report(u, v, t, lhs, rhs, "alpha-m-preinvex")
+
+
+def outcome(fn, *args, **kwargs):
+    """The report's repr (every float of it), or the exception's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def stream(K, samples, seed):
+    blocks = [tuple(a.copy() for a in block) for block in _blocks(K, samples, seed)]
+    assert [b[0].size for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 100_000])
+def test_blocks_hold_the_whole_array_draw(n):
+    for seed in (0, 7, SEED, 2**40 + 3):
+        for K in (UNIT, RealInterval(-3.5, 2.25), RealInterval(-1e3, -1e-3), RealInterval(2.0, 2.0)):
+            got = stream(K, n, seed)
+            want = ref_draw(K, n, seed)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_empty_sample_is_rejected():
+    with pytest.raises(ValueError, match="need at least one sample"):
+        check_preinvex(function_from_expression("x", UNIT), UNIT, AFFINE_ETA, samples=0)
+
+
+_SOURCES = (
+    "x^2", "sqrt(x)", "exp(x)", "x^4/2", "abs(x-0.4)", "sin(7*x)+1.5", "x-0.5",
+    "log(x+0.2)", "1/(x-0.3)", "x^0.7", "0.7", "exp(-3*x)*(x+1)",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    src=st.sampled_from(_SOURCES),
+    lo=st.sampled_from([0.0, 0.1, -0.5]),
+    width=st.sampled_from([0.5, 1.0, 2.0]),
+    eta=st.sampled_from(["affine", 1.0 + 1e-6, 0.5, -1.0]),
+    r=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+    alpha=st.sampled_from([0.3, 0.75, 1.0]),
+    m=st.sampled_from([0.25, 0.6, 1.0]),
+    samples=st.sampled_from([1, 3, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 77, 60_000]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_checkers_match_the_whole_array_reference(src, lo, width, eta, r, alpha, m, samples, seed):
+    K = RealInterval(lo, lo + width)
+    eta = AFFINE_ETA if eta == "affine" else scaled_eta(eta)
+    # not function_from_expression: its build-time check would keep out the
+    # inputs that fail part-way through the sample
+    f = from_callable(compile_expression(parse_expression(src)), RealInterval(lo, lo + 2.0 * width))
+    assert outcome(check_preinvex, f, K, eta, samples, seed) == \
+        outcome(ref_preinvex, f, K, eta, samples, seed)
+    assert outcome(check_r_preinvex, f, K, eta, r, samples, seed) == \
+        outcome(ref_r_preinvex, f, K, eta, r, samples, seed)
+    assert outcome(check_alpha_m_preinvex, f, K, eta, alpha, m, samples, seed) == \
+        outcome(ref_alpha_m_preinvex, f, K, eta, alpha, m, samples, seed)
+    assert outcome(check_m_preinvex, f, K, eta, m, samples, seed) == \
+        outcome(ref_alpha_m_preinvex, f, K, eta, 1.0, m, samples, seed)
+
+
+def _marked(values, n=3 * BLOCK):
+    """A ``sides`` whose violation is 0 except at the draws with the given
+    u-indices, where it takes the given values."""
+    u = ref_draw(UNIT, n, SEED)[0]
+    table = dict(zip(u[list(values)], values.values()))
+
+    def sides(u, v, t):
+        return np.array([table.get(x, 0.0) for x in u]), np.zeros_like(u)
+
+    return sides
+
+
+@pytest.mark.parametrize("values, want", [
+    ({BLOCK - 1: 1.0, BLOCK: 1.0}, BLOCK - 1),  # a tie across the boundary keeps the first
+    ({5: 1.0, BLOCK: 2.0, 2 * BLOCK + 9: 2.0}, BLOCK),
+    ({3: 5.0, BLOCK + 2: math.nan, 2 * BLOCK: math.nan}, BLOCK + 2),  # the first NaN wins
+    ({BLOCK - 1: math.nan, BLOCK + 4: 7.0}, BLOCK - 1),
+])
+def test_first_maximum_is_kept_across_blocks(values, want):
+    n = 3 * BLOCK
+    u, v, t = ref_draw(UNIT, n, SEED)
+    sides = _marked(values, n)
+    report = _inequality_report(UNIT, n, SEED, sides, "probe")
+    assert int(np.argmax(sides(u, v, t)[0])) == want
+    assert not report.holds
+    assert (report.witness.u, report.witness.v, report.witness.t) == (u[want], v[want], t[want])
+    assert repr(report) == repr(ref_report(u, v, t, *sides(u, v, t), "probe"))
+
+
+def test_blocked_errors_are_the_whole_array_errors():
+    # every block has a negative value (NonPositiveFunction for r < 0), but the
+    # whole-array check first evaluates f on all of u, which fails late
+    n = 3 * BLOCK + 11
+    late = ref_draw(UNIT, n, SEED)[0][n - 5]
+
+    def fn(x):
+        if np.any(x == late):
+            raise ArithmeticError("late failure")
+        return np.where(x < 0.5, -1.0, 1.0)
+
+    f = from_callable(fn, UNIT)
+    with pytest.raises(ArithmeticError, match="late failure"):
+        check_r_preinvex(f, UNIT, AFFINE_ETA, -1.0, samples=n, seed=SEED)
+    with pytest.raises(ArithmeticError, match="late failure"):
+        ref_r_preinvex(f, UNIT, AFFINE_ETA, -1.0, n, SEED)
+
+
+def test_domain_escape_names_the_first_escaping_draw():
+    n = 3 * BLOCK
+    u = ref_draw(UNIT, n, SEED)[0]
+    # the path leaves K at two draws of later blocks only
+    late = u[[BLOCK + 10, 2 * BLOCK + 3]]
+    eta = EtaMap(apply=lambda v, w: np.where(np.isin(w, late), 1e3, v - w))
+    f = function_from_expression("x^2", UNIT)
+    got = outcome(check_preinvex, f, UNIT, eta, n, SEED)
+    assert got == outcome(ref_preinvex, f, UNIT, eta, n, SEED)
+    assert got[0] is DomainEscape and f"(u={u[BLOCK + 10]:g}," in got[1]
+    # v/m = 2v leaves [0, 2 - 1e-4] in the last block only
+    f = function_from_expression("x^2", RealInterval(0.0, 2.0 - 1e-4))
+    got = outcome(check_alpha_m_preinvex, f, UNIT, AFFINE_ETA, 0.5, 0.5, n, SEED)
+    assert got == outcome(ref_alpha_m_preinvex, f, UNIT, AFFINE_ETA, 0.5, 0.5, n, SEED)
+    assert got[0] is DomainEscape and "v/m = 1.9999" in got[1]
+
+
+@pytest.mark.parametrize("src, r", [("x-0.5", -1.0), ("x-0.5", 0.0), ("x-0.5", 0.5), ("x-0.5", 2.0)])
+def test_non_positive_function_messages(src, r):
+    f = function_from_expression(src, UNIT)
+    got = outcome(check_r_preinvex, f, UNIT, AFFINE_ETA, r, 3 * BLOCK, SEED)
+    assert got == outcome(ref_r_preinvex, f, UNIT, AFFINE_ETA, r, 3 * BLOCK, SEED)
+    assert got[0] is NonPositiveFunction
