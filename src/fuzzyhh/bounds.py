@@ -310,7 +310,7 @@ def endpoint_bound(
     fscaled = None
     if alpha is not None and m is not None and m > 0:  # alpha_m_bound rejects m <= 0
         point = iv.end / m
-        if not f.domain.contains(point, slack=1e-12):
+        if not f.domain.contains(point):
             raise DomainEscape(
                 f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
                 f"[{f.domain.lo:g}, {f.domain.hi:g}]"

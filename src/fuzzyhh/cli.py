@@ -57,6 +57,10 @@ EXIT_NO_ROOT = 3
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # no prefix spellings: "bound --eta x" must not be read as --eta-len
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -94,32 +98,31 @@ def _parse_eta(text: str) -> EtaMap:
     raise ValueError(f"unknown eta map {text!r}; use 'affine' or 'scaled:<factor>'")
 
 
-def _add_common(parser: argparse.ArgumentParser, need_function: bool = True) -> None:
-    if need_function:
-        parser.add_argument("-f", "--function", required=True, metavar="EXPR",
-                            help="integrand, e.g. 'x^2/2'")
-        parser.add_argument("-a", type=float, required=True, help="interval lower end")
-        parser.add_argument("-b", type=float, required=True, help="interval upper end")
-        parser.add_argument("--eta-len", type=float, default=None, metavar="L",
-                            help="path length eta(b, a); default b - a")
-        parser.add_argument("--eta", default="affine", metavar="MAP",
-                            help="path map for checks: 'affine' or 'scaled:<factor>'")
-        parser.add_argument("--r", type=float, default=None, help="power-mean route parameter")
-        parser.add_argument("--alpha", type=float, default=None,
-                            help="scaled-argument route exponent in (0, 1]")
-        parser.add_argument("--m", type=float, default=None,
-                            help="scaled-argument route scale in (0, 1]")
-        parser.add_argument("--fdomain", type=str, default=None, metavar="LO:HI",
-                            help="declared evaluation domain of f (wider than [a, b] "
-                                 "when the scaled-argument route evaluates f(v/m))")
-        parser.add_argument("--method", choices=("supmin",), default=None,
-                            help="force the integration route: supmin sweeps --grid "
-                                 "thresholds (the assumption-free oracle)")
-        parser.add_argument("--grid", type=int, default=1_000_000,
-                            help="grid size for sampled distributions (default 1e6)")
-        parser.add_argument("--samples", type=int, default=100_000,
-                            help="draws per hypothesis check (default 1e5)")
-        parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+def _add_flags(parser: argparse.ArgumentParser, reads: tuple[str, ...]) -> None:
+    """Add the function flags named in ``reads`` in report order, then --format and --out."""
+    def add(*names: str, **kwargs: Any) -> None:
+        if names[0] in reads:
+            parser.add_argument(*names, **kwargs)
+    add("-f", "--function", required=True, metavar="EXPR", help="integrand, e.g. 'x^2/2'")
+    add("-a", type=float, required=True, help="interval lower end")
+    add("-b", type=float, required=True, help="interval upper end")
+    add("--eta-len", type=float, default=None, metavar="L",
+        help="path length eta(b, a); default b - a")
+    add("--eta", default="affine", metavar="MAP",
+        help="path map for checks: 'affine' or 'scaled:<factor>'")
+    add("--r", type=float, default=None, help="power-mean route parameter")
+    add("--alpha", type=float, default=None, help="scaled-argument route exponent in (0, 1]")
+    add("--m", type=float, default=None, help="scaled-argument route scale in (0, 1]")
+    add("--fdomain", type=str, default=None, metavar="LO:HI",
+        help="declared evaluation domain of f (wider than [a, b] "
+             "when the scaled-argument route evaluates f(v/m))")
+    add("--method", choices=("supmin",), default=None,
+        help="force the integration route: supmin sweeps --grid "
+             "thresholds (the assumption-free oracle)")
+    add("--grid", type=int, default=1_000_000,
+        help="grid size for sampled distributions (default 1e6)")
+    add("--samples", type=int, default=100_000, help="draws per hypothesis check (default 1e5)")
+    add("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", type=str, default=None, metavar="PATH",
                         help="also write the report (or CSV) to this path")
@@ -131,25 +134,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sugeno integrals on intervals and their generalized-preinvex upper bounds.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # each subcommand's function flags: the ones its handler reads
+    bound_flags = ("-f", "-a", "-b", "--eta-len", "--r", "--alpha", "--m", "--fdomain", "--grid")
 
-    p_int = sub.add_parser("integrate", help="Sugeno integral of an expression over [a, b].")
-    _add_common(p_int)
-
-    p_chk = sub.add_parser("check", help="sample a generalized-convexity hypothesis of f.")
-    _add_common(p_chk)
-
-    p_bnd = sub.add_parser("bound", help="compute the bound for the selected route and "
-                                         "verify the integral stays below it.")
-    _add_common(p_bnd)
+    _add_flags(sub.add_parser("integrate", help="Sugeno integral of an expression over [a, b]."),
+               ("-f", "-a", "-b", "--fdomain", "--method", "--grid"))
+    _add_flags(sub.add_parser("check", help="sample a generalized-convexity hypothesis of f."),
+               ("-f", "-a", "-b", "--eta", "--r", "--alpha", "--m", "--fdomain", "--samples",
+                "--seed"))
+    _add_flags(sub.add_parser("bound", help="compute the bound for the selected route and "
+                                            "verify the integral stays below it."),
+               bound_flags)
 
     p_rep = sub.add_parser("reproduce", help="re-run a reference entry and diff against "
                                              "the golden table.")
     p_rep.add_argument("entry", help="entry id or 'all'; ids: " + ", ".join(golden.entry_ids()))
-    _add_common(p_rep, need_function=False)
+    _add_flags(p_rep, ())
 
     p_swp = sub.add_parser("sweep", help="tabulate integral and bound across one parameter "
                                          "(CSV output).")
-    _add_common(p_swp)
+    _add_flags(p_swp, bound_flags)
     p_swp.add_argument("--param", choices=("r", "alpha", "m", "eta-len"), required=True)
     p_swp.add_argument("--values", default="", metavar="V1,V2,...",
                        help="comma-separated parameter values (empty: header-only CSV)")
@@ -167,9 +171,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _inputs_dict(ns: argparse.Namespace) -> dict[str, Any]:
-    keys = ("function", "a", "b", "eta_len", "eta", "r", "alpha", "m", "fdomain",
-            "method", "grid", "samples", "seed", "entry", "param", "values")
-    return {k: getattr(ns, k) for k in keys if hasattr(ns, k)}
+    return {k: v for k, v in vars(ns).items() if k not in ("cmd", "format", "out")}
 
 
 def _render_text(report: dict[str, Any]) -> str:

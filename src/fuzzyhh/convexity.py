@@ -148,7 +148,6 @@ def _blocks(K: RealInterval, samples: int, seed: int, block: int = BLOCK):
     if samples < 1:
         raise ValueError("need at least one sample")
     gens = [np.random.default_rng(seed) for _ in range(3)]
-    gens[0].uniform(K.lo, K.hi, 0)  # uniform's own check that hi - lo is finite
     for k, gen in enumerate(gens):
         gen.bit_generator.advance(k * samples)
     scale = K.hi - K.lo
@@ -179,12 +178,14 @@ def _path_points(f: ScalarFunction, u, t, eta_uv, kind: str):
     return np.clip(path, lo, hi, out=path)
 
 
-def _inequality_report(K: RealInterval, samples: int, seed: int, sides, kind: str):
+def _inequality_report(K: RealInterval, samples: int, seed: int, sides, kind: str,
+                       slack: float = INEQ_SLACK):
     """Run ``sides(u, v, t) -> (lhs, rhs)`` over the stream's blocks and report
     the first draw where lhs - rhs is largest (a NaN first), as ``np.argmax``
-    over the whole sample would.  When a block raises, ``sides`` runs once
-    over the whole sample as one block, so the error is the one the unblocked
-    check raises, in its order.
+    over the whole sample would; the hypothesis holds when that is at most
+    ``slack``.  When a block raises, ``sides`` runs once over the whole sample
+    as one block, so the error is the one the unblocked check raises, in its
+    order.
     """
     worst, best = -math.inf, None
     try:
@@ -199,7 +200,7 @@ def _inequality_report(K: RealInterval, samples: int, seed: int, sides, kind: st
     except Exception:
         sides(*next(_blocks(K, samples, seed, samples)))  # the unblocked call's error
         raise
-    if worst <= INEQ_SLACK:
+    if worst <= slack:
         return HypothesisReport(True, samples, None, worst)
     return HypothesisReport(False, samples, Witness(*best, kind=kind), worst)
 
@@ -212,18 +213,13 @@ def check_invex(
     A path point outside K (beyond 1e-12 slack) is the violation itself; the
     witness records the escape distance as lhs against rhs = 0.
     """
-    u, v, t = next(_blocks(K, samples, seed, samples))
-    path = u + t * eta.apply(v, u)
-    escape = np.maximum(K.lo - path, path - K.hi)
-    i = int(np.argmax(escape))
-    worst = float(escape[i])
-    if worst <= SET_SLACK:
-        return HypothesisReport(True, samples, None, worst)
-    witness = Witness(
-        u=float(u[i]), v=float(v[i]), t=float(t[i]),
-        lhs=worst, rhs=0.0, kind="invex-membership",
-    )
-    return HypothesisReport(False, samples, witness, worst)
+
+    def sides(u, v, t):
+        path = u + t * eta.apply(v, u)
+        escape = np.maximum(K.lo - path, path - K.hi)
+        return escape, np.zeros_like(escape)
+
+    return _inequality_report(K, samples, seed, sides, "invex-membership", SET_SLACK)
 
 
 def check_condition_c(

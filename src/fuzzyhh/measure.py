@@ -55,7 +55,7 @@ class InvalidThreshold(MeasureError):
 
 @dataclass(frozen=True)
 class RealInterval:
-    """Closed interval [lo, hi] of finite endpoints; degenerate (lo == hi) is allowed."""
+    """Closed interval [lo, hi] of finite endpoints and width; lo == hi is allowed."""
 
     lo: float
     hi: float
@@ -65,11 +65,13 @@ class RealInterval:
             raise ValueError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
         if not self.lo <= self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval width overflows: [{self.lo}, {self.hi}]")
 
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
+    def contains(self, x: float, slack: float = SET_SLACK) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
     def clip(self, x):

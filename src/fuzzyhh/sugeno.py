@@ -659,7 +659,7 @@ def sugeno_integral(
     sample) or "supmin" (the oracle sweep of ``grid`` thresholds).  Every
     integrand takes the route its hint and ``method`` select, a zero one
     included.  ``tol`` is the final crossing cell width of the monotone form
-    and the final level bracket of the piecewise form.
+    and the final level bracket of the piecewise form.  A must lie in f.domain.
     """
     if method not in ("auto", "supmin"):
         raise ValueError(f"unknown method {method!r}")
@@ -667,6 +667,9 @@ def sugeno_integral(
         raise ValueError("tol must be positive")
     if grid < 1:
         raise ValueError("grid must be positive")
+    if not (f.domain.contains(A.lo) and f.domain.contains(A.hi)):
+        raise ValueError(f"integration interval [{A.lo}, {A.hi}] leaves f's domain "
+                         f"[{f.domain.lo}, {f.domain.hi}]")
     # one guard sample: the sign checks of every route and the monotone form's first round
     xs = A.grid(CROSSING_POINTS)
     ys = np.asarray(f.evaluate(xs), dtype=float)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -521,6 +522,102 @@ class TestUsage:
         assert code == 0
         on_disk = json.loads(path.read_text())
         assert on_disk["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "-f", "1", "-a=-1e308", "-b", "1e308", "--samples", "10"),
+        ("integrate", "-f", "x", "-a=-1e308", "-b", "1e308"),
+        ("integrate", "-f", "x", "-a", "0", "-b", "1", "--fdomain=-1e308:1e308"),
+        ("bound", "-f", "x", "-a", "0", "-b", "1", "--r", "1", "--fdomain=-1e308:1e308"),
+    ])
+    def test_interval_width_that_overflows_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fuzzyhh: ") and "interval width overflows" in err
+
+    def test_overflowing_width_of_a_monotone_integral_exits_one(self):
+        # a NaN cell width once kept the crossing search looping; a subprocess
+        # with a timeout fails the test instead of hanging the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzyhh.cli", "integrate", "-f", "1", "-a=-1e308", "-b", "1e308"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "fuzzyhh: interval width overflows: [-1e+308, 1e+308]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate",),
+        ("integrate", "--method", "supmin", "--grid", "100"),
+        ("bound", "--r", "1"),
+        ("sweep", "--param", "r", "--values", "1"),
+    ])
+    def test_interval_outside_fdomain_exits_one(self, capsys, argv):
+        # each used to integrate x over [0, 1] although f was declared on [0, 0.5]
+        code, out, err = run(capsys, argv[0], "-f", "x", "-a", "0", "-b", "1",
+                             "--fdomain", "0:0.5", *argv[1:])
+        assert code == 1 and out == ""
+        assert err == "fuzzyhh: integration interval [0.0, 1.0] leaves f's domain [0.0, 0.5]\n"
+
+
+# the 18 flags that the subcommands used to parse and ignore
+IGNORED_FLAGS = [
+    *(("integrate", flag) for flag in ("--eta-len 1", "--eta affine", "--r 1", "--alpha 0.5",
+                                       "--m 0.5", "--samples 10", "--seed 0")),
+    *(("check", flag) for flag in ("--eta-len 1", "--method supmin", "--grid 10")),
+    *((cmd, flag) for cmd in ("bound", "sweep")
+      for flag in ("--eta scaled:2", "--method supmin", "--samples 10", "--seed 0")),
+]
+BASE_ARGV = {
+    "integrate": ("-f", "x", "-a", "0", "-b", "1"),
+    "check": ("-f", "x", "-a", "0", "-b", "1", "--samples", "10"),
+    "bound": ("-f", "x", "-a", "0", "-b", "1", "--r", "1"),
+    "reproduce": ("s3-x3",),
+    "sweep": ("-f", "x", "-a", "0", "-b", "1", "--param", "r", "--values", "1"),
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("cmd, flag", IGNORED_FLAGS)
+    def test_a_flag_the_subcommand_does_not_read_exits_one(self, capsys, cmd, flag):
+        code, out, err = run(capsys, cmd, *BASE_ARGV[cmd], *flag.split())
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+    @pytest.mark.parametrize("cmd, prefix", [
+        ("check", ("--samp", "10")), ("integrate", ("--form", "json")),
+        ("bound", ("--eta-l", "1")), ("sweep", ("--val", "2")),
+    ])
+    def test_abbreviated_flags_exit_one(self, capsys, cmd, prefix):
+        code, out, err = run(capsys, cmd, *BASE_ARGV[cmd], *prefix)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: " + " ".join(prefix) in err
+
+    @pytest.mark.parametrize("cmd, keys", [
+        ("integrate", ["function", "a", "b", "fdomain", "method", "grid"]),
+        ("check", ["function", "a", "b", "eta", "r", "alpha", "m", "fdomain", "samples", "seed"]),
+        ("bound", ["function", "a", "b", "eta_len", "r", "alpha", "m", "fdomain", "grid"]),
+        ("reproduce", ["entry"]),
+    ])
+    def test_json_inputs_echo_the_flags_the_subcommand_takes(self, capsys, cmd, keys):
+        code, report, _ = run_json(capsys, cmd, *BASE_ARGV[cmd])
+        assert code in (0, 2)
+        assert list(report["inputs"]) == keys
+
+    def test_sweep_inputs_echo_the_flags_it_takes(self):
+        ns = cli.build_parser().parse_args(["sweep", *BASE_ARGV["sweep"]])
+        assert list(cli._inputs_dict(ns)) == [
+            "function", "a", "b", "eta_len", "r", "alpha", "m", "fdomain", "grid",
+            "param", "values"]
+
+    def test_readme_lists_the_flags_of_each_subcommand(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        documented = {cmd: set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage))
+                      for cmd, usage in re.findall(r"^- `(\w+) ([^`]*)`", section, re.M)}
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {cmd: {a.option_strings[0] for a in p._actions if a.option_strings} - {"-h"}
+                  for cmd, p in sub.choices.items()}
+        assert documented == parsed
 
 
 # one call of each kind, interleaved so that a flag left over from one call

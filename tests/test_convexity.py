@@ -316,6 +316,18 @@ def ref_report(u, v, t, lhs, rhs, kind):
     return HypothesisReport(False, len(t), witness, worst)
 
 
+def ref_invex(K, eta, samples, seed):
+    u, v, t = ref_draw(K, samples, seed)
+    path = u + t * eta.apply(v, u)
+    escape = np.maximum(K.lo - path, path - K.hi)
+    i = int(np.argmax(escape))
+    worst = float(escape[i])
+    if worst <= SET_SLACK:
+        return HypothesisReport(True, samples, None, worst)
+    witness = Witness(float(u[i]), float(v[i]), float(t[i]), worst, 0.0, "invex-membership")
+    return HypothesisReport(False, samples, witness, worst)
+
+
 def ref_preinvex(f, K, eta, samples, seed):
     u, v, t = ref_draw(K, samples, seed)
     lhs = f.evaluate(ref_path(f, u, t, eta.apply(v, u), "preinvex"))
@@ -411,6 +423,11 @@ def test_checkers_match_the_whole_array_reference(src, lo, width, eta, r, alpha,
     # not function_from_expression: its build-time check would keep out the
     # inputs that fail part-way through the sample
     f = from_callable(compile_expression(parse_expression(src)), RealInterval(lo, lo + 2.0 * width))
+    # paths that end 5e-10 past K leave it by more than the membership slack
+    # but less than the inequality slack
+    for path_map in (eta, EtaMap(apply=lambda v, u: K.hi + 5e-10 - u)):
+        assert outcome(check_invex, K, path_map, samples, seed) == \
+            outcome(ref_invex, K, path_map, samples, seed)
     assert outcome(check_preinvex, f, K, eta, samples, seed) == \
         outcome(ref_preinvex, f, K, eta, samples, seed)
     assert outcome(check_r_preinvex, f, K, eta, r, samples, seed) == \

@@ -34,6 +34,13 @@ class TestRealInterval:
         with pytest.raises(ValueError, match="interval endpoints must be finite"):
             RealInterval(lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.5e308, 0.5e308)])
+    def test_rejects_a_width_that_overflows(self, lo, hi):
+        # finite endpoints whose difference is inf would loop the crossing search
+        with pytest.raises(ValueError, match="interval width overflows"):
+            RealInterval(lo, hi)
+        assert RealInterval(-8e307, 8e307).length() == 1.6e308
+
     def test_midpoints_cover_cells(self):
         mids = RealInterval(0.0, 1.0).midpoints(4)
         assert np.allclose(mids, [0.125, 0.375, 0.625, 0.875])

@@ -153,6 +153,20 @@ class TestDispatcher:
         with pytest.raises(NegativeFunction):
             sugeno_integral(f, UNIT)
 
+    @pytest.mark.parametrize("A", [RealInterval(0.0, 1.0), RealInterval(-0.5, 0.25),
+                                   RealInterval(0.5 + 1e-9, 0.75)])
+    def test_interval_outside_the_domain_is_rejected(self, A):
+        f = function_from_expression("x", RealInterval(0.0, 0.5))
+        for method in ("auto", "supmin"):
+            with pytest.raises(ValueError, match=r"integration interval \[.*\] leaves "
+                                                 r"f's domain \[0.0, 0.5\]"):
+                sugeno_integral(f, A, method=method)
+
+    def test_interval_within_set_slack_of_the_domain_is_integrated(self):
+        f = function_from_expression("x", RealInterval(0.0, 0.5))
+        A = RealInterval(-1e-13, 0.5 + 1e-13)
+        assert sugeno_integral(f, A).value == pytest.approx(0.25, abs=1e-9)
+
     def test_constant_rule_is_exact_through_fallback(self):
         for k in (0.0, 0.3, 0.95, 1.0, 2.0):
             res = sugeno_integral(function_from_expression(repr(k), UNIT), UNIT)
