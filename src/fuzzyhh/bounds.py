@@ -8,10 +8,11 @@ share of [0, 1] where M >= b has a closed form, and the integral is
     beta = sup{b in [0, L] : L * share(b) >= b},
 
 found by ``solve_beta`` (defined in ``sugeno``, which integrates monotone
-functions with it too), one bisection on the bit patterns of non-negative
-floats that ends on adjacent floats.  beta never exceeds L, so a saturated
-majorant (one that stays at or above L) gives beta = L.  The solvers consume
-only the scalars
+functions with it too), one ITP search over the bit patterns of
+non-negative floats that ends on adjacent floats (about a dozen evaluations
+of the share, never more than one above bisection's worst case).  beta
+never exceeds L, so a saturated majorant (one that stays at or above L)
+gives beta = L.  The solvers consume only the scalars
 
     fa      = f(a)
     fend    = f(a + L)
@@ -72,7 +73,15 @@ __all__ = [
     "verify_fuzzy_hh",
 ]
 
+#: Relative tolerance under which two endpoint values (or m*fscaled and fa)
+#: count as equal and the majorant as constant, so tiny distinct endpoints
+#: keep their majorant.  ``alpha_m_bound`` compares m with the ratio
+#: fend/fa to the same figure.
 EQUAL_ENDPOINT_TOL = 1e-12
+
+#: Below this |r*log(hi/lo)| the power-mean share is taken in its r = 0
+#: (log) form, which it then equals to double precision.
+SMALL_POWER = 2.0**-53
 
 
 class BoundError(Exception):
@@ -150,7 +159,7 @@ class BoundResult:
 
     ``beta`` is the integral, or the majorant's value when it is constant;
     ``bound`` is min(beta, eta_len).  ``bracket`` holds the adjacent floats
-    the bisection ended on (beta and the first float past it) and
+    the search ended on (beta and the first float past it) and
     ``residual`` their distance; both are exact, (beta, beta) and 0, for a
     constant or saturated majorant.
     """
@@ -181,7 +190,14 @@ def _majorant_bound(share: Callable[[float], float], lo: float, hi: float, L: fl
 
 def _power_share(lo: float, hi: float, r: float) -> Callable[[float], float]:
     """(hi^r - b^r)/(hi^r - lo^r), or its r = 0 limit, taken relative to the
-    endpoint power of larger magnitude (hi^r for r > 0, lo^r for r < 0)."""
+    endpoint power of larger magnitude (hi^r for r > 0, lo^r for r < 0).
+
+    Where |r*log(hi/lo)| is below ``SMALL_POWER`` the r-form equals its log
+    limit to double precision, while its products can underflow (r =
+    1e-310 makes them subnormal), so the log share is taken there.
+    """
+    if r != 0 and lo > 0 and abs(r * math.log(hi / lo)) < SMALL_POWER:
+        r = 0.0
     if r > 0:
         # (1 - (b/hi)^r)/(1 - (lo/hi)^r)
         scale = 1.0 / (-1.0 if lo == 0 else math.expm1(r * math.log(lo / hi)))
@@ -197,9 +213,9 @@ def _power_share(lo: float, hi: float, r: float) -> Callable[[float], float]:
 def r_preinvex_bound(inputs: BoundInputs) -> BoundResult:
     """Power-mean route bound: the Sugeno integral of the power-mean majorant.
 
-    Equal endpoints (within 1e-12) short-circuit to the constant-majorant
-    bound min(fa, L).  For r <= 0 both endpoint values must be strictly
-    positive.
+    Equal endpoints (within 1e-12 of the larger one) short-circuit to the
+    constant-majorant bound min(fa, L).  For r <= 0 both endpoint values
+    must be strictly positive.
     """
     r = inputs.r
     if r is None:
@@ -207,7 +223,7 @@ def r_preinvex_bound(inputs: BoundInputs) -> BoundResult:
     fa, fend, eta = inputs.fa, inputs.fend, inputs.eta_len
     if r <= 0 and (fa <= 0 or fend <= 0):
         raise ValueError("r <= 0 requires strictly positive endpoint values")
-    if abs(fend - fa) <= EQUAL_ENDPOINT_TOL:
+    if abs(fend - fa) <= EQUAL_ENDPOINT_TOL * max(fa, fend):
         return BoundResult(fa, min(fa, eta), BoundCase.DEGENERATE, 0.0, (fa, fa))
 
     increasing = fend > fa
@@ -238,7 +254,7 @@ def alpha_m_bound(inputs: BoundInputs) -> BoundResult:
         raise MissingScaledValue("provide fscaled = f((a + eta_len)/m)")
     fa, fend, eta = inputs.fa, inputs.fend, inputs.eta_len
     top = m * inputs.fscaled
-    constant = abs(top - fa) <= 1e-12 * max(1.0, fa)
+    constant = abs(top - fa) <= EQUAL_ENDPOINT_TOL * max(abs(top), fa)
     rising = top > fa and not constant
 
     if not (rising or constant):

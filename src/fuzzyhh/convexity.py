@@ -49,6 +49,12 @@ __all__ = [
 
 INEQ_SLACK = 1e-9
 
+#: Below this |r| the r-th power mean is taken in a stable form
+#: (``_small_r_power_mean``): the direct form rounds f**r near 1 and loses
+#: about 2**-53/|r| of relative precision, 1e-13 at this r and all of it by
+#: r = 1e-200.
+SMALL_R = 2.0**-10
+
 
 class ConvexityError(Exception):
     """Base class for hypothesis-checker failures."""
@@ -322,7 +328,8 @@ def check_r_preinvex(
     """Power-mean form: the arithmetic mean is replaced by the r-th power mean.
 
     r != 0 uses ((1-t)*f(u)**r + t*f(v)**r)**(1/r); r = 0 uses the geometric
-    mean f(u)**(1-t) * f(v)**t.  r must be finite.  For r <= 0 the function
+    mean f(u)**(1-t) * f(v)**t, which 0 < |r| < ``SMALL_R`` approaches in a
+    stable form.  r must be finite.  For r <= 0 the function
     must be strictly positive on the sample, and for r > 0 non-negative, as
     the power mean of a negative value is undefined (``NonPositiveFunction``
     otherwise).
@@ -343,13 +350,30 @@ def check_r_preinvex(
                 f"r = {r:g} > 0 requires f >= 0 on K; a sampled value was < 0"
             )
         lhs = np.asarray(f.evaluate(path), dtype=float)
-        if r != 0:
+        if abs(r) >= SMALL_R:
             rhs = ((1.0 - t) * fu**r + t * fv**r) ** (1.0 / r)
-        else:
+        elif r == 0:
             rhs = fu ** (1.0 - t) * fv**t
+        else:
+            rhs = _small_r_power_mean(fu, fv, t, r)
         return lhs, rhs
 
     return _inequality_report(K, samples, seed, sides, "r-preinvex")
+
+
+def _small_r_power_mean(fu, fv, t, r: float):
+    """((1-t)*fu**r + t*fv**r)**(1/r) for small r != 0, relative to the larger
+    value: big * exp(log1p(w*expm1(r*d))/r), with d = log(small/big) <= 0 and
+    w the small value's weight.  Where |r*d| < 2**-53 that exponent is w*d
+    to double precision (the geometric mean), and it is taken so, since r*d
+    may be subnormal or zero there."""
+    with np.errstate(all="ignore"):
+        big = np.maximum(fu, fv)
+        w = np.where(fu <= fv, 1.0 - t, t)
+        d = np.log(np.minimum(fu, fv)) - np.log(big)
+        x = r * d
+        e = np.where(np.abs(x) < 2.0**-53, w * d, np.log1p(w * np.expm1(x)) / r)
+        return np.where(big > 0, big * np.exp(e), 0.0)
 
 
 def check_alpha_m_preinvex(

@@ -1,8 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import fuzzyhh.bounds as bounds
 from fuzzyhh.bounds import (
     BoundCase,
     BoundInputs,
@@ -51,6 +53,47 @@ def scan_root(g, lo, hi, cells=200_000):
             return 0.5 * (a + b)
         prev = (float(x), y)
     raise AssertionError("oracle scan found no root")
+
+
+# -- the bisection solve_beta ran before its ITP search, kept as an oracle ----
+
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+
+
+def bisect_beta(F, L):
+    """sup{b in [0, L] : F(b) >= b} by bisecting the bit patterns of [0, L]:
+    the saturation test, then one evaluation per halving, ending on adjacent
+    floats (beta, next float)."""
+    if F(L) >= L:
+        return L, 0.0, (L, L)
+    lo, hi = 0, _U64.unpack(_F64.pack(L))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        b = _F64.unpack(_U64.pack(mid))[0]
+        if F(b) >= b:
+            lo = mid
+        else:
+            hi = mid
+    beta, past = _F64.unpack(_U64.pack(lo))[0], _F64.unpack(_U64.pack(hi))[0]
+    return beta, past - beta, (beta, past)
+
+
+def bisection_worst_case(L):
+    """Evaluations ``bisect_beta`` may take on [0, L]: the saturation test and
+    ceil(log2(patterns in [0, L])) halvings."""
+    return 1 + (_U64.unpack(_F64.pack(L))[0] - 1).bit_length()
+
+
+def counted(F):
+    """F recording every point it is evaluated at."""
+    calls = []
+
+    def G(b):
+        calls.append(b)
+        return F(b)
+
+    return G, calls
 
 
 # -- closed-form majorant oracle (independent of fuzzyhh) ---------------------
@@ -227,6 +270,51 @@ class TestSolveBeta:
         # 2^63 non-negative floats
         assert len(calls) <= 64
 
+    def test_ends_on_adjacent_floats_for_extreme_measures(self):
+        # F >= 0 and non-increasing, yet far from smooth: the search still
+        # ends on adjacent floats with the crossing between them, and never
+        # takes more than one evaluation beyond bisection on the same F
+        def share(alpha, fa=0.2, top=0.9, L=1.0):
+            def F(b):  # the scaled-argument share of a rising majorant
+                if b <= fa:
+                    return L
+                if b >= top:
+                    return 0.0
+                return L * (1.0 - ((b - fa) / (top - fa)) ** (1.0 / alpha))
+            return F
+
+        cases = {
+            "jump": (lambda b: 0.7 if b <= 0.4 else 0.1, 1.0),
+            "inf at 0": (lambda b: math.inf if b == 0 else 0.5 * (1.0 - b), 1.0),
+            "inf below 0.25": (lambda b: math.inf if b < 0.25 else 0.1, 1.0),
+            "constant": (lambda b: 0.3, 1.0),
+            "zero": (lambda b: 0.0, 1.0),
+            "zero plateau": (lambda b: max(0.0, 0.5 - 4.0 * b), 2.0),
+            "kink at the root": (lambda b: 0.8 - b if b < 0.4 else max(0.0, 1.6 - 3.0 * b), 1.0),
+            "alpha 0.05": (share(0.05), 1.0),
+            "root 1e-150": (lambda b: 1e-300 / b if b > 0 else math.inf, 1.0),
+            "root 1e-150 below L = 1e300": (lambda b: 1e-300 / b, 1e300),
+        }
+        for name, (F, L) in cases.items():
+            G, calls = counted(F)
+            beta, residual, (lo, hi) = solve_beta(G, L)
+            H, bisected = counted(F)
+            assert (beta, residual, (lo, hi)) == bisect_beta(H, L), name
+            assert len(calls) <= min(len(bisected), bisection_worst_case(L)) + 1, name
+            assert lo == beta and hi == np.nextafter(beta, math.inf) and residual == hi - lo, name
+            assert (beta == 0.0 or F(lo) >= lo) and F(hi) < hi, name
+            assert 0.0 not in calls, name
+
+    def test_smooth_measures_take_about_a_dozen_evaluations(self):
+        # bisection spends one evaluation per halving of the ~2^62 patterns
+        # of [0, 1]; interpolation finds the crossing of a smooth F in a dozen
+        counts = []
+        for c in (0.3, 1.0, 3.0, 10.0):
+            G, calls = counted(lambda b, c=c: c * (1.0 - b) ** 2)
+            assert solve_beta(G, 1.0) == bisect_beta(lambda b, c=c: c * (1.0 - b) ** 2, 1.0)
+            counts.append(len(calls))
+        assert max(counts) <= 16
+
 
 class TestPowerMeanRoute:
     def test_cubic_third_inputs_match_printed_bound(self):
@@ -320,6 +408,16 @@ class TestPowerMeanRoute:
         res = r_preinvex_bound(BoundInputs(fa=1e-120, fend=1.0, eta_len=1.0, r=-3.0))
         assert res.bound == pytest.approx(1e-90, rel=1e-12)
         assert res.bracket[0] < res.bracket[1] == np.nextafter(res.bound, 1.0)
+
+    @pytest.mark.parametrize("r", [5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300])
+    def test_vanishing_r_takes_the_log_share(self, r):
+        # r*log(hi/lo) is subnormal or zero: the r-form's 1/expm1 overflowed
+        # (bound 1.0 at r = 1e-310) or rounded (0.9098 at r = 5e-324)
+        zero = r_preinvex_bound(BoundInputs(fa=0.5, fend=1.5, eta_len=1.0, r=0.0))
+        res = r_preinvex_bound(BoundInputs(fa=0.5, fend=1.5, eta_len=1.0, r=r))
+        assert zero.bound == pytest.approx(0.6972772199061351, rel=1e-15)
+        assert res.bound == pytest.approx(zero.bound, rel=1e-12)
+        assert res.case is (BoundCase.R_POS_INCREASING if r > 0 else BoundCase.R_NEG_INCREASING)
 
     def test_case_one_is_strictly_increasing_with_unique_root(self):
         rng = np.random.default_rng(5)
@@ -537,6 +635,103 @@ class TestMajorantProperties:
                 steep += 1
             checked.add(res.case)
         assert len(checked) == 4 and steep <= 20
+
+
+class TestBisectionOracle:
+    """The ITP search returns what bisecting the bit patterns returned, over
+    seeded draws of each route's whole input space."""
+
+    @staticmethod
+    def both(solver, inp, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "solve_beta", bisect_beta)
+            expected = repr(solver(inp))
+        return repr(solver(inp)), expected
+
+    def test_power_mean_route(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        draws = [power_mean_draw(rng) for _ in range(2000)]
+        draws.append(BoundInputs(fa=1e-120, fend=1.0, eta_len=1.0, r=-3.0))
+        seen = set()
+        for inp in draws:
+            got, expected = self.both(r_preinvex_bound, inp, monkeypatch)
+            assert got == expected, inp
+            seen.add("r < 0" if inp.r < 0 else "r = 0" if inp.r == 0 else "r > 0")
+            if min(inp.fa, inp.fend) >= inp.eta_len:
+                seen.add("saturated")
+        assert seen == {"r < 0", "r = 0", "r > 0", "saturated"}
+
+    def test_scaled_argument_route(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        saturated = 0
+        for _ in range(2000):
+            inp = scaled_draw(rng)
+            got, expected = self.both(alpha_m_bound, inp, monkeypatch)
+            assert got == expected, inp
+            saturated += min(inp.fa, inp.m * inp.fscaled) >= inp.eta_len
+        assert saturated > 0
+
+    def test_tiny_endpoints(self, monkeypatch):
+        # endpoint values from 1e-300 to 1, r of either sign: crossings far
+        # below L, where interpolation in value space helps least
+        rng = np.random.default_rng(83)
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-300.0, 0.0)
+            fa, fend = rng.uniform(0.01, 3.0, size=2) * scale
+            r = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 4.0)
+            inp = BoundInputs(fa=fa, fend=fend, eta_len=rng.uniform(0.2, 3.0), r=r)
+            got, expected = self.both(r_preinvex_bound, inp, monkeypatch)
+            assert got == expected, inp
+
+
+class TestScaleFree:
+    """Scaling fa, fend, fscaled and L by s scales the bound by s: the
+    endpoint-equality tests are relative."""
+
+    SCALES = (1e-200, 1e-12, 1.0, 1e12, 1e200)
+
+    @staticmethod
+    def scaled(inp, s):
+        return BoundInputs(fa=inp.fa * s, fend=inp.fend * s, eta_len=inp.eta_len * s,
+                           r=inp.r, alpha=inp.alpha, m=inp.m,
+                           fscaled=None if inp.fscaled is None else inp.fscaled * s)
+
+    @pytest.mark.parametrize("route", ["r", "alpha-m"])
+    def test_bound_scales_with_the_inputs(self, route):
+        rng = np.random.default_rng(91 if route == "r" else 92)
+        draw, solver = ((power_mean_draw, r_preinvex_bound) if route == "r"
+                        else (scaled_draw, alpha_m_bound))
+        for _ in range(300):
+            inp = draw(rng)
+            unit = solver(inp)
+            for s in self.SCALES:
+                res = solver(self.scaled(inp, s))
+                assert res.bound == pytest.approx(unit.bound * s, rel=1e-12, abs=0.0), (inp, s)
+                assert (res.residual == 0.0) == (unit.residual == 0.0), (inp, s)
+
+    def test_tiny_distinct_endpoints_keep_their_majorant(self):
+        # 1e-12 apart used to count as equal at any scale
+        res = r_preinvex_bound(BoundInputs(fa=1e-12, fend=2e-12, eta_len=1.0, r=1.0))
+        assert res.case is BoundCase.R_POS_INCREASING
+        assert res.bound == pytest.approx(1.999999999998e-12, rel=1e-12)
+        res = alpha_m_bound(BoundInputs(fa=1e-13, fend=1e-13, eta_len=1.0, alpha=0.5, m=1.0,
+                                        fscaled=5e-13))
+        assert res.case is BoundCase.AM_INCREASING
+        assert res.bound == pytest.approx(4.999999999999e-13, rel=1e-12)
+
+    def test_equal_and_constant_draws_stay_constant(self):
+        rng = np.random.default_rng(93)
+        for _ in range(200):
+            L = rng.uniform(0.5, 2.0)
+            fa, m = rng.uniform(0.1, 1.5) * L, rng.uniform(0.2, 1.0)
+            for s in self.SCALES:
+                equal = r_preinvex_bound(BoundInputs(fa=fa * s, fend=fa * s, eta_len=L * s,
+                                                     r=rng.uniform(0.25, 3.0)))
+                assert equal.case is BoundCase.DEGENERATE and equal.residual == 0.0
+                flat = alpha_m_bound(BoundInputs(fa=fa * s, fend=0.5 * fa * s, eta_len=L * s,
+                                                 alpha=rng.uniform(0.2, 1.0), m=m,
+                                                 fscaled=fa * s / m))
+                assert flat.bracket == (fa * s, fa * s) and flat.residual == 0.0
 
 
 class TestClassicalComparators:

@@ -283,6 +283,21 @@ class TestCheck:
         assert report["provenance"]["method"] == "preinvex"
 
 
+    @pytest.mark.parametrize("r", ["1e-12", "1e-200", "1e-310"])
+    def test_vanishing_r_approaches_the_geometric_mean(self, capsys, r):
+        # f**r rounded to 1 made the power mean collapse: r = 1e-200 and
+        # 1e-310 reported holds, and r = 1e-12 was off by 1e-5 relative
+        _, geometric, _ = run_json(capsys, "check", "-f", "0.5+0.4*sqrt(x)",
+                                   "-a", "0", "-b", "1", "--r", "0")
+        code, report, _ = run_json(capsys, "check", "-f", "0.5+0.4*sqrt(x)",
+                                   "-a", "0", "-b", "1", "--r", r)
+        assert code == 2 and report["result"]["holds"] is False
+        w, w0 = report["result"]["witness"], geometric["result"]["witness"]
+        assert (w["u"], w["v"], w["t"], w["lhs"]) == (w0["u"], w0["v"], w0["t"], w0["lhs"])
+        assert w["lhs"] == pytest.approx(0.72978, abs=1e-5)
+        assert w["rhs"] == pytest.approx(w0["rhs"], rel=1e-11)
+
+
 class TestBound:
     def test_cubic_third(self, capsys):
         code, report, _ = run_json(capsys, "bound", "-f", "x^3/3", "-a", "0", "-b", "1",
@@ -347,6 +362,25 @@ class TestBound:
         assert err == ""
         assert report["result"]["bound"] == pytest.approx(1e-90, rel=1e-12)
         assert report["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_vanishing_r_bound_is_the_r_zero_bound(self, capsys):
+        # r*log(1.5/0.5) = 1.1e-310 is subnormal: 1/expm1 of it overflowed
+        # and the bound read 1.0 instead of the r = 0 majorant's 0.697277
+        code, report, _ = run_json(capsys, "bound", "-f", "x+0.5", "-a", "0", "-b", "1",
+                                   "--r", "1e-310")
+        assert code == 2  # x + 0.5 is not log-preinvex; its integral is 0.75
+        assert report["result"]["case"] == "r-pos-increasing"
+        assert report["result"]["bound"] == pytest.approx(0.6972772199061351, rel=1e-12)
+
+    def test_tiny_distinct_endpoints_are_not_equal(self, capsys):
+        # endpoints 1e-12 and 2e-12 used to count as equal (absolute 1e-12),
+        # giving a constant majorant and a bound of 1e-12 below the integral
+        code, report, _ = run_json(capsys, "bound", "-f", "1e-12*x+1e-12", "-a", "0",
+                                   "-b", "1", "--r", "1")
+        assert code == 0
+        assert report["result"]["case"] == "r-pos-increasing"
+        assert report["result"]["bound"] == pytest.approx(1.999999999998e-12, rel=1e-12)
+        assert report["result"]["bound"] >= report["result"]["integral"] * (1 - 1e-12)
 
     def test_r_zero_bound_is_the_geometric_majorant_integral(self, capsys):
         # the log-preinvex hypothesis that check --r 0 certifies has a bound

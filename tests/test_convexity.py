@@ -140,6 +140,27 @@ class TestRPreinvex:
         f = function_from_expression("exp(x)", UNIT)  # log-linear, so 0-preinvex
         assert check_r_preinvex(f, UNIT, AFFINE_ETA, 0.0, samples=SAMPLES, seed=SEED).holds
 
+    @pytest.mark.parametrize("r", [1e-3, -1e-3, 1e-12, -1e-12, 1e-200, 1e-310, -5e-324])
+    def test_small_r_matches_the_geometric_mean(self, r):
+        # the direct power mean rounds f**r to 1 for tiny r; the stable form
+        # stays within |r|*(log spread) of the geometric mean it tends to
+        f = function_from_expression("0.5+0.4*sqrt(x)", UNIT)
+        geometric = check_r_preinvex(f, UNIT, AFFINE_ETA, 0.0, samples=SAMPLES, seed=SEED)
+        report = check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=SAMPLES, seed=SEED)
+        assert not geometric.holds and not report.holds
+        w, w0 = report.witness, geometric.witness
+        assert (w.u, w.v, w.t, w.lhs) == (w0.u, w0.v, w0.t, w0.lhs)
+        assert w.rhs == pytest.approx(w0.rhs, rel=max(abs(r), 1e-15))
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 3.0, -0.5])
+    def test_power_mean_keeps_its_direct_form(self, r):
+        # away from 0 the rhs is the direct formula, to the last bit
+        f = function_from_expression("0.5+0.4*sqrt(x)", UNIT)
+        w = check_r_preinvex(f, UNIT, AFFINE_ETA, r, samples=SAMPLES, seed=SEED).witness
+        fu, fv = (np.float64(float(f.evaluate(p))) for p in (w.u, w.v))
+        t = np.float64(w.t)
+        assert w.rhs == float(((1.0 - t) * fu**r + t * fv**r) ** (1.0 / r))
+
     def test_nonpositive_function_rejected_for_nonpositive_r(self):
         zero = function_from_expression("0", UNIT)
         for r in (-1.0, 0.0):
