@@ -27,14 +27,21 @@ it, "unknown" when the value rests on none.
   A gap whose enclosure reaches below the sign threshold is bisected until
   a point value proves f negative or the enclosures clear it; a piece's
   minimum is at its ends.  A single piece covering [lo, hi] takes the
-  monotone form.  Otherwise each round brackets the sup-level between the
-  sup-levels of a lower and an upper step bound of F, built from the
-  pieces' samples and the gaps' enclosures, narrows every piece to the
-  cells the bracket can still reach and re-grids them in one array call;
-  a gap is bisected only while the bracket meets its enclosure.  It stops
-  once the bracket is narrower than ``tol``, reports the bracket's lower
-  end as ``FIXED_POINT`` with its width as ``residual``, and ``pieces`` is
-  the number of certified pieces.  An integrand whose guard sample turns
+  monotone form.  Otherwise the pieces are held as one set of cells, and
+  each round brackets the sup-level between the sup-levels of a lower and
+  an upper step bound of F, built from the cells' end values and the gaps'
+  enclosures; cells above the bracket settle and cells below drop out.
+  Only the first round, the guard sample, is uniform.  Each later round
+  solves the piecewise-linear interpolant of F on the live cells for its
+  crossing level b^ and, in one array call, splits every live cell whose
+  range holds b^ at a geometric ladder around its chord's crossing
+  (``LADDER``), keeping the other live cells as they are; a gap is bisected
+  only while the bracket meets its enclosure.  It stops once the bracket
+  is at most ``tol`` (about two rounds after the guard sample for smooth
+  pieces, one for linear ones), or when a round can place no new point in
+  a live cell and has no gap to bisect, reports the bracket's lower end as
+  ``FIXED_POINT`` with its width as ``residual``, and ``pieces`` is the
+  number of certified pieces.  An integrand whose guard sample turns
   ``MAX_PIECES`` times or more is refused before any interval evaluation;
   more than ``MAX_PIECES`` pieces, ``INTERVAL_BUDGET`` interval evaluations
   spent, an enclosure that cannot be had or a gap at float resolution hand
@@ -126,12 +133,14 @@ MAX_PIECES = 64
 #: sign guard and narrowing gaps before it hands over to the grid form.
 INTERVAL_BUDGET = 128
 
-#: Points per live piece in each round of the piecewise form after the first
-#: (the guard sample).  A round narrows each piece to the few cells the
-#: bracket reaches, so 513 points reach tol = 1e-9 in 3 or 4 rounds; a
-#: round costs pieces * points, and CROSSING_POINTS per piece made the
-#: many-piece integrands 2-4 times slower.
-ROUND_POINTS = 513
+#: The ladder of the piecewise form, in cell widths.  After the guard
+#: sample, each round splits every live cell whose value range holds the
+#: interpolated crossing level at its chord's crossing x^ and at x^ +- 2**-k
+#: of its width for k = 1, 3, 7, 11, ..., 39 (points past the cell fall on its
+#: ends).  Wherever the crossing lies, it lands in a sub-cell at most 16 times
+#: wider than its distance from x^ or at most 2**-39 of the cell wide, and the
+#: +-1/2 points halve the cell however wrong x^ is.
+LADDER = np.sort([0.0] + [s * 2.0**-k for k in (1, *range(3, 40, 4)) for s in (-1.0, 1.0)])
 
 #: The sign guard: an integrand value below this raises ``NegativeFunction``.
 NEGATIVE_BELOW = -1e-12
@@ -450,9 +459,9 @@ def _monotone_crossing(
 
 # -- the piecewise form --------------------------------------------------------
 #
-# A piece is a sample (xs, ys) of f over an interval the interval extension
-# proved monotone, so on each cell [x_k, x_k+1] f lies between y_k and y_k+1.
-# A gap (a, b, f(a), f(b), lo, hi) is an interval where it proved only
+# A piece is an interval the interval extension proved monotone, held as
+# cells [x_l, x_r] with f's values at both ends, between which f lies on the
+# cell.  A gap (a, b, f(a), f(b), lo, hi) is an interval where it proved only
 # lo <= f <= hi.  Every cell and gap of width w and value bounds [l, u] then
 # bounds the level measure F from both sides:
 #
@@ -478,9 +487,10 @@ class _Certifier:
         self.left -= 1
         return self.f.extension(a, b)
 
-    def split(self, gap: tuple, pieces: list, gaps: list) -> None:
-        """Bisect a gap: each half becomes a piece (a two-point sample) if
-        the extension proves it monotone, else a gap with its enclosure."""
+    def split(self, gap: tuple, cells: list, gaps: list) -> None:
+        """Bisect a gap: each half becomes a cell (x_l, x_r, f(x_l), f(x_r))
+        of a piece if the extension proves it monotone, else a gap with its
+        enclosure."""
         a, b, fa, fb, _, _ = gap
         m = 0.5 * (a + b)
         if not a < m < b:
@@ -496,7 +506,7 @@ class _Certifier:
             if e is None:
                 raise _GiveUp("no enclosure")
             if e.slope_lo >= 0.0 or e.slope_hi <= 0.0:
-                pieces.append((np.array([lo, hi]), np.array([f_lo, f_hi])))
+                cells.append((lo, hi, f_lo, f_hi))
             else:
                 gaps.append((lo, hi, f_lo, f_hi, e.lo, e.hi))
 
@@ -566,13 +576,14 @@ def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> list:
     return spans
 
 
-def _clear_sign(cert: _Certifier, pieces: list, gaps: list) -> list:
+def _clear_sign(cert: _Certifier, cells: list, gaps: list) -> list:
     """The gaps, bisected until every enclosure clears the sign guard.
 
     A piece's minimum is at its ends, which are guard samples or bisection
     points; a gap whose enclosure reaches below NEGATIVE_BELOW is bisected
     until a point value proves f negative (``NegativeFunction``) or the
-    enclosures of its parts clear the threshold.
+    enclosures of its parts clear the threshold.  Monotone halves join
+    ``cells``.
     """
     cleared: list = []
     while gaps:
@@ -580,95 +591,118 @@ def _clear_sign(cert: _Certifier, pieces: list, gaps: list) -> list:
         if gap[4] >= NEGATIVE_BELOW:
             cleared.append(gap)
         else:
-            cert.split(gap, pieces, gaps)
+            cert.split(gap, cells, gaps)
     return cleared
 
 
 def _sup_level(levels: np.ndarray, weights: np.ndarray, settled: float) -> float:
-    """The largest beta with settled + (the weights of the levels >= beta) >= beta,
-    for ``levels`` in descending order: the sup-level of that step function."""
+    """The largest beta with settled + (the weights of the levels >= beta) >= beta:
+    the sup-level of that step function.  The stable sort merges the
+    monotone runs that the cells of each piece form."""
     if levels.size == 0:
         return settled
-    reach = np.cumsum(weights)
+    order = np.argsort(levels, kind="stable")[::-1]
+    reach = np.cumsum(weights[order])
     reach += settled
-    return max(settled, float(np.max(np.minimum(levels, reach))))
+    return max(settled, float(np.max(np.minimum(levels[order], reach))))
 
 
-def _piecewise_crossing(cert: _Certifier, mu: float, pieces: list, gaps: list,
+def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settled: float,
+                        s_lo: float, s_hi: float) -> float:
+    """The crossing in [s_lo, s_hi] of the diagonal with the interpolant of F
+    in which a cell of width w and value range [low, high] adds
+    w * clip((high - b) / (high - low), 0, 1) to the settled measure.
+
+    The interpolant is linear between the range ends, so it is evaluated at
+    every end and solved on the stretch that holds the crossing.  At each
+    end the cells whose low end is at or above it count in full, and each
+    cell whose range holds it strictly (at most one per monotone piece) adds
+    its fraction."""
+    ends = np.sort(np.concatenate(([s_lo, s_hi], low, high)))
+    by_low = np.argsort(low, kind="stable")
+    above = np.concatenate((np.cumsum(w[by_low][::-1])[::-1], [0.0]))
+    measure = above[np.searchsorted(low[by_low], ends)]
+    # the (cell, end) pairs with the end strictly inside the cell's range,
+    # cell by cell, then their fractions summed end by end through a sort
+    # (np.bincount would map about 64 kB more of numpy into every process)
+    first = np.searchsorted(ends, low, side="right")
+    inner = np.maximum(np.searchsorted(ends, high) - first, 0)
+    past = np.cumsum(inner)
+    pair = np.arange(inner.sum())
+    cell = np.searchsorted(past, pair, side="right")
+    at = pair + (first - past + inner)[cell]
+    order = np.argsort(at, kind="stable")
+    part = np.cumsum((w[cell] * (high[cell] - ends[at]) / (high[cell] - low[cell]))[order])
+    part = np.concatenate(([0.0], part))[np.searchsorted(at[order], np.arange(ends.size + 1))]
+    measure += part[1:] - part[:-1]
+    excess = measure + settled - ends  # falls as the level rises
+    k = int(np.argmax(excess < 0.0))  # the first end past the crossing
+    if k == 0:
+        return s_hi if excess[0] >= 0.0 else s_lo
+    # just above ends[k - 1] the cells flat at that level no longer count
+    ga = float(excess[k - 1] - np.sum(w[(low == high) & (low == ends[k - 1])]))
+    if ga < 0.0:
+        return min(max(float(ends[k - 1]), s_lo), s_hi)
+    gb = float(excess[k])
+    return min(max(float(ends[k - 1] + (ends[k] - ends[k - 1]) * (ga / (ga - gb))), s_lo), s_hi)
+
+
+def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, count: int,
                         tol: float) -> SugenoResult:
-    """The sup-level of f from certified pieces and gaps.
+    """The sup-level of f from the cells of its certified pieces and its gaps.
 
+    ``cells`` holds four arrays, the ends x_l, x_r of every cell and f there.
     Each round brackets the integral between the sup-levels of the lower and
-    the upper step bound of F, from one sort of every sample value and gap
-    bound: a cell's width counts at its smaller end value in the lower bound
-    and at its larger one in the upper bound.  Cells and gaps entirely above
-    the bracket count in full from then on, those below drop out; each piece
-    is narrowed to the cells the bracket still reaches and re-gridded with
-    ROUND_POINTS points (all pieces in one array call), and a gap whose
-    enclosure meets the bracket is bisected.  The search stops once the
-    bracket is narrower than ``tol``, or stops shrinking with no gap left to
+    the upper step bound of F: a cell's width counts at its smaller end
+    value in the lower bound and at its larger one in the upper bound, a
+    gap's at the ends of its enclosure.  Cells and gaps entirely above the
+    bracket count in full from then on, those below drop out.  The live
+    cells give the interpolated crossing level b^ (``_interpolated_level``),
+    and each one whose range holds b^ is split at its chord's crossing x^
+    plus ``LADDER`` times its width, all in one array call; the other live
+    cells stay as they are.  A gap whose enclosure meets the bracket is
+    bisected.  The search stops once the bracket is at most ``tol``, or when
+    a round can place no new point inside a live cell and has no gap to
     bisect, and reports its lower end with its width as residual.
     """
-    count = len(pieces)
-    s_lo, s_hi, settled, width, bisected = 0.0, mu, 0.0, math.inf, False
+    xl, xr, yl, yr = cells
+    s_lo, s_hi, settled = 0.0, mu, 0.0
     while True:
-        xs = np.concatenate([p[0] for p in pieces] or [np.empty(0)])
-        ys = np.concatenate([p[1] for p in pieces] or [np.empty(0)])
-        ends = np.cumsum([p[0].size for p in pieces], dtype=int)
-        n = ys.size
-        inner = np.ones(max(n - 1, 0), dtype=bool)
-        inner[ends[:-1] - 1] = False  # no cell joins two pieces
-        dx = np.where(inner, np.diff(xs), 0.0)
-        on_left = np.where(ys[:-1] <= ys[1:], dx, 0.0)  # a cell's width at its smaller end
-        on_right = dx - on_left
-        span = [g[1] - g[0] for g in gaps]
-        levels = np.concatenate([ys, [g[4] for g in gaps], [g[5] for g in gaps]])
-        to_low = np.zeros(levels.size)
-        to_high = np.zeros(levels.size)
-        if n:
-            to_low[: n - 1] = on_left
-            to_low[1:n] += on_right
-            to_high[: n - 1] = on_right
-            to_high[1:n] += on_left
-        to_low[n : n + len(gaps)] = span
-        to_high[n + len(gaps) :] = span
-        order = np.argsort(levels)[::-1]
-        levels = levels[order]
-        lo = _sup_level(levels, to_low[order], settled)
-        hi = _sup_level(levels, to_high[order], settled)
+        n = xl.size
+        g_lo, g_hi, g_w = np.array([(g[4], g[5], g[1] - g[0]) for g in gaps]).reshape(-1, 3).T
+        low = np.concatenate((np.minimum(yl, yr), g_lo))
+        high = np.concatenate((np.maximum(yl, yr), g_hi))
+        w = np.concatenate((xr - xl, g_w))
+        lo = _sup_level(low, w, settled)
+        hi = _sup_level(high, w, settled)
         s_lo, s_hi = max(s_lo, min(lo, s_hi)), min(s_hi, max(hi, s_lo))
-        if s_hi - s_lo <= tol or s_hi - s_lo >= width and not bisected:
+        if s_hi - s_lo <= tol:
             break
-        width = s_hi - s_lo
-        low, high = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
-        live = np.flatnonzero(inner & (high >= s_lo) & (low <= s_hi))
-        above = np.concatenate([[0.0], np.cumsum(np.where(low > s_hi, dx, 0.0))])
-        grids = []
-        start = 0
-        for end in ends.tolist():
-            first, past = np.searchsorted(live, (start, end - 1))
-            if first == past:  # no cell in reach
-                settled += above[end - 1] - above[start]
-            else:
-                k, j = int(live[first]), int(live[past - 1]) + 1
-                settled += above[k] - above[start] + above[end - 1] - above[j]
-                grids.append(np.linspace(xs[k], xs[j], ROUND_POINTS))
-            start = end
-        pieces, live_gaps, bisected = [], [], False
-        for gap in gaps:
-            if gap[4] > s_hi:
-                settled += gap[1] - gap[0]
-            elif gap[5] >= s_lo:
-                cert.split(gap, pieces, live_gaps)
-                bisected = True
-        gaps = live_gaps
-        if grids:
-            try:
-                values = np.asarray(cert.f.evaluate(np.concatenate(grids)), dtype=float)
-            except EvalError as exc:
-                raise _GiveUp("not evaluable") from exc
-            pieces += [(g, values[k * ROUND_POINTS : (k + 1) * ROUND_POINTS])
-                       for k, g in enumerate(grids)]
+        settled += float(np.sum(w[low > s_hi]))
+        live = (high >= s_lo) & (low <= s_hi) & (w > 0.0)
+        b = _interpolated_level(low[live], high[live], w[live], settled, s_lo, s_hi)
+        hold = (live & (low < high) & (low <= b) & (b <= high))[:n]
+        rest = live[:n] & ~hold
+        bisect = [g for g, on in zip(gaps, live[n:].tolist()) if on]
+        x0, x1, y0, y1 = xl[hold, None], xr[hold, None], yl[hold, None], yr[hold, None]
+        ladder = x0 + (x1 - x0) * ((b - y0) / (y1 - y0) + LADDER)
+        if not np.any((ladder > x0) & (ladder < x1)) and not bisect:
+            break
+        ladder = np.clip(ladder, x0, x1)  # a point outside its cell makes an empty one
+        try:
+            f_ladder = (np.asarray(cert.f.evaluate(ladder.ravel()), dtype=float).reshape(ladder.shape)
+                        if ladder.size else ladder)
+        except EvalError as exc:
+            raise _GiveUp("not evaluable") from exc
+        xs = np.concatenate((x0, ladder, x1), axis=1)
+        ys = np.concatenate((y0, f_ladder, y1), axis=1)
+        new: list = []
+        gaps = []
+        for gap in bisect:
+            cert.split(gap, new, gaps)
+        xl, xr, yl, yr = (np.concatenate((a[rest], sub.ravel(), [c[k] for c in new]))
+                          for k, (a, sub) in enumerate(((xl, xs[:, :-1]), (xr, xs[:, 1:]),
+                                                        (yl, ys[:, :-1]), (yr, ys[:, 1:]))))
     return SugenoResult(max(s_lo, 0.0), IntegralMethod.FIXED_POINT, s_hi - s_lo, "certified", count)
 
 
@@ -686,11 +720,17 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
         if res is None:
             raise _GiveUp("sample breaks the certified direction")
         return res
-    pieces = [(xs[s[0] : s[1] + 1], ys[s[0] : s[1] + 1]) for s in spans if isinstance(s, list)]
+    pieces = [s for s in spans if isinstance(s, list)]
     if len(pieces) > MAX_PIECES:
         raise _GiveUp("too many pieces")
-    gaps = _clear_sign(cert, pieces, [s for s in spans if isinstance(s, tuple)])
-    return _piecewise_crossing(cert, A.length(), pieces, gaps, tol)
+    split: list = []
+    gaps = _clear_sign(cert, split, [s for s in spans if isinstance(s, tuple)])
+    in_piece = np.zeros(xs.size - 1, dtype=bool)  # the guard cells the pieces cover
+    for s in pieces:
+        in_piece[s[0] : s[1]] = True
+    cells = [np.concatenate((a[in_piece], [c[k] for c in split]))
+             for k, a in enumerate((xs[:-1], xs[1:], ys[:-1], ys[1:]))]
+    return _piecewise_crossing(cert, A.length(), cells, gaps, len(pieces) + len(split), tol)
 
 
 def _require_non_negative(low: float, A: RealInterval) -> None:

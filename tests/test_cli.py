@@ -147,6 +147,18 @@ class TestIntegrate:
         code, out, _ = run(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
         assert f"method={method}, " in out and f", hint={hint}, pieces={pieces}, " in out
 
+    def test_tent_prints_the_digits_of_its_closed_form(self, capsys):
+        """The piecewise search used to stop 5.0e-7 above tol here and print
+        0.481689.  Only the left arm reaches the crossing level b, so
+        s - b/c = b gives the closed form s*c/(c + 1) = 0.48168965."""
+        c, s = 1.5492471205316165, 0.7926081876560689
+        src = f"{c!r}*abs(x - {s!r})"
+        code, out, _ = run(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        assert code == 0 and "integral = 0.48169\n" in out
+        code, report, _ = run_json(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        assert report["provenance"]["residual"] <= 1e-9
+        assert report["result"]["integral"] == pytest.approx(s * c / (c + 1), abs=1e-9)
+
     def test_forced_supmin_reports_no_hint(self, capsys):
         code, report, _ = run_json(capsys, "integrate", "-f", "x", "-a", "0", "-b", "1",
                                    "--method", "supmin", "--grid", "1000")
