@@ -204,6 +204,8 @@ def _render_text(report: dict[str, Any]) -> str:
             lines.append(f"{key} = {value}")
     prov = report["provenance"]
     prov_bits = [f"method={prov['method']}", f"residual={prov['residual']:.3g}"]
+    if "integral_residual" in prov:
+        prov_bits.append(f"integral_residual={prov['integral_residual']:.3g}")
     if "hint" in prov:
         prov_bits += [f"hint={prov['hint']}", f"pieces={prov['pieces']}"]
     if prov.get("grid") is not None:
@@ -330,6 +332,7 @@ def _run_bound(ns: argparse.Namespace) -> int:
         "bound", ns,
         result=result,
         provenance={"method": rep.integral.method.value, "residual": rep.bound.residual,
+                    "integral_residual": rep.integral.residual,
                     "hint": rep.integral.hint, "pieces": rep.integral.pieces,
                     "grid": ns.grid, "seed": None},
         verdict=verdict,

@@ -11,8 +11,12 @@ it, "unknown" when the value rests on none.
 
 * **Monotone form**, for f with a certified or declared direction.  The sup
   sits where f(x) crosses hi - x (f increasing) or x - lo (f decreasing).
-  The guard sample is the first round; the cell where the sign of the gap
-  changes is re-gridded with 4097 points until it is narrower than ``tol``.
+  The guard sample is the first round.  Each later round samples the cell
+  where the gap g = f - (hi - x) (f - (x - lo)) changes sign at ``LADDER``
+  around g's root by inverse quadratic interpolation, in one array call,
+  until the cell is narrower than ``tol`` (one round for smooth f at the
+  default ``tol``).  After a round that falls short of a uniform one (a
+  jump, kink or plateau at the crossing) the cell is re-gridded uniformly.
   For increasing f, the cell [x_l, x_r] gives the value
   max(hi - x_r, f(x_l)); for decreasing f, max(x_l - lo, f(x_r)).
   Constants, plateaus and jumps are exact in this form, so no fallback is
@@ -109,8 +113,8 @@ __all__ = [
     "sugeno_integral",
 ]
 
-#: Points per round of the monotone crossing search; the first round's grid
-#: is also the sample of every route's sign checks.
+#: Points of the guard sample, the first round of every form and the sample
+#: of every route's sign checks, and of the monotone form's uniform re-grids.
 CROSSING_POINTS = 4097
 
 #: Every SUBSAMPLE_STRIDE-th sample of the grid form estimates the crossing
@@ -133,13 +137,14 @@ MAX_PIECES = 64
 #: sign guard and narrowing gaps before it hands over to the grid form.
 INTERVAL_BUDGET = 128
 
-#: The ladder of the piecewise form, in cell widths.  After the guard
-#: sample, each round splits every live cell whose value range holds the
-#: interpolated crossing level at its chord's crossing x^ and at x^ +- 2**-k
-#: of its width for k = 1, 3, 7, 11, ..., 39 (points past the cell fall on its
-#: ends).  Wherever the crossing lies, it lands in a sub-cell at most 16 times
-#: wider than its distance from x^ or at most 2**-39 of the cell wide, and the
-#: +-1/2 points halve the cell however wrong x^ is.
+#: The ladder of both crossing forms, in cell widths.  After the guard sample,
+#: each round splits a crossing cell at its interpolated crossing x^ (the
+#: monotone form's crossing cell; in the piecewise form, every live cell whose
+#: value range holds the interpolated crossing level, at its chord's crossing)
+#: and at x^ +- 2**-k of its width for k = 1, 3, 7, 11, ..., 39 (points past
+#: the cell fall on its ends).  Wherever the crossing lies, it lands in a
+#: sub-cell at most 16 times wider than its distance from x^ or at most 2**-39
+#: of the cell wide, and the +-1/2 points halve the cell however wrong x^ is.
 LADDER = np.sort([0.0] + [s * 2.0**-k for k in (1, *range(3, 40, 4)) for s in (-1.0, 1.0)])
 
 #: The sign guard: an integrand value below this raises ``NegativeFunction``.
@@ -431,27 +436,46 @@ def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
 def _monotone_crossing(
     f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray, tol: float
 ) -> SugenoResult | None:
-    """Monotone form of the integral, from the first round's sample (xs, ys).
-
-    Returns None when a round's sample breaks the declared monotonicity.
+    """Monotone form of the integral, from the first round's sample (xs, ys):
+    ``LADDER`` rounds around the gap's interpolated root, uniform ones once a
+    round falls short.  Returns None when a round's sample breaks the
+    declared monotonicity.
     """
     increasing = f.monotonicity is Monotonicity.INCREASING
     lo, hi = A.lo, A.hi
-    width = np.inf
+    width, ladder = np.inf, True
     while True:
         if not follows(ys, f.monotonicity):
             return None
-        # samples before the crossing: f under hi - x (increasing) or f at
-        # or over x - lo (decreasing); k is the first sample past it
-        near = ys < hi - xs if increasing else ys >= xs - lo
+        # the gap g = f - (hi - x) (f - (x - lo) for decreasing f) changes
+        # sign at the crossing; k is the first sample past it
+        gap = ys - (hi - xs if increasing else xs - lo)
+        near = gap < 0.0 if increasing else gap >= 0.0
         k = int(np.argmin(near)) if not near.all() else xs.size
         i, j = max(k - 1, 0), min(k, xs.size - 1)
         x_l, x_r, f_l, f_r = float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j])
         if x_r - x_l <= tol or x_r - x_l >= width:
             break
+        # a jump, kink or plateau at the crossing leaves the ladder's cell wider
+        ladder = ladder and x_r - x_l <= width / (CROSSING_POINTS - 1)
         width = x_r - x_l
-        xs = np.linspace(x_l, x_r, CROSSING_POINTS)
-        ys = np.asarray(f.evaluate(xs), dtype=float)
+        if ladder:
+            # g's root through the three samples around its sign change, or the midpoint
+            m = min(max(i - 1, 0), xs.size - 3)
+            (x0, x1, x2), (g0, g1, g2) = xs[m : m + 3].tolist(), gap[m : m + 3].tolist()
+            est = 0.5 * (x_l + x_r)
+            if g0 != g1 != g2 != g0:
+                d01, d12 = (x1 - x0) / (g1 - g0), (x2 - x1) / (g2 - g1)
+                root = x0 - g0 * d01 + g0 * g1 * (d12 - d01) / (g2 - g0)
+                est = root if x_l <= root <= x_r else est
+            xs = est + LADDER * width
+            xs = np.concatenate(([x_l], xs[(xs > x_l) & (xs < x_r)], [x_r]))
+            if xs.size == 2:  # no float inside the cell
+                break
+            ys = np.concatenate(([f_l], np.asarray(f.evaluate(xs[1:-1]), dtype=float), [f_r]))
+        else:
+            xs = np.linspace(x_l, x_r, CROSSING_POINTS)
+            ys = np.asarray(f.evaluate(xs), dtype=float)
     value = max(hi - x_r, f_l) if increasing else max(x_l - lo, f_r)
     return SugenoResult(min(max(value, 0.0), hi - lo), IntegralMethod.FIXED_POINT, x_r - x_l,
                         f.hint, 1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from fuzzyhh import bounds, cli
+from fuzzyhh import RealInterval, bounds, cli, function_from_expression, sugeno_integral
 from fuzzyhh.cli import main
 
 # The stable report contract: field names and types; extra fields are allowed.
@@ -40,6 +40,7 @@ REPORT_SCHEMA = {
             "properties": {
                 "method": {"type": "string"},
                 "residual": {"type": "number"},
+                "integral_residual": {"type": "number"},
                 "grid": {"type": ["integer", "null"]},
                 "seed": {"type": ["integer", "null"]},
                 "hint": {"enum": ["certified", "declared", "unknown"]},
@@ -320,6 +321,19 @@ class TestBound:
         assert report["result"]["integral"] <= report["result"]["bound"]
         assert report["verdict"].startswith("pass")
         assert (report["provenance"]["hint"], report["provenance"]["pieces"]) == ("certified", 1)
+
+    def test_provenance_keeps_the_integral_residual(self, capsys):
+        # residual is the bound's float gap; the integral's crossing cell is its own field
+        argv = ("bound", "-f", "x^3/3", "-a", "0", "-b", "1", "--r", "0.5")
+        _, report, _ = run_json(capsys, *argv)
+        prov = report["provenance"]
+        unit = RealInterval(0.0, 1.0)
+        integral = sugeno_integral(function_from_expression("x^3/3", unit), unit)
+        assert prov["integral_residual"] == integral.residual <= 1e-9
+        assert prov["residual"] < 1e-15 < prov["integral_residual"]
+        _, out, _ = run(capsys, *argv)
+        assert (f"residual={prov['residual']:.3g}, "
+                f"integral_residual={prov['integral_residual']:.3g}, hint=certified") in out
 
     def test_integral_of_a_non_monotone_integrand_reports_its_pieces(self, capsys):
         code, report, _ = run_json(capsys, "bound", "-f", "0.2 + 2*(x - 0.5)^2", "-a", "0",

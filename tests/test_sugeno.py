@@ -212,7 +212,8 @@ class TestDispatcher:
         res = sugeno_integral(counted, UNIT)
         assert res.value == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-9)
         assert res.residual <= 1e-9
-        assert calls == [4097] * 3
+        # the guard sample, then one ladder round around the interpolated crossing
+        assert len(calls) == 2 and calls[0] == 4097 and calls[1] <= sugeno.LADDER.size
 
     @pytest.mark.parametrize("method", ["auto", "supmin"])
     def test_grid_validated_on_every_route(self, method):
@@ -416,6 +417,81 @@ def test_crossing_kernel_on_a_jump_at_the_crossing(lo, width, at, below, above, 
     assert res.method is IntegralMethod.FIXED_POINT
     assert res.value == pytest.approx(side, abs=1e-9)
     assert abs(res.value - _oracle(f, A)) <= 1e-9
+
+
+def _crossing_families(rng):
+    """(source, interval, integral) of seeded increasing and decreasing pow,
+    root, exp and log integrands on a random interval [lo, hi]: each is
+    v + c*(phi(x) - phi(x0)) with f(x0) = v, where v is hi - x0 (c > 0) or
+    x0 - lo (c < 0), so its gap crosses zero at x0 and its integral is v."""
+    u = rng.uniform
+    p, r, a = u(1.2, 4.0), u(1.5, 4.0), u(0.2, 3.0)
+    phis = [(f"x^{p!r}", lambda x: x**p), (f"x^(1/{r!r})", lambda x: x ** (1 / r)),
+            (f"exp({a!r}*x)", lambda x: math.exp(a * x)), ("log(x)", math.log)]
+    lo = u(0.1, 2.0)
+    hi = lo + u(0.05, 1.5)
+    out = []
+    for src, phi in phis:
+        for increasing in (True, False):
+            x0 = lo + u(0.05, 0.95) * (hi - lo)
+            v = hi - x0 if increasing else x0 - lo
+            # the largest |c| that keeps f >= 0 at its low end
+            cap = v / (phi(x0) - phi(lo) if increasing else phi(hi) - phi(x0))
+            c = u(0.05, 0.95) * cap * (1.0 if increasing else -1.0)
+            out.append((f"{v!r} + {c!r}*({src} - {phi(x0)!r})", RealInterval(lo, hi), v))
+    return out
+
+
+def test_crossing_rounds_on_seeded_families():
+    """Residual and closed-form error within tol at every tol, and one array
+    call after the guard sample down to tol 1e-9: the interpolated crossing
+    lands within the ladder's finest steps of the root."""
+    rng = np.random.default_rng(1973)
+    for _ in range(25):
+        for src, A, want in _crossing_families(rng):
+            f = function_from_expression(src, A)
+            ev = f.evaluate
+            for tol in (1e-6, 1e-9, 1e-12):
+                calls = []
+                res = sugeno_integral(
+                    dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x)),
+                    A, tol=tol)
+                assert (res.method, res.hint, res.pieces) == (
+                    IntegralMethod.FIXED_POINT, "certified", 1), src
+                assert res.residual <= tol and abs(res.value - want) <= tol, (src, tol)
+                assert calls[0] == sugeno.CROSSING_POINTS, src
+                if tol >= 1e-9:
+                    assert len(calls) == 2, (src, tol, calls)
+
+
+@pytest.mark.parametrize("name, fn, want", [
+    # a jump at the crossing x0 = 0.6180339887: the integral is 1 - x0
+    ("jump at the crossing", lambda x: np.where(x >= 0.6180339887, 0.9, 0.1),
+     1.0 - 0.6180339887),
+    # 0.5x + 0.1 crosses 1 - x at 0.6 before its jump at 0.8, and 0.5x + 0.3
+    # at 0.7/1.5 after its jump at 0.3
+    ("jump before the crossing", lambda x: 0.5 * x + 0.1 + np.where(x >= 0.3, 0.2, 0.0),
+     1.0 - 0.7 / 1.5),
+    ("jump past the crossing", lambda x: 0.5 * x + 0.1 + np.where(x >= 0.8, 0.2, 0.0),
+     1.0 - 0.9 / 1.5),
+    # steps of floor(4x)/4 + 0.3: 1 - x crosses the step 0.55 at 0.45, and the
+    # integral is the largest min(level, 1 - left end) over the steps
+    ("staircase", lambda x: np.floor(4.0 * x) / 4.0 + 0.3,
+     max(min(k / 4.0 + 0.3, 1.0 - k / 4.0) for k in range(4))),
+    # a kink at the crossing 0.55, slopes 0.2 and 3 on either side
+    ("kink at the crossing", lambda x: 0.45 + np.where(x < 0.55, 0.2, 3.0) * (x - 0.55), 0.45),
+])
+def test_declared_integrands_with_jumps_and_kinks(name, fn, want):
+    """Each value is within its residual of the exact one, in at most four
+    array calls: a jump or a kink at the crossing leaves the ladder's cell too
+    wide, and the later rounds re-grid it uniformly."""
+    calls = []
+    f = from_callable(lambda x: calls.append(np.size(x)) or fn(np.asarray(x, dtype=float)),
+                      UNIT, Monotonicity.INCREASING)
+    res = sugeno_integral(f, UNIT)
+    assert (res.method, res.hint) == (IntegralMethod.FIXED_POINT, "declared"), name
+    assert res.residual <= 1e-9 and abs(res.value - want) <= res.residual + 1e-15, name
+    assert 2 <= len(calls) <= 4, (name, calls)
 
 
 @settings(max_examples=60, deadline=None)
