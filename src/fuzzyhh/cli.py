@@ -44,7 +44,7 @@ from .convexity import (
 )
 from .expressions import EvalError, ExprSyntaxError, function_from_expression
 from .measure import RealInterval
-from .sugeno import NegativeFunction, sugeno_integral
+from .sugeno import IntegralMethod, NegativeFunction, sugeno_integral
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -206,6 +206,8 @@ def _render_text(report: dict[str, Any]) -> str:
     prov_bits = [f"method={prov['method']}", f"residual={prov['residual']:.3g}"]
     if "integral_residual" in prov:
         prov_bits.append(f"integral_residual={prov['integral_residual']:.3g}")
+    if prov.get("residual_is_bound") is False:  # the integral's residual, the last one shown
+        prov_bits[-1] += " (sample resolution)"
     if "hint" in prov:
         prov_bits += [f"hint={prov['hint']}", f"pieces={prov['pieces']}"]
     if prov.get("grid") is not None:
@@ -267,6 +269,7 @@ def _run_integrate(ns: argparse.Namespace) -> int:
         "integrate", ns,
         result={"integral": res.value},
         provenance={"method": res.method.value, "residual": res.residual,
+                    "residual_is_bound": res.method is IntegralMethod.FIXED_POINT,
                     "hint": res.hint, "pieces": res.pieces, "grid": ns.grid, "seed": None},
         verdict="ok",
         t0=t0,
@@ -333,6 +336,7 @@ def _run_bound(ns: argparse.Namespace) -> int:
         result=result,
         provenance={"method": rep.integral.method.value, "residual": rep.bound.residual,
                     "integral_residual": rep.integral.residual,
+                    "residual_is_bound": rep.integral.method is IntegralMethod.FIXED_POINT,
                     "hint": rep.integral.hint, "pieces": rep.integral.pieces,
                     "grid": ns.grid, "seed": None},
         verdict=verdict,

@@ -401,7 +401,7 @@ def _compile(node: Node) -> _Code:
         else:
             divides = node.op == "/" and _may(right, lambda v: v == 0)
             code = _apply(_BINARY[node.op], (left, right), (_ZERO_DIVISOR,) if divides else ())
-            code = code._replace(ext=_ext_binary(node.op, left.ext, right.ext))
+            code = code._replace(ext=_ext_binary(node.op, left, right))
     else:
         assert isinstance(node, Call)
         args = tuple(_compile(a) for a in node.args)
@@ -494,6 +494,7 @@ class _Unbounded(Exception):
 
 
 _INF = math.inf
+_MAX = math.nextafter(_INF, 0.0)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -715,7 +716,36 @@ def _ext_negative(inner):
     return run
 
 
-def _ext_binary(op: str, left, right):
+def _ext_binary(op: str, left: _Code, right: _Code):
+    """u op v.  For c*u, u*c, u + c, c + u, u - c, c - u and u/c (c != 0)
+    with a finite constant c, the extension scales or shifts u's bounds
+    directly, with the floats of the general rule: ``_add`` and its error
+    test are symmetric in their operands, the product rule's c' * u term is
+    the exact (0, 0) and u - c adds -0.0 to the slope."""
+    c, u = left.value, right.ext
+    if op in "+-*" and c is not None:
+        if op == "-":  # c - u = c + (-u)
+            u, op = _ext_negative(u), "+"
+    else:
+        c, u = right.value, left.ext
+    c = None if c is None else float(c)
+    if c is None or not math.isfinite(c) or op == "/" and c == 0.0:
+        return _ext_general(op, left.ext, right.ext)
+    exact = _exact_scale(c, c)
+    shift, zero = (-c, -0.0) if op == "-" else (c, 0.0)
+
+    def run(a, b):
+        vl, vh, dl, dh = u(a, b)
+        if op == "*":
+            return _scale(vl, vh, c, exact) + _plus_zero(*_scale(dl, dh, c, exact))
+        if op == "/":
+            return _div(vl, vh, c, c) + _div(*_add(dl, dh, 0.0, 0.0), c, c)
+        return _add(vl, vh, shift, shift) + _add(dl, dh, zero, zero)
+
+    return run
+
+
+def _ext_general(op: str, left, right):
     def run(a, b):
         ul, uh, udl, udh = left(a, b)
         vl, vh, vdl, vdh = right(a, b)
@@ -729,6 +759,23 @@ def _ext_binary(op: str, left, right):
         return (ql, qh) + _div(*_add(udl, udh, *_mul(-qh, -ql, vdl, vdh)), vl, vh)
 
     return run
+
+
+def _scale(lo: float, hi: float, c: float, exact: bool):
+    """``_mul(lo, hi, c, c)``, with exact = ``_exact_scale(c, c)``."""
+    p, q = _times(lo, c), _times(hi, c)
+    if p > q:
+        p, q = q, p
+    if not p <= q:
+        raise _Unbounded
+    return (p, q) if exact or _exact_scale(lo, hi) else (_dn(p), _up(q))
+
+
+def _plus_zero(lo: float, hi: float):
+    """``_add(lo, hi, 0.0, 0.0)`` for bounds that are not NaN: exact sums,
+    but an infinite bound's error test fails, so it rounds outward (+inf as a
+    lower bound to the largest float, -inf as an upper one to its negative)."""
+    return lo + 0.0 if lo != _INF else _MAX, hi + 0.0 if hi != -_INF else -_MAX
 
 
 def extend_expression(node: Node) -> Callable:

@@ -37,13 +37,17 @@ it, "unknown" when the value rests on none.
   enclosures; cells above the bracket settle and cells below drop out.
   Only the first round, the guard sample, is uniform.  Each later round
   solves the piecewise-linear interpolant of F on the live cells for its
-  crossing level b^ and, in one array call, splits every live cell whose
-  range holds b^ at a geometric ladder around its chord's crossing
-  (``LADDER``), keeping the other live cells as they are; a gap is bisected
-  only while the bracket meets its enclosure.  It stops once the bracket
-  is at most ``tol`` (about two rounds after the guard sample for smooth
-  pieces, one for linear ones), or when a round can place no new point in
-  a live cell and has no gap to bisect, reports the bracket's lower end as
+  crossing level b^, corrects b^ by one Newton step on the inverse-quadratic
+  interpolant of F and, in one array call, splits every live cell whose
+  range holds b^ at a geometric ladder around its inverse-quadratic
+  crossing (``LADDER``), keeping the other live cells as they are; a gap is
+  bisected only while the bracket meets its enclosure.  A cell's inverse
+  quadratic passes through the far end of an adjacent cell that shares an
+  end and runs the same way, else it is the chord.  It stops once the
+  bracket is at most ``tol`` (one round after the guard sample for
+  quadratic and linear pieces, one or two for a few periods of abs(sin)),
+  or when a round can place no new point in a live cell and has no gap to
+  bisect, reports the bracket's lower end as
   ``FIXED_POINT`` with its width as ``residual``, and ``pieces`` is the
   number of certified pieces.  An integrand whose guard sample turns
   ``MAX_PIECES`` times or more is refused before any interval evaluation;
@@ -140,9 +144,9 @@ INTERVAL_BUDGET = 128
 #: The ladder of both crossing forms, in cell widths.  After the guard sample,
 #: each round splits a crossing cell at its interpolated crossing x^ (the
 #: monotone form's crossing cell; in the piecewise form, every live cell whose
-#: value range holds the interpolated crossing level, at its chord's crossing)
-#: and at x^ +- 2**-k of its width for k = 1, 3, 7, 11, ..., 39 (points past
-#: the cell fall on its ends).  Wherever the crossing lies, it lands in a
+#: value range holds the interpolated crossing level, at its inverse-quadratic
+#: crossing) and at x^ +- 2**-k of its width for k = 1, 3, 7, 11, ..., 39
+#: (points past the cell fall on its ends).  Wherever the crossing lies, it lands in a
 #: sub-cell at most 16 times wider than its distance from x^ or at most 2**-39
 #: of the cell wide, and the +-1/2 points halve the cell however wrong x^ is.
 LADDER = np.sort([0.0] + [s * 2.0**-k for k in (1, *range(3, 40, 4)) for s in (-1.0, 1.0)])
@@ -632,10 +636,12 @@ def _sup_level(levels: np.ndarray, weights: np.ndarray, settled: float) -> float
 
 
 def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settled: float,
-                        s_lo: float, s_hi: float) -> float:
-    """The crossing in [s_lo, s_hi] of the diagonal with the interpolant of F
+                        s_lo: float, s_hi: float) -> tuple[float, tuple | None]:
+    """The crossing b in [s_lo, s_hi] of the diagonal with the interpolant of F
     in which a cell of width w and value range [low, high] adds
-    w * clip((high - b) / (high - low), 0, 1) to the settled measure.
+    w * clip((high - b) / (high - low), 0, 1) to the settled measure, and the
+    stretch (e0, e1, slope) of that linear interpolant holding it, or None
+    where b is not a root of it (a jump of F or an end of the bracket).
 
     The interpolant is linear between the range ends, so it is evaluated at
     every end and solved on the stretch that holds the crossing.  At each
@@ -662,13 +668,52 @@ def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settle
     excess = measure + settled - ends  # falls as the level rises
     k = int(np.argmax(excess < 0.0))  # the first end past the crossing
     if k == 0:
-        return s_hi if excess[0] >= 0.0 else s_lo
+        return (s_hi if excess[0] >= 0.0 else s_lo), None
     # just above ends[k - 1] the cells flat at that level no longer count
-    ga = float(excess[k - 1] - np.sum(w[(low == high) & (low == ends[k - 1])]))
+    e0, e1 = float(ends[k - 1]), float(ends[k])
+    ga = float(excess[k - 1] - np.sum(w[(low == high) & (low == e0)]))
     if ga < 0.0:
-        return min(max(float(ends[k - 1]), s_lo), s_hi)
+        return min(max(e0, s_lo), s_hi), None
     gb = float(excess[k])
-    return min(max(float(ends[k - 1] + (ends[k] - ends[k - 1]) * (ga / (ga - gb))), s_lo), s_hi)
+    b = min(max(e0 + (e1 - e0) * (ga / (ga - gb)), s_lo), s_hi)
+    return b, (e0, e1, (gb - ga) / (e1 - e0))
+
+
+def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
+               s_lo: float, s_hi: float) -> tuple[float, list]:
+    """The level b after one Newton step on the inverse-quadratic interpolant
+    of F, kept only inside the linear ``stretch`` that holds b, and where
+    each holding cell crosses it, in cell widths from its left end.  A cell
+    [x0, x1] with ends y0, y1 takes x(y) = chord(y) + c (y - y0)(y - y1)
+    through the far end of the next cell, else the previous one, that shares
+    its end and runs the same way; c = 0 (the chord) where neither does or c
+    is not finite, and the chord's crossing where x(b) leaves the cell."""
+    m = hold.size
+    xl, xr, yl, yr = (np.take(a, np.concatenate((hold, hold + 1, hold - 1)), mode="clip").tolist()
+                      for a in cells)
+    bends, num, den = [], 0.0, 0.0
+    for j, (x0, x1, y0, y1) in enumerate(zip(xl[:m], xr, yl, yr)):
+        r, l, up, c = j + m, j + 2 * m, y1 > y0, 0.0
+        for xa, ya, joined, beyond in ((xr[r], yr[r], xl[r] == x1, yr[r] - y1),
+                                       (xl[l], yl[l], xr[l] == x0, y0 - yl[l])):
+            if joined and beyond != 0.0 and (beyond > 0.0) == up:  # c = x[y0, y1, ya]
+                c = ((xa - x0) / (ya - y0) - (x1 - x0) / (y1 - y0)) / (ya - y1)
+                c = c if math.isfinite(c) else 0.0
+                break
+        bends.append(c)
+        q = c if up else -c  # the measure above b gains -q (b - y0)(b - y1)
+        num += q * (b - y0) * (b - y1)
+        den += q * (2.0 * b - y0 - y1)
+    if stretch is not None and stretch[2] < den:  # the model's excess falls as b rises
+        e0, e1, slope = stretch
+        newton = b + num / (slope - den)
+        b = newton if max(e0, s_lo) <= newton <= min(e1, s_hi) else b
+    at = []
+    for x0, x1, y0, y1, c in zip(xl, xr, yl, yr, bends):
+        chord = (b - y0) / (y1 - y0)
+        x = chord + c * (b - y0) * (b - y1) / (x1 - x0)
+        at.append(x if 0.0 <= x <= 1.0 else chord)
+    return b, at
 
 
 def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, count: int,
@@ -681,19 +726,24 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, co
     value in the lower bound and at its larger one in the upper bound, a
     gap's at the ends of its enclosure.  Cells and gaps entirely above the
     bracket count in full from then on, those below drop out.  The live
-    cells give the interpolated crossing level b^ (``_interpolated_level``),
-    and each one whose range holds b^ is split at its chord's crossing x^
-    plus ``LADDER`` times its width, all in one array call; the other live
-    cells stay as they are.  A gap whose enclosure meets the bracket is
-    bisected.  The search stops once the bracket is at most ``tol``, or when
-    a round can place no new point inside a live cell and has no gap to
-    bisect, and reports its lower end with its width as residual.
+    cells give the interpolated crossing level b (``_interpolated_level``),
+    which one Newton step on the inverse-quadratic interpolant of F corrects
+    (``_crossings``; within the linear stretch that holds b).  Each live cell
+    whose range holds b is split at its inverse-quadratic crossing x^ (its
+    chord's, when that leaves the cell) plus ``LADDER`` times its width, all
+    in one array call; the other live cells stay as they are.  A gap whose
+    enclosure meets the bracket is bisected.  The search stops once the
+    bracket is at most ``tol``, or when a round can place no new point
+    inside a live cell and has no gap to bisect, and reports its lower end
+    with its width as residual.
     """
     xl, xr, yl, yr = cells
     s_lo, s_hi, settled = 0.0, mu, 0.0
+    g_lo = None
     while True:
+        if g_lo is None:  # the gaps changed
+            g_lo, g_hi, g_w = np.array([(g[4], g[5], g[1] - g[0]) for g in gaps]).reshape(-1, 3).T
         n = xl.size
-        g_lo, g_hi, g_w = np.array([(g[4], g[5], g[1] - g[0]) for g in gaps]).reshape(-1, 3).T
         low = np.concatenate((np.minimum(yl, yr), g_lo))
         high = np.concatenate((np.maximum(yl, yr), g_hi))
         w = np.concatenate((xr - xl, g_w))
@@ -703,16 +753,19 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, co
         if s_hi - s_lo <= tol:
             break
         settled += float(np.sum(w[low > s_hi]))
-        live = (high >= s_lo) & (low <= s_hi) & (w > 0.0)
-        b = _interpolated_level(low[live], high[live], w[live], settled, s_lo, s_hi)
-        hold = (live & (low < high) & (low <= b) & (b <= high))[:n]
-        rest = live[:n] & ~hold
-        bisect = [g for g, on in zip(gaps, live[n:].tolist()) if on]
+        live = np.flatnonzero((high >= s_lo) & (low <= s_hi) & (w > 0.0))
+        low, high, w = low[live], high[live], w[live]
+        b, stretch = _interpolated_level(low, high, w, settled, s_lo, s_hi)
+        m = int(np.searchsorted(live, n))  # the live cells come before the live gaps
+        on = (low[:m] < high[:m]) & (low[:m] <= b) & (b <= high[:m])
+        hold, rest = live[:m][on], live[:m][~on]
+        bisect = [gaps[i - n] for i in live[m:].tolist()]
+        b, at = _crossings((xl, xr, yl, yr), hold, b, stretch, s_lo, s_hi)
         x0, x1, y0, y1 = xl[hold, None], xr[hold, None], yl[hold, None], yr[hold, None]
-        ladder = x0 + (x1 - x0) * ((b - y0) / (y1 - y0) + LADDER)
+        ladder = x0 + (x1 - x0) * (np.array(at).reshape(-1, 1) + LADDER)
         if not np.any((ladder > x0) & (ladder < x1)) and not bisect:
             break
-        ladder = np.clip(ladder, x0, x1)  # a point outside its cell makes an empty one
+        ladder = np.minimum(np.maximum(ladder, x0), x1)  # points outside a cell make empty ones
         try:
             f_ladder = (np.asarray(cert.f.evaluate(ladder.ravel()), dtype=float).reshape(ladder.shape)
                         if ladder.size else ladder)
@@ -721,9 +774,10 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, co
         xs = np.concatenate((x0, ladder, x1), axis=1)
         ys = np.concatenate((y0, f_ladder, y1), axis=1)
         new: list = []
-        gaps = []
-        for gap in bisect:
-            cert.split(gap, new, gaps)
+        if bisect or gaps:
+            gaps, g_lo = [], None
+            for gap in bisect:
+                cert.split(gap, new, gaps)
         xl, xr, yl, yr = (np.concatenate((a[rest], sub.ravel(), [c[k] for c in new]))
                           for k, (a, sub) in enumerate(((xl, xs[:, :-1]), (xr, xs[:, 1:]),
                                                         (yl, ys[:, :-1]), (yr, ys[:, 1:]))))
@@ -749,10 +803,8 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
         raise _GiveUp("too many pieces")
     split: list = []
     gaps = _clear_sign(cert, split, [s for s in spans if isinstance(s, tuple)])
-    in_piece = np.zeros(xs.size - 1, dtype=bool)  # the guard cells the pieces cover
-    for s in pieces:
-        in_piece[s[0] : s[1]] = True
-    cells = [np.concatenate((a[in_piece], [c[k] for c in split]))
+    # the guard cells the pieces cover, then the monotone halves of bisected gaps
+    cells = [np.concatenate([a[s[0] : s[1]] for s in pieces] + [[c[k] for c in split]])
              for k, a in enumerate((xs[:-1], xs[1:], ys[:-1], ys[1:]))]
     return _piecewise_crossing(cert, A.length(), cells, gaps, len(pieces) + len(split), tol)
 

@@ -41,6 +41,7 @@ REPORT_SCHEMA = {
                 "method": {"type": "string"},
                 "residual": {"type": "number"},
                 "integral_residual": {"type": "number"},
+                "residual_is_bound": {"type": "boolean"},
                 "grid": {"type": ["integer", "null"]},
                 "seed": {"type": ["integer", "null"]},
                 "hint": {"enum": ["certified", "declared", "unknown"]},
@@ -54,7 +55,8 @@ REPORT_SCHEMA = {
 # integrate and bound also say how the integrand's monotonicity was obtained
 INTEGRAL_SCHEMA = {
     "allOf": [REPORT_SCHEMA],
-    "properties": {"provenance": {"required": ["method", "residual", "hint", "pieces"]}},
+    "properties": {"provenance": {"required": ["method", "residual", "residual_is_bound", "hint",
+                                               "pieces"]}},
 }
 
 
@@ -147,6 +149,21 @@ class TestIntegrate:
         assert (prov["method"], prov["hint"], prov["pieces"]) == (method, hint, pieces)
         code, out, _ = run(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
         assert f"method={method}, " in out and f", hint={hint}, pieces={pieces}, " in out
+
+    @pytest.mark.parametrize("src, is_bound", [
+        ("x^2/2", True),
+        ("0.9 - 1.3*(x - 0.45)^2", True),
+        ("x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", False),
+    ])
+    def test_a_grid_residual_is_a_sample_resolution(self, capsys, src, is_bound):
+        """The crossing forms bound their error by the residual; the grid
+        form's mu/n is only the spacing of its sample."""
+        code, report, _ = run_json(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        assert code == 0 and report["provenance"]["residual_is_bound"] is is_bound
+        _, out, _ = run(capsys, "integrate", "-f", src, "-a", "0", "-b", "1")
+        residual = f"residual={report['provenance']['residual']:.3g}"
+        assert (f"{residual} (sample resolution), " in out) is not is_bound
+        assert f"{residual}, " in out or not is_bound
 
     def test_tent_prints_the_digits_of_its_closed_form(self, capsys):
         """The piecewise search used to stop 5.0e-7 above tol here and print
@@ -331,9 +348,22 @@ class TestBound:
         integral = sugeno_integral(function_from_expression("x^3/3", unit), unit)
         assert prov["integral_residual"] == integral.residual <= 1e-9
         assert prov["residual"] < 1e-15 < prov["integral_residual"]
+        assert prov["residual_is_bound"] is True
         _, out, _ = run(capsys, *argv)
         assert (f"residual={prov['residual']:.3g}, "
                 f"integral_residual={prov['integral_residual']:.3g}, hint=certified") in out
+
+    def test_a_grid_integral_residual_is_a_sample_resolution(self, capsys):
+        argv = ("bound", "-f", "x/2 + 0.2*abs(sin(3.141592653589793*2048*x))", "-a", "0", "-b",
+                "1", "--r", "1")
+        _, report, _ = run_json(capsys, *argv)
+        validate(report, INTEGRAL_SCHEMA)
+        prov = report["provenance"]
+        assert (prov["method"], prov["integral_residual"], prov["residual_is_bound"]) == (
+            "supmin_grid", 1e-6, False)
+        _, out, _ = run(capsys, *argv)
+        assert (f"residual={prov['residual']:.3g}, integral_residual=1e-06 (sample resolution), "
+                "hint=unknown") in out
 
     def test_integral_of_a_non_monotone_integrand_reports_its_pieces(self, capsys):
         code, report, _ = run_json(capsys, "bound", "-f", "0.2 + 2*(x - 0.5)^2", "-a", "0",

@@ -453,3 +453,84 @@ def _exact(node, x: Fraction) -> Fraction:
     if node.op == "^":
         return left ** int(right)
     return {"+": left + right, "-": left - right, "*": left * right}.get(node.op) or left / right
+
+
+# -- constant operands against the general binary rule ----------------------------
+
+from fuzzyhh import expressions
+from fuzzyhh.expressions import _add, _div, _mul
+
+
+def general_binary(op, left, right):
+    """The general rule of ``u op v`` for every pair of operands: the oracle of
+    the constant-operand extensions, which must give the same floats."""
+    left, right = left.ext, right.ext
+
+    def run(a, b):
+        ul, uh, udl, udh = left(a, b)
+        vl, vh, vdl, vdh = right(a, b)
+        if op == "+":
+            return _add(ul, uh, vl, vh) + _add(udl, udh, vdl, vdh)
+        if op == "-":
+            return _add(ul, uh, -vh, -vl) + _add(udl, udh, -vdh, -vdl)
+        if op == "*":
+            return _mul(ul, uh, vl, vh) + _add(*_mul(udl, udh, vl, vh), *_mul(ul, uh, vdl, vdh))
+        ql, qh = _div(ul, uh, vl, vh)  # (u/v)' = (u' - (u/v) v') / v
+        return (ql, qh) + _div(*_add(udl, udh, *_mul(-qh, -ql, vdl, vdh)), vl, vh)
+
+    return run
+
+
+_CONSTANTS = (0.0, -0.0, 1.0, -1.0, 2.0, -4.0, 0.5, 1024.0, -3.7, 0.1, 1e-300, -1e-300,
+              1e300, -1e300, 5e-324, 7.0)
+
+
+def _constant_tree(rng, depth):
+    """A random tree over x whose binary nodes put a constant on either side,
+    or join two subtrees over x."""
+    if depth == 0:
+        return Var()
+    kind = rng.integers(6)
+    if kind == 0:
+        func = ("sin", "cos", "exp", "log", "sqrt", "abs")[rng.integers(6)]
+        return Call(func, (_constant_tree(rng, depth - 1),))
+    if kind == 1:
+        return Unary("-", _constant_tree(rng, depth - 1))
+    op = "+-*/"[rng.integers(4)]
+    const = Num(_CONSTANTS[rng.integers(len(_CONSTANTS))])
+    sub = _constant_tree(rng, depth - 1)
+    if kind == 2:
+        return BinOp(op, sub, _constant_tree(rng, depth - 1))
+    return BinOp(op, const, sub) if kind == 3 else BinOp(op, sub, const)
+
+
+def _intervals(rng):
+    """Points, tiny and wide intervals, intervals reaching 0 and domain edges."""
+    a = float(rng.uniform(-3.0, 3.0))
+    return [(a, a), (a, math.nextafter(a, math.inf)), (a, a + 1e-9), (-10.0, 10.0), (0.0, 1.0),
+            (-1.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (1e-300, 2e-300), (1e300, 1.5e300),
+            (-1e300, 1e300), (0.5, 700.0), (-709.0, 1.0), (1.0, 1.0 + 2**-40)]
+
+
+def test_constant_operands_give_the_general_rules_floats(monkeypatch):
+    """Enclosures of c*u, u*c, u + c, c + u, u - c, c - u and u/c are
+    repr-identical (the sign of a zero, a rounding at infinity, None) to the
+    general rule's on seeded trees and intervals."""
+    rng = np.random.default_rng(17)
+    trees = [_constant_tree(rng, int(rng.integers(1, 6))) for _ in range(400)]
+    trees += [parse_expression(src) for src in (
+        "1.2*abs(sin(6*3.141592653589793*x))", "0.3 - 1.3*(x - 0.45)^2", "x/0 + 1",
+        "-(x*0) - 3", "3 - -(0*x)", "-(x*0) + 0",  # slopes of -0.0
+        "1024*(1e300*(1e300*x))", "(0 - 1024)*(1e300*(1e300*x)) - 1",  # exact products overflow
+    )]
+    fast = [extend_expression(t) for t in trees]
+    with monkeypatch.context() as patch:
+        patch.setattr(expressions, "_ext_binary", general_binary)
+        slow = [extend_expression(t) for t in trees]
+    bounded = 0
+    for tree, new, old in zip(trees, fast, slow):
+        for a, b in _intervals(rng):
+            got, want = new(a, b), old(a, b)
+            assert repr(got) == repr(want), (to_source(tree), a, b)
+            bounded += got is not None
+    assert bounded > 2000
