@@ -997,3 +997,96 @@ def test_crossing_estimates_that_fail_cost_rounds_not_digits(src, want, most):
     assert res.method is IntegralMethod.FIXED_POINT and res.pieces == 2
     assert res.residual <= tol and abs(res.value - want) <= tol
     assert len(points) <= most
+
+
+# -- characterization of the piecewise form's bisections ------------------------------
+
+#: (source, value, residual, pieces, ``evaluate`` calls, extension calls) on
+#: [0, 1] at the default tol.  The kinks of the first four leave gaps that
+#: both the sign guard and the crossing rounds bisect; the narrow bump's
+#: turning gap is bisected by the sign guard alone.
+BISECTED = [
+    ("0.5*abs(x - 0.2) + 1*(x - 0.6 + abs(x - 0.6))",
+     0.34285714285714286, 0.0, 31, 31, 61),
+    ("0.5*abs(x - 0.2) + 1e3*(x - 0.6 + abs(x - 0.6))",
+     0.39990007494379176, 4.440892098500626e-16, 41, 41, 81),
+    ("0.5*abs(x - 0.2) + 1e6*(x - 0.6 + abs(x - 0.6))",
+     0.399999900000075, 2.220446049250313e-16, 46, 52, 89),
+    ("0.5*abs(abs(x - 0.45) - 0.25) + (x - 0.9 + abs(x - 0.9))",
+     0.1185185185185185, 8.326672684688674e-17, 62, 60, 123),
+    ("exp(-400000000*(x - 0.5)^2)",
+     0.00028566898355480985, 3.658184866139891e-14, 2, 8, 5),
+]
+
+
+def _calls(f):
+    """f with its ``evaluate`` and extension calls counted, and the two counters."""
+    points, boxes = [], []
+    ev, ext = f.evaluate, f.extension
+    return dataclasses.replace(f, evaluate=lambda x: points.append(1) or ev(x),
+                               extension=lambda a, b: boxes.append(1) or ext(a, b)), points, boxes
+
+
+@pytest.mark.parametrize("src, value, residual, pieces, points, boxes", BISECTED)
+def test_bisected_gaps_keep_their_digits_and_calls(src, value, residual, pieces, points, boxes):
+    """The exact floats and call counts of the piecewise form on integrands
+    whose gaps the sign guard and the crossing rounds bisect."""
+    f, seen_points, seen_boxes = _calls(function_from_expression(src, UNIT))
+    res = sugeno_integral(f, UNIT)
+    assert (res.value, res.residual, res.method, res.hint, res.pieces) == (
+        value, residual, IntegralMethod.FIXED_POINT, "certified", pieces)
+    assert (len(seen_points), len(seen_boxes)) == (points, boxes)
+
+
+def _give_ups(monkeypatch):
+    """The reasons of every ``_GiveUp`` the piecewise form raises."""
+    reasons = []
+    piecewise = sugeno._piecewise
+
+    def recording(*args):
+        try:
+            return piecewise(*args)
+        except sugeno._GiveUp as exc:
+            reasons.append(str(exc))
+            raise
+
+    monkeypatch.setattr(sugeno, "_piecewise", recording)
+    return reasons
+
+
+def test_unbounded_gap_hands_over_to_the_grid(monkeypatch):
+    """The extension cannot bound the guard cell around the pole."""
+    reasons = _give_ups(monkeypatch)
+    f = function_from_expression("1/(x - 0.51)^2", UNIT)
+    assert sugeno_integral(f, UNIT) == sugeno_supmin_exact(f, UNIT)
+    assert reasons == ["no enclosure"]
+
+
+def test_gap_at_float_resolution_hands_over_to_the_grid(monkeypatch):
+    """abs(u) - abs(u) is 0 at every point, but its enclosure reaches -1e6 times
+    the width of 3x - 1 below it: the sign guard bisects the gap around 1/3 (43
+    bisections of two enclosures each, after 3 for the proposals) until it is
+    one float wide."""
+    reasons = _give_ups(monkeypatch)
+    src = "abs(3*x - 1) + 1e6*(abs(3*x - 1) - abs(3*x - 1))"
+    f, points, boxes = _calls(function_from_expression(src, UNIT))
+    assert sugeno_integral(f, UNIT) == sugeno_supmin_exact(f, UNIT)
+    assert reasons == ["gap at float resolution"] and len(boxes) == 89
+
+
+def test_midpoint_that_cannot_be_evaluated_hands_over_to_the_grid(monkeypatch):
+    """No DSL integrand reaches this: a gap's enclosure proves f evaluable on
+    it.  An ``evaluate`` that fails on every single point (the bisection
+    midpoints) but not on arrays (the guard sample and the grid) does."""
+    reasons = _give_ups(monkeypatch)
+    f = function_from_expression("abs(x - 0.3) + (abs(x - 0.3) - abs(x - 0.3))", UNIT)
+    ev = f.evaluate
+
+    def arrays_only(x):
+        if np.ndim(x) == 0:
+            raise EvalError("a single point")
+        return ev(x)
+
+    g = dataclasses.replace(f, evaluate=arrays_only)
+    assert sugeno_integral(g, UNIT) == sugeno_supmin_exact(f, UNIT)
+    assert reasons == ["not evaluable"]
