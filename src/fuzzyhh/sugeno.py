@@ -25,35 +25,37 @@ it, "unknown" when the value rests on none.
 
 * **Piecewise form**, for f with an interval extension (every DSL
   expression) but no direction on its whole domain.  The turning cells of
-  the guard sample propose monotone pieces and the extension proves each
-  one with one interval evaluation; a piece that fails is bisected down to
-  single guard cells, which are kept as gaps with their value enclosures.
-  A gap whose enclosure reaches below the sign threshold is bisected until
-  a point value proves f negative or the enclosures clear it; a piece's
-  minimum is at its ends.  A single piece covering [lo, hi] takes the
-  monotone form.  Otherwise the pieces are held as one set of cells, and
-  each round brackets the sup-level between the sup-levels of a lower and
-  an upper step bound of F, built from the cells' end values and the gaps'
-  enclosures; cells above the bracket settle and cells below drop out.
+  the guard sample propose monotone pieces and the extension proves each one
+  with one interval evaluation; a piece that fails is bisected down to
+  single guard cells, which are kept as gaps.  A single piece covering
+  [lo, hi] takes the monotone form.  Otherwise f is held as one set of cells
+  with bounds on f: a piece's cells are bounded by their end values, a gap
+  by its enclosure.  One bisection serves the sign guard and the rounds: it
+  splits gaps at their midpoints into cells, monotone where the extension
+  proves it and gaps elsewhere.  The sign guard bisects every gap whose
+  enclosure reaches below the sign threshold until a point value proves f
+  negative or the enclosures clear it.  Each round brackets the sup-level
+  between those of a lower and an upper step bound of F built from the
+  cells' bounds; cells above the bracket settle and cells below drop out.
   Only the first round, the guard sample, is uniform.  Each later round
   solves the piecewise-linear interpolant of F on the live cells for its
   crossing level b^, corrects b^ by one Newton step on the inverse-quadratic
-  interpolant of F and, in one array call, splits every live cell whose
-  range holds b^ at a geometric ladder around its inverse-quadratic
-  crossing (``LADDER``), keeping the other live cells as they are; a gap is
-  bisected only while the bracket meets its enclosure.  A cell's inverse
-  quadratic passes through the far end of an adjacent cell that shares an
-  end and runs the same way, else it is the chord.  It stops once the
-  bracket is at most ``tol`` (one round after the guard sample for
-  quadratic and linear pieces, one or two for a few periods of abs(sin)),
-  or when a round can place no new point in a live cell and has no gap to
-  bisect, reports the bracket's lower end as
-  ``FIXED_POINT`` with its width as ``residual``, and ``pieces`` is the
-  number of certified pieces.  An integrand whose guard sample turns
-  ``MAX_PIECES`` times or more is refused before any interval evaluation;
-  more than ``MAX_PIECES`` pieces, ``INTERVAL_BUDGET`` interval evaluations
-  spent, an enclosure that cannot be had or a gap at float resolution hand
-  the call over to the grid form.
+  interpolant of F and, in one array call, splits every live monotone cell
+  whose range holds b^ at a geometric ladder around its inverse-quadratic
+  crossing (``LADDER``), keeping the other live monotone cells as they are
+  and bisecting the live gaps.  A cell's inverse quadratic passes through
+  the far end of an adjacent monotone cell that shares an end and runs the
+  same way, else it is the chord.  It stops once the bracket is at most
+  ``tol`` (one round after the guard sample for quadratic and linear pieces,
+  one or two for a few periods of abs(sin)), or when a round can place no
+  new point in a live cell and has no gap to bisect, reports the bracket's
+  lower end as ``FIXED_POINT`` with its width as ``residual``, and
+  ``pieces`` is the number of certified pieces.  An integrand whose guard
+  sample turns ``MAX_PIECES`` times or more is refused before any interval
+  evaluation; more than ``MAX_PIECES`` pieces, ``INTERVAL_BUDGET`` interval
+  evaluations spent, an enclosure that cannot be had, a midpoint that cannot
+  be evaluated or a gap at float resolution hand the call over to the grid
+  form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
   midpoint-sampled function, ``sugeno_supmin_exact``.  The n-point sample
@@ -86,12 +88,11 @@ Everything here is pure and re-entrant; results are deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -438,18 +439,20 @@ def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
 
 
 def _monotone_crossing(
-    f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray, tol: float
+    f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray, tol: float,
+    direction: Monotonicity, hint: str,
 ) -> SugenoResult | None:
-    """Monotone form of the integral, from the first round's sample (xs, ys):
-    ``LADDER`` rounds around the gap's interpolated root, uniform ones once a
-    round falls short.  Returns None when a round's sample breaks the
-    declared monotonicity.
+    """Monotone form of the integral of f, which runs in ``direction`` on A,
+    from the first round's sample (xs, ys): ``LADDER`` rounds around the
+    gap's interpolated root, uniform ones once a round falls short.  Returns
+    None when a round's sample breaks the direction; the result carries
+    ``hint``.
     """
-    increasing = f.monotonicity is Monotonicity.INCREASING
+    increasing = direction is Monotonicity.INCREASING
     lo, hi = A.lo, A.hi
     width, ladder = np.inf, True
     while True:
-        if not follows(ys, f.monotonicity):
+        if not follows(ys, direction):
             return None
         # the gap g = f - (hi - x) (f - (x - lo) for decreasing f) changes
         # sign at the crossing; k is the first sample past it
@@ -482,18 +485,20 @@ def _monotone_crossing(
             ys = np.asarray(f.evaluate(xs), dtype=float)
     value = max(hi - x_r, f_l) if increasing else max(x_l - lo, f_r)
     return SugenoResult(min(max(value, 0.0), hi - lo), IntegralMethod.FIXED_POINT, x_r - x_l,
-                        f.hint, 1)
+                        hint, 1)
 
 
 # -- the piecewise form --------------------------------------------------------
 #
-# A piece is an interval the interval extension proved monotone, held as
-# cells [x_l, x_r] with f's values at both ends, between which f lies on the
-# cell.  A gap (a, b, f(a), f(b), lo, hi) is an interval where it proved only
-# lo <= f <= hi.  Every cell and gap of width w and value bounds [l, u] then
+# The piecewise form holds f on A as one set of cells, seven arrays: x_l, x_r,
+# f(x_l), f(x_r), lo, hi and monotone (bool); a cell row is one entry of each.
+# On a cell the interval extension proved monotone, f lies between its end
+# values, and lo, hi are those; any other cell (a gap) has the bounds
+# lo <= f <= hi of its enclosure.  The monotone cells come first (the order
+# fixes the floats of every sum over the cells).  Every cell of width w then
 # bounds the level measure F from both sides:
 #
-#     sum of w over l >= beta  <=  F(beta)  <=  sum of w over u >= beta,
+#     sum of w over lo >= beta  <=  F(beta)  <=  sum of w over hi >= beta,
 #
 # and the sup-level of each step bound brackets the integral.
 
@@ -515,28 +520,44 @@ class _Certifier:
         self.left -= 1
         return self.f.extension(a, b)
 
-    def split(self, gap: tuple, cells: list, gaps: list) -> None:
-        """Bisect a gap: each half becomes a cell (x_l, x_r, f(x_l), f(x_r))
-        of a piece if the extension proves it monotone, else a gap with its
-        enclosure."""
-        a, b, fa, fb, _, _ = gap
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            raise _GiveUp("gap at float resolution")
-        try:
-            fm = float(self.f.evaluate(m))
-        except EvalError as exc:
-            raise _GiveUp("not evaluable") from exc
-        if fm < NEGATIVE_BELOW:
-            raise NegativeFunction(f"integrand reaches {fm:g} at x = {m:g}")
-        for lo, hi, f_lo, f_hi in ((a, m, fa, fm), (m, b, fm, fb)):
-            e = self.enclose(lo, hi)
-            if e is None:
-                raise _GiveUp("no enclosure")
-            if e.slope_lo >= 0.0 or e.slope_hi <= 0.0:
-                cells.append((lo, hi, f_lo, f_hi))
-            else:
-                gaps.append((lo, hi, f_lo, f_hi, e.lo, e.hi))
+    def bisect(self, gaps: Iterable[tuple]) -> list:
+        """The halves of the gap rows, as cell rows, the monotone ones
+        first.  Each gap is split at its midpoint, where f is evaluated, and
+        each half is a monotone cell if the extension proves it monotone,
+        else a gap with its enclosure."""
+        mono, rest = [], []
+        for a, b, fa, fb, *_ in gaps:
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                raise _GiveUp("gap at float resolution")
+            try:
+                fm = float(self.f.evaluate(m))
+            except EvalError as exc:
+                raise _GiveUp("not evaluable") from exc
+            if fm < NEGATIVE_BELOW:
+                raise NegativeFunction(f"integrand reaches {fm:g} at x = {m:g}")
+            for x0, x1, y0, y1 in ((a, m, fa, fm), (m, b, fm, fb)):
+                e = self.enclose(x0, x1)
+                if e is None:
+                    raise _GiveUp("no enclosure")
+                if e.slope_lo >= 0.0 or e.slope_hi <= 0.0:  # as np.minimum(y0, y1) picks zeros
+                    mono.append((x0, x1, y0, y1, min(y1, y0), max(y1, y0), True))
+                else:
+                    rest.append((x0, x1, y0, y1, e.lo, e.hi, False))
+        return mono + rest
+
+
+def _cells(rows: list) -> tuple:
+    """The seven arrays of a list of cell rows."""
+    *bounds, mono = np.array(rows, dtype=float).reshape(-1, 7).T
+    return (*bounds, mono > 0.0)
+
+
+def _monotone_cells(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Monotone cells between consecutive points (xs, ys) along the last axis."""
+    y0, y1 = ys[..., :-1].ravel(), ys[..., 1:].ravel()
+    return (xs[..., :-1].ravel(), xs[..., 1:].ravel(), y0, y1,
+            np.minimum(y0, y1), np.maximum(y0, y1), np.ones(y0.size, dtype=bool))
 
 
 def _proposals(ys: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -571,17 +592,17 @@ def _proposals(ys: np.ndarray) -> list[tuple[int, int, bool]]:
     return out
 
 
-def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> list:
-    """Pieces and gaps covering the guard sample's interval, in order.
+def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> tuple[list, list]:
+    """The certified pieces and the gaps covering the guard sample's interval.
 
     Each proposed range is proved monotone by one interval evaluation; a
     monotone range that fails (or that the extension cannot bound) is
     bisected down to single cells, and turning ranges and single cells that
-    fail are kept as gaps.  Adjacent pieces that share a direction are
-    merged.  A piece is [i, j, up, down] (sample indices and the directions
-    proved), a gap the tuple of ``_Certifier.split``.
+    fail are kept as gaps, cell rows with their enclosures.  Adjacent pieces
+    that share a direction are merged.  A piece is [i, j, up, down], its
+    sample indices and the directions proved.
     """
-    spans: list = []
+    pieces, gaps = [], []
     stack = _proposals(ys)[::-1]
     while stack:
         i, j, turning = stack.pop()
@@ -589,38 +610,19 @@ def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> list:
         up = e is not None and e.slope_lo >= 0.0
         down = e is not None and e.slope_hi <= 0.0
         if up or down:
-            prev = spans[-1] if spans else None
-            if isinstance(prev, list) and prev[1] == i and (prev[2] and up or prev[3] and down):
+            prev = pieces[-1] if pieces else None
+            if prev and prev[1] == i and (prev[2] and up or prev[3] and down):  # no gap between
                 prev[1:] = [j, prev[2] and up, prev[3] and down]
             else:
-                spans.append([i, j, up, down])
+                pieces.append([i, j, up, down])
         elif j - i > 1 and not turning:
             mid = (i + j) // 2
             stack += [(mid, j, False), (i, mid, False)]
         elif e is None:
             raise _GiveUp("no enclosure")
         else:
-            spans.append((float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j]), e.lo, e.hi))
-    return spans
-
-
-def _clear_sign(cert: _Certifier, cells: list, gaps: list) -> list:
-    """The gaps, bisected until every enclosure clears the sign guard.
-
-    A piece's minimum is at its ends, which are guard samples or bisection
-    points; a gap whose enclosure reaches below NEGATIVE_BELOW is bisected
-    until a point value proves f negative (``NegativeFunction``) or the
-    enclosures of its parts clear the threshold.  Monotone halves join
-    ``cells``.
-    """
-    cleared: list = []
-    while gaps:
-        gap = gaps.pop()
-        if gap[4] >= NEGATIVE_BELOW:
-            cleared.append(gap)
-        else:
-            cert.split(gap, cells, gaps)
-    return cleared
+            gaps.append((float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j]), e.lo, e.hi, False))
+    return pieces, gaps
 
 
 def _sup_level(levels: np.ndarray, weights: np.ndarray, settled: float) -> float:
@@ -685,17 +687,18 @@ def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
     of F, kept only inside the linear ``stretch`` that holds b, and where
     each holding cell crosses it, in cell widths from its left end.  A cell
     [x0, x1] with ends y0, y1 takes x(y) = chord(y) + c (y - y0)(y - y1)
-    through the far end of the next cell, else the previous one, that shares
-    its end and runs the same way; c = 0 (the chord) where neither does or c
-    is not finite, and the chord's crossing where x(b) leaves the cell."""
+    through the far end of the next cell, else the previous one, that is
+    monotone, shares its end and runs the same way; c = 0 (the chord) where
+    neither does or c is not finite, and the chord's crossing where x(b)
+    leaves the cell."""
     m = hold.size
-    xl, xr, yl, yr = (np.take(a, np.concatenate((hold, hold + 1, hold - 1)), mode="clip").tolist()
-                      for a in cells)
+    near = np.concatenate((hold, hold + 1, hold - 1))
+    xl, xr, yl, yr, mono = (np.take(a, near, mode="clip").tolist() for a in (*cells[:4], cells[6]))
     bends, num, den = [], 0.0, 0.0
     for j, (x0, x1, y0, y1) in enumerate(zip(xl[:m], xr, yl, yr)):
         r, l, up, c = j + m, j + 2 * m, y1 > y0, 0.0
-        for xa, ya, joined, beyond in ((xr[r], yr[r], xl[r] == x1, yr[r] - y1),
-                                       (xl[l], yl[l], xr[l] == x0, y0 - yl[l])):
+        for xa, ya, joined, beyond in ((xr[r], yr[r], mono[r] and xl[r] == x1, yr[r] - y1),
+                                       (xl[l], yl[l], mono[l] and xr[l] == x0, y0 - yl[l])):
             if joined and beyond != 0.0 and (beyond > 0.0) == up:  # c = x[y0, y1, ya]
                 c = ((xa - x0) / (ya - y0) - (x1 - x0) / (y1 - y0)) / (ya - y1)
                 c = c if math.isfinite(c) else 0.0
@@ -716,37 +719,28 @@ def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
     return b, at
 
 
-def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, count: int,
+def _piecewise_crossing(cert: _Certifier, mu: float, cells: tuple, count: int,
                         tol: float) -> SugenoResult:
-    """The sup-level of f from the cells of its certified pieces and its gaps.
+    """The sup-level of f from its cells.
 
-    ``cells`` holds four arrays, the ends x_l, x_r of every cell and f there.
     Each round brackets the integral between the sup-levels of the lower and
-    the upper step bound of F: a cell's width counts at its smaller end
-    value in the lower bound and at its larger one in the upper bound, a
-    gap's at the ends of its enclosure.  Cells and gaps entirely above the
-    bracket count in full from then on, those below drop out.  The live
-    cells give the interpolated crossing level b (``_interpolated_level``),
-    which one Newton step on the inverse-quadratic interpolant of F corrects
-    (``_crossings``; within the linear stretch that holds b).  Each live cell
-    whose range holds b is split at its inverse-quadratic crossing x^ (its
-    chord's, when that leaves the cell) plus ``LADDER`` times its width, all
-    in one array call; the other live cells stay as they are.  A gap whose
-    enclosure meets the bracket is bisected.  The search stops once the
-    bracket is at most ``tol``, or when a round can place no new point
-    inside a live cell and has no gap to bisect, and reports its lower end
-    with its width as residual.
+    the upper step bound of F, in which a cell's width counts at its lo and
+    at its hi.  Cells entirely above the bracket count in full from then on,
+    those below drop out.  The live cells give the interpolated crossing
+    level b (``_interpolated_level``), which one Newton step on the
+    inverse-quadratic interpolant of F corrects (``_crossings``; within the
+    linear stretch that holds b).  Each live monotone cell whose range holds
+    b is split at its inverse-quadratic crossing x^ (its chord's, when that
+    leaves the cell) plus ``LADDER`` times its width, all in one array call;
+    the other live monotone cells stay as they are, and the live gaps are
+    bisected.  The search stops once the bracket is at most ``tol``, or when
+    a round can place no new point inside a live cell and has no gap to
+    bisect, and reports its lower end with its width as residual.
     """
-    xl, xr, yl, yr = cells
     s_lo, s_hi, settled = 0.0, mu, 0.0
-    g_lo = None
     while True:
-        if g_lo is None:  # the gaps changed
-            g_lo, g_hi, g_w = np.array([(g[4], g[5], g[1] - g[0]) for g in gaps]).reshape(-1, 3).T
-        n = xl.size
-        low = np.concatenate((np.minimum(yl, yr), g_lo))
-        high = np.concatenate((np.maximum(yl, yr), g_hi))
-        w = np.concatenate((xr - xl, g_w))
+        xl, xr, _, _, low, high, mono = cells
+        w = xr - xl
         lo = _sup_level(low, w, settled)
         hi = _sup_level(high, w, settled)
         s_lo, s_hi = max(s_lo, min(lo, s_hi)), min(s_hi, max(hi, s_lo))
@@ -754,16 +748,14 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, co
             break
         settled += float(np.sum(w[low > s_hi]))
         live = np.flatnonzero((high >= s_lo) & (low <= s_hi) & (w > 0.0))
-        low, high, w = low[live], high[live], w[live]
+        low, high, w, ladders = low[live], high[live], w[live], mono[live]
         b, stretch = _interpolated_level(low, high, w, settled, s_lo, s_hi)
-        m = int(np.searchsorted(live, n))  # the live cells come before the live gaps
-        on = (low[:m] < high[:m]) & (low[:m] <= b) & (b <= high[:m])
-        hold, rest = live[:m][on], live[:m][~on]
-        bisect = [gaps[i - n] for i in live[m:].tolist()]
-        b, at = _crossings((xl, xr, yl, yr), hold, b, stretch, s_lo, s_hi)
-        x0, x1, y0, y1 = xl[hold, None], xr[hold, None], yl[hold, None], yr[hold, None]
+        on = ladders & (low < high) & (low <= b) & (b <= high)
+        hold, rest, gaps = live[on], live[ladders & ~on], live[~ladders]
+        b, at = _crossings(cells, hold, b, stretch, s_lo, s_hi)
+        x0, x1, y0, y1 = (a[hold, None] for a in cells[:4])
         ladder = x0 + (x1 - x0) * (np.array(at).reshape(-1, 1) + LADDER)
-        if not np.any((ladder > x0) & (ladder < x1)) and not bisect:
+        if not np.any((ladder > x0) & (ladder < x1)) and not gaps.size:
             break
         ladder = np.minimum(np.maximum(ladder, x0), x1)  # points outside a cell make empty ones
         try:
@@ -771,16 +763,12 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: list, gaps: list, co
                         if ladder.size else ladder)
         except EvalError as exc:
             raise _GiveUp("not evaluable") from exc
-        xs = np.concatenate((x0, ladder, x1), axis=1)
-        ys = np.concatenate((y0, f_ladder, y1), axis=1)
-        new: list = []
-        if bisect or gaps:
-            gaps, g_lo = [], None
-            for gap in bisect:
-                cert.split(gap, new, gaps)
-        xl, xr, yl, yr = (np.concatenate((a[rest], sub.ravel(), [c[k] for c in new]))
-                          for k, (a, sub) in enumerate(((xl, xs[:, :-1]), (xr, xs[:, 1:]),
-                                                        (yl, ys[:, :-1]), (yr, ys[:, 1:]))))
+        sub = _monotone_cells(np.concatenate((x0, ladder, x1), axis=1),
+                              np.concatenate((y0, f_ladder, y1), axis=1))
+        parts = [tuple(a[rest] for a in cells), sub]
+        if gaps.size:
+            parts.append(_cells(cert.bisect(zip(*(a[gaps].tolist() for a in cells)))))
+        cells = tuple(map(np.concatenate, zip(*parts)))
     return SugenoResult(max(s_lo, 0.0), IntegralMethod.FIXED_POINT, s_hi - s_lo, "certified", count)
 
 
@@ -788,25 +776,31 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
                tol: float) -> SugenoResult:
     """Piecewise form: certify monotone pieces of f on A from the guard
     sample (xs, ys), clear the sign guard on the gaps, then search the
-    crossing over them.  A single piece covering A goes through
-    ``_monotone_crossing``.  Raises ``_GiveUp`` for the grid form."""
+    crossing over the cells.  A single piece covering A goes through
+    ``_monotone_crossing``.  Raises ``_GiveUp`` for the grid form.
+
+    A monotone cell's minimum is at its ends, which are guard samples or
+    bisection points.  A gap whose enclosure reaches below NEGATIVE_BELOW is
+    bisected until a point value proves f negative (``NegativeFunction``) or
+    the enclosures of its parts clear the threshold.
+    """
     cert = _Certifier(f)
-    spans = _certify(cert, xs, ys)
-    if len(spans) == 1 and isinstance(spans[0], list):
-        mono = Monotonicity.INCREASING if spans[0][2] else Monotonicity.DECREASING
-        res = _monotone_crossing(dataclasses.replace(f, monotonicity=mono), A, xs, ys, tol)
+    pieces, gaps = _certify(cert, xs, ys)
+    if len(pieces) == 1 and not gaps:
+        direction = Monotonicity.INCREASING if pieces[0][2] else Monotonicity.DECREASING
+        res = _monotone_crossing(f, A, xs, ys, tol, direction, "certified")
         if res is None:
             raise _GiveUp("sample breaks the certified direction")
         return res
-    pieces = [s for s in spans if isinstance(s, list)]
     if len(pieces) > MAX_PIECES:
         raise _GiveUp("too many pieces")
-    split: list = []
-    gaps = _clear_sign(cert, split, [s for s in spans if isinstance(s, tuple)])
-    # the guard cells the pieces cover, then the monotone halves of bisected gaps
-    cells = [np.concatenate([a[s[0] : s[1]] for s in pieces] + [[c[k] for c in split]])
-             for k, a in enumerate((xs[:-1], xs[1:], ys[:-1], ys[1:]))]
-    return _piecewise_crossing(cert, A.length(), cells, gaps, len(pieces) + len(split), tol)
+    while below := [g for g in gaps if g[4] < NEGATIVE_BELOW]:  # the sign guard
+        gaps = [g for g in gaps if g[4] >= NEGATIVE_BELOW] + cert.bisect(below)
+    gaps.sort(key=lambda g: not g[6])  # the monotone halves of bisected gaps first
+    # the guard cells the pieces cover, then the gaps' rows
+    cells = tuple(np.concatenate([a[i:j] for i, j, _, _ in pieces] + [g])
+                  for a, g in zip(_monotone_cells(xs, ys), _cells(gaps)))
+    return _piecewise_crossing(cert, A.length(), cells, len(pieces) + sum(g[6] for g in gaps), tol)
 
 
 def _require_non_negative(low: float, A: RealInterval) -> None:
@@ -847,7 +841,7 @@ def sugeno_integral(
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
     if f.monotonicity is not Monotonicity.UNKNOWN:
-        res = _monotone_crossing(f, A, xs, ys, tol)
+        res = _monotone_crossing(f, A, xs, ys, tol, f.monotonicity, f.hint)
         if res is not None:
             return res
     elif f.extension is not None and A.length() > 0.0:

