@@ -794,7 +794,7 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
         return res
     if len(pieces) > MAX_PIECES:
         raise _GiveUp("too many pieces")
-    while below := [g for g in gaps if g[4] < NEGATIVE_BELOW]:  # the sign guard
+    while below := [g for g in gaps if not g[4] >= NEGATIVE_BELOW]:  # the sign guard; NaN is below
         gaps = [g for g in gaps if g[4] >= NEGATIVE_BELOW] + cert.bisect(below)
     gaps.sort(key=lambda g: not g[6])  # the monotone halves of bisected gaps first
     # the guard cells the pieces cover, then the gaps' rows
