@@ -494,9 +494,8 @@ def _monotone_crossing(
 # f(x_l), f(x_r), lo, hi and monotone (bool); a cell row is one entry of each.
 # On a cell the interval extension proved monotone, f lies between its end
 # values, and lo, hi are those; any other cell (a gap) has the bounds
-# lo <= f <= hi of its enclosure.  The monotone cells come first (the order
-# fixes the floats of every sum over the cells).  Every cell of width w then
-# bounds the level measure F from both sides:
+# lo <= f <= hi of its enclosure.  Every cell of width w then bounds the
+# level measure F from both sides:
 #
 #     sum of w over lo >= beta  <=  F(beta)  <=  sum of w over hi >= beta,
 #
@@ -521,11 +520,10 @@ class _Certifier:
         return self.f.extension(a, b)
 
     def bisect(self, gaps: Iterable[tuple]) -> list:
-        """The halves of the gap rows, as cell rows, the monotone ones
-        first.  Each gap is split at its midpoint, where f is evaluated, and
-        each half is a monotone cell if the extension proves it monotone,
-        else a gap with its enclosure."""
-        mono, rest = [], []
+        """The halves of the gap rows, as cell rows.  Each gap is split at
+        its midpoint, where f is evaluated, and each half is a monotone cell
+        if the extension proves it monotone, else a gap with its enclosure."""
+        halves = []
         for a, b, fa, fb, *_ in gaps:
             m = 0.5 * (a + b)
             if not a < m < b:
@@ -541,10 +539,10 @@ class _Certifier:
                 if e is None:
                     raise _GiveUp("no enclosure")
                 if e.slope_lo >= 0.0 or e.slope_hi <= 0.0:  # as np.minimum(y0, y1) picks zeros
-                    mono.append((x0, x1, y0, y1, min(y1, y0), max(y1, y0), True))
+                    halves.append((x0, x1, y0, y1, min(y1, y0), max(y1, y0), True))
                 else:
-                    rest.append((x0, x1, y0, y1, e.lo, e.hi, False))
-        return mono + rest
+                    halves.append((x0, x1, y0, y1, e.lo, e.hi, False))
+        return halves
 
 
 def _cells(rows: list) -> tuple:
@@ -796,8 +794,7 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
         raise _GiveUp("too many pieces")
     while below := [g for g in gaps if not g[4] >= NEGATIVE_BELOW]:  # the sign guard; NaN is below
         gaps = [g for g in gaps if g[4] >= NEGATIVE_BELOW] + cert.bisect(below)
-    gaps.sort(key=lambda g: not g[6])  # the monotone halves of bisected gaps first
-    # the guard cells the pieces cover, then the gaps' rows
+    # the guard cells the pieces cover, then the gaps and the halves of bisected ones
     cells = tuple(np.concatenate([a[i:j] for i, j, _, _ in pieces] + [g])
                   for a, g in zip(_monotone_cells(xs, ys), _cells(gaps)))
     return _piecewise_crossing(cert, A.length(), cells, len(pieces) + sum(g[6] for g in gaps), tol)
