@@ -1090,3 +1090,108 @@ def test_midpoint_that_cannot_be_evaluated_hands_over_to_the_grid(monkeypatch):
     g = dataclasses.replace(f, evaluate=arrays_only)
     assert sugeno_integral(g, UNIT) == sugeno_supmin_exact(f, UNIT)
     assert reasons == ["not evaluable"]
+
+
+# -- the interpolant of F that each piecewise round solves ----------------------------
+
+def _interpolant_reference(low, high, w, settled, s_lo, s_hi):
+    """``_interpolated_level`` in plain loops, with the exit it takes: at each
+    sorted end e a cell adds w if low >= e, w (high - e) / (high - low) if
+    low < e < high, else nothing."""
+    ends = sorted([s_lo, s_hi, *low, *high])
+    excess = []
+    for e in ends:
+        measure = 0.0
+        for lo, hi, wi in zip(low, high, w):
+            if lo >= e:
+                measure += wi
+            elif lo < e < hi:
+                measure += wi * (hi - e) / (hi - lo)
+        excess.append(measure + settled - e)
+    k = next((i for i, g in enumerate(excess) if g < 0.0), 0)
+    if k == 0:
+        return (s_hi if excess[0] >= 0.0 else s_lo), None, "bracket end"
+    e0, e1 = ends[k - 1], ends[k]
+    ga = excess[k - 1] - sum(wi for lo, hi, wi in zip(low, high, w) if lo == hi == e0)
+    if ga < 0.0:
+        return min(max(e0, s_lo), s_hi), None, "jump"
+    gb = excess[k]
+    b = min(max(e0 + (e1 - e0) * ga / (ga - gb), s_lo), s_hi)
+    return b, (e0, e1, (gb - ga) / (e1 - e0)), "stretch"
+
+
+def _interpolant_cells(rng):
+    """Seeded live cells (low, high, w, settled, s_lo, s_hi): monotone runs up
+    and down whose cells share their ends, flat cells tied at one level,
+    overlapping gaps, settled > 0 and a bracket inside the range of the ends.
+    A tenth of the draws lift every level past the measure and a tenth settle
+    more than every level, so that both ends of the bracket are reached."""
+    low, high, w = [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        ys = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 9))))
+        ys = ys if rng.uniform() < 0.5 else ys[::-1]
+        low += np.minimum(ys[:-1], ys[1:]).tolist()
+        high += np.maximum(ys[:-1], ys[1:]).tolist()
+        w += rng.uniform(0.001, 0.1, ys.size - 1).tolist()
+    level = float(rng.choice(low + high)) if rng.uniform() < 0.5 else float(rng.uniform(0.1, 0.6))
+    for _ in range(int(rng.integers(0, 4))):
+        low.append(level)
+        high.append(level)
+        w.append(float(rng.uniform(0.01, 0.2)))
+    for _ in range(int(rng.integers(0, 4))):
+        lo = float(rng.uniform(0.0, 0.8))
+        low.append(lo)
+        high.append(lo + float(rng.uniform(0.01, 0.5)))
+        w.append(float(rng.uniform(0.001, 0.1)))
+    order = rng.permutation(len(low))
+    low, high, w = (np.array(a)[order] for a in (low, high, w))
+    settled = float(rng.uniform(0.0, 0.3))
+    kind = rng.uniform()
+    if kind < 0.1:
+        low, high = low + 5.0, high + 5.0
+    elif kind < 0.2:
+        settled += 5.0
+    ends = np.sort(np.concatenate((low, high)))
+    s_lo, s_hi = sorted(rng.uniform(ends[0], ends[-1], 2).tolist())
+    return low, high, w, settled, s_lo, s_hi
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
+def test_interpolated_level_matches_the_reference():
+    """The crossing level and its linear stretch on seeded cell sets, through
+    each of the three exits: an end of the bracket, the jump of a flat cell,
+    and a root of the linear stretch."""
+    exits = []
+    for seed in range(400):
+        low, high, w, settled, s_lo, s_hi = _interpolant_cells(np.random.default_rng(seed))
+        b, stretch = sugeno._interpolated_level(low, high, w, settled, s_lo, s_hi)
+        want, want_stretch, exit = _interpolant_reference(
+            low.tolist(), high.tolist(), w.tolist(), settled, s_lo, s_hi)
+        assert _close(b, want), seed
+        assert (stretch is None) == (want_stretch is None), seed
+        if stretch is not None:
+            assert all(map(_close, stretch, want_stretch)), seed
+        exits.append(exit)
+    assert all(exits.count(exit) >= 20 for exit in ("bracket end", "jump", "stretch"))
+
+
+def test_plateau_keeps_its_digits_and_calls(monkeypatch):
+    """A plateau at the crossing level: every round holds thousands of flat
+    live cells, ``_interpolated_level``'s many-cell case."""
+    src = "0.3 + 0.5*(0.1 - x + abs(0.1 - x)) + 0.5*(x - 0.8 + abs(x - 0.8))"
+    f = function_from_expression(src, UNIT)
+    points, boxes, live = [], [], []
+    ev, ext = f.evaluate, f.extension
+    f = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or ev(x),
+                            extension=lambda a, b: boxes.append(1) or ext(a, b))
+    solve = sugeno._interpolated_level
+    monkeypatch.setattr(sugeno, "_interpolated_level",
+                        lambda low, *rest: live.append(low.size) or solve(low, *rest))
+    res = sugeno_integral(f, UNIT)
+    assert (res.value, res.residual, res.method, res.hint, res.pieces) == (
+        0.3, 6.487583803505004e-10, IntegralMethod.FIXED_POINT, "certified", 2)
+    assert points == [sugeno.CROSSING_POINTS] + [46] * 7 and len(boxes) == 3
+    assert max(live) > 2000
