@@ -649,22 +649,14 @@ def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settle
     cell whose range holds it strictly (at most one per monotone piece) adds
     its fraction."""
     ends = np.sort(np.concatenate(([s_lo, s_hi], low, high)))
-    by_low = np.argsort(low, kind="stable")
-    above = np.concatenate((np.cumsum(w[by_low][::-1])[::-1], [0.0]))
-    measure = above[np.searchsorted(low[by_low], ends)]
-    # the (cell, end) pairs with the end strictly inside the cell's range,
-    # cell by cell, then their fractions summed end by end through a sort
-    # (np.bincount would map about 64 kB more of numpy into every process)
-    first = np.searchsorted(ends, low, side="right")
+    first = np.searchsorted(ends, low, side="right")  # a cell counts in full at ends[:first]
+    measure = np.cumsum(np.bincount(first, w, ends.size + 1)[::-1])[::-1][1:]
+    # the (cell, end) pairs with the end strictly inside the cell's range, cell by cell
     inner = np.maximum(np.searchsorted(ends, high) - first, 0)
-    past = np.cumsum(inner)
-    pair = np.arange(inner.sum())
-    cell = np.searchsorted(past, pair, side="right")
-    at = pair + (first - past + inner)[cell]
-    order = np.argsort(at, kind="stable")
-    part = np.cumsum((w[cell] * (high[cell] - ends[at]) / (high[cell] - low[cell]))[order])
-    part = np.concatenate(([0.0], part))[np.searchsorted(at[order], np.arange(ends.size + 1))]
-    measure += part[1:] - part[:-1]
+    cell = np.repeat(np.arange(low.size), inner)
+    at = np.arange(cell.size) + np.repeat(first + inner - np.cumsum(inner), inner)
+    part = w[cell] * (high[cell] - ends[at]) / (high[cell] - low[cell])
+    measure += np.bincount(at, part, ends.size)
     excess = measure + settled - ends  # falls as the level rises
     k = int(np.argmax(excess < 0.0))  # the first end past the crossing
     if k == 0:

@@ -1168,14 +1168,14 @@ def test_interpolated_level_matches_the_reference():
     for seed in range(400):
         low, high, w, settled, s_lo, s_hi = _interpolant_cells(np.random.default_rng(seed))
         b, stretch = sugeno._interpolated_level(low, high, w, settled, s_lo, s_hi)
-        want, want_stretch, exit = _interpolant_reference(
+        want, want_stretch, taken = _interpolant_reference(
             low.tolist(), high.tolist(), w.tolist(), settled, s_lo, s_hi)
         assert _close(b, want), seed
         assert (stretch is None) == (want_stretch is None), seed
         if stretch is not None:
             assert all(map(_close, stretch, want_stretch)), seed
-        exits.append(exit)
-    assert all(exits.count(exit) >= 20 for exit in ("bracket end", "jump", "stretch"))
+        exits.append(taken)
+    assert all(exits.count(taken) >= 20 for taken in ("bracket end", "jump", "stretch"))
 
 
 def test_plateau_keeps_its_digits_and_calls(monkeypatch):
