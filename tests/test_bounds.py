@@ -571,6 +571,54 @@ class TestScaledArgumentRoute:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             BoundInputs(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        # every field's non-finite value, each of nan, inf and -inf
+        *[({**dict(fa=0.2, fend=0.5, eta_len=1.0, alpha=0.5, m=0.5, fscaled=1.0), name: bad},
+           f"{name} must be finite, got {text}")
+          for name in ("fa", "fend", "eta_len", "alpha", "m", "fscaled")
+          for bad, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"))],
+        *[(dict(fa=0.2, fend=0.5, eta_len=1.0, r=bad), f"r must be finite, got {text}")
+          for bad, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"))],
+        # the first non-finite field in field order, before any other rule
+        (dict(fa=math.nan, fend=math.inf, eta_len=1.0, r=0.5), "fa must be finite, got nan"),
+        (dict(fa=-1.0, fend=0.5, eta_len=math.inf, r=0.5), "eta_len must be finite, got inf"),
+        (dict(fa=0.2, fend=0.5, eta_len=0.0, fscaled=math.nan), "fscaled must be finite, got nan"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, r=math.inf, m=math.nan), "r must be finite, got inf"),
+        (dict(fa=0.2, fend=1e308, eta_len=1e-300, r=-1e308, alpha=0.0, m=0.0, fscaled=0.0),
+         "select exactly one route: r, or alpha and m"),
+        # the route rules, in order
+        (dict(fa=-1.0, fend=0.5, eta_len=0.0), "endpoint values must be non-negative"),
+        (dict(fa=0.2, fend=-0.0 - 1e-300, eta_len=1.0, r=0.5), "endpoint values must be non-negative"),
+        (dict(fa=0.2, fend=0.5, eta_len=0.0), "eta_len must be positive"),
+        (dict(fa=0.2, fend=0.5, eta_len=-1.0, r=0.5), "eta_len must be positive"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0), "select exactly one route: r, or alpha and m"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, fscaled=1.0),
+         "select exactly one route: r, or alpha and m"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, r=0.5, alpha=0.5),
+         "select exactly one route: r, or alpha and m"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, r=0.5, m=0.5),
+         "select exactly one route: r, or alpha and m"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, alpha=0.5),
+         "the scaled-argument route needs both alpha and m"),
+        (dict(fa=0.2, fend=0.5, eta_len=1.0, m=0.5, fscaled=1.0),
+         "the scaled-argument route needs both alpha and m"),
+    ])
+    def test_validation_messages_and_their_order(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            BoundInputs(**fields)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fields", [
+        dict(fa=0.0, fend=0.0, eta_len=5e-324, r=0.0),
+        dict(fa=0.2, fend=0.5, eta_len=1.0, r=-3.0),
+        dict(fa=0, fend=1, eta_len=2, r=1),  # ints
+        dict(fa=0.2, fend=0.5, eta_len=1.0, alpha=0.5, m=0.5),  # fscaled is checked by the route
+        dict(fa=0.2, fend=0.5, eta_len=1.0, alpha=-2.0, m=-0.5, fscaled=1.0),
+        dict(fa=np.float64(0.2), fend=np.float64(0.5), eta_len=np.float64(1.0), r=np.float64(0.5)),
+    ])
+    def test_valid_inputs_pass(self, fields):
+        assert BoundInputs(**fields) == BoundInputs(**fields)
+
 
 class TestMajorantProperties:
     """Seeded draws over the whole input space of each route against the

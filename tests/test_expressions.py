@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -285,6 +286,46 @@ def test_result_never_aliases_the_input():
     for src in ("x", "0.3", "x^2", "-x"):
         out = evaluate(parse_expression(src), xs)
         assert not np.shares_memory(out, xs) or not out.flags.writeable
+
+
+_LITERALS = (0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1e-300, 1e300, 709.0, 800.0, 2.5e-8)
+
+
+def _random_tree(rng, depth):
+    """A seeded tree over every node kind and function, with literals that
+    overflow, underflow and leave the domains."""
+    if depth == 0 or rng.random() < 0.2:
+        return Var() if rng.random() < 0.55 else Num(rng.choice(_LITERALS))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Unary("-", _random_tree(rng, depth - 1))
+    if kind == 1:
+        return Call(rng.choice(["sin", "cos", "exp", "log", "sqrt", "abs"]),
+                    (_random_tree(rng, depth - 1),))
+    if kind == 2:
+        return Call("pow", (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
+    return BinOp(rng.choice("+-*/^"), _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def test_scalar_and_one_element_evaluation_agree():
+    rng = random.Random(41)
+    seen = {"value": 0, "non-finite": 0, "domain": 0}
+    for _ in range(1500):
+        tree = _random_tree(rng, rng.randint(1, 5))
+        compiled = compile_expression(tree)
+        for x in (rng.uniform(-3.0, 3.0), rng.uniform(0.0, 1e-3), 0.0, 1.0, -2.0, 1e3):
+            want = _outcome(compiled, np.array([x]))
+            for point in (x, np.float64(x), np.array(x)):
+                got = _outcome(compiled, point)
+                if want[0] == "EvalError":
+                    assert got == want, (to_source(tree), x)
+                else:
+                    assert got == ("float", (), want[2]), (to_source(tree), x)
+            if want[0] != "EvalError":
+                seen["value"] += 1
+            else:
+                seen["non-finite" if "non-finite" in want[1] else "domain"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 class TestMonotonicityDetection:

@@ -11,6 +11,7 @@ from fuzzyhh.measure import (
     Monotonicity,
     RealInterval,
     StrategyMismatch,
+    follows,
     from_callable,
 )
 from fuzzyhh.expressions import function_from_expression
@@ -51,6 +52,74 @@ class TestRealInterval:
         A = RealInterval(lo, lo + width)
         expected = A.lo + (np.arange(n) + 0.5) * (A.length() / n)
         assert A.midpoints(n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (0.3, 0.3), (-0.0, 0.0), (0.0, -0.0), (-7.5, -2.25), (-3.0, 11.0),
+        (-8e307, 8e307), (1e300, 1.7e308), (1e-300, 3e-300), (1.0, 1.0 + 2.0**-52),
+        (0.0, 5e-324), (0.0, 1e-320), (-1e-310, 1e-310), (2.5, 2.5 + 1e-320 * 2.0**-20),
+        (0, 1), (-2, 3),
+    ])
+    def test_grid_is_linspace_bit_for_bit(self, lo, hi):
+        # subnormal widths take numpy's branch for a step that underflows to 0
+        A = RealInterval(lo, hi)
+        rng = np.random.default_rng(17)
+        for n in [0, 1, 2, 3, 4, 2049, 4097] + rng.integers(5, 6000, 8).tolist():
+            got, want = A.grid(n), np.linspace(lo, hi, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e6), n=st.integers(1, 5000))
+    def test_random_grids_are_linspace_bit_for_bit(self, lo, width, n):
+        A = RealInterval(lo, lo + width)
+        assert A.grid(n).tobytes() == np.linspace(A.lo, A.hi, n).tobytes()
+
+    def test_grid_rejects_a_negative_count(self):
+        with pytest.raises(ValueError):
+            UNIT.grid(-1)
+
+
+def _follows_before(ys, monotonicity):
+    """``follows`` as first written: ``np.diff`` and ``np.all``."""
+    if monotonicity is Monotonicity.UNKNOWN:
+        return False
+    dy = np.diff(ys)
+    slack = 1e-11 * max(1.0, float(np.max(np.abs(ys))))
+    if monotonicity is Monotonicity.INCREASING:
+        return bool(np.all(dy >= -slack))
+    return bool(np.all(dy <= slack))
+
+
+def _follow_samples():
+    rng = np.random.default_rng(29)
+    up = np.cumsum(rng.uniform(0.0, 1.0, 50))
+    flat = np.full(40, 3.0)
+    samples = [np.array([0.4]), np.array([np.nan]), np.array([np.inf]), np.array([-1.0, -1.0]),
+               up, up[::-1], flat, -flat, np.zeros(7)]
+    for scale in (1.0, 1e-9, 1e12):  # steps against the direction within and past the slack
+        for step in (0.5e-11, 0.99e-11, 1.01e-11, 3e-11):
+            for sign in (1.0, -1.0):
+                ys = flat * scale
+                ys[17] -= sign * step * 3.0 * scale
+                samples += [ys, ys[::-1]]
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in (0, 25, 49):
+            ys = up.copy()
+            ys[where] = bad
+            samples += [ys, ys[::-1]]
+    samples += [np.array([np.inf, np.inf]), np.array([-np.inf, 1.0, np.inf]),
+                np.array([1.0, np.inf, 1.0]), np.array([np.nan, np.nan])]
+    samples += [rng.normal(0.0, 1.0, n) for n in (2, 3, 100)]
+    return samples
+
+
+def test_follows_matches_the_first_form():
+    for ys in _follow_samples():
+        for mono in Monotonicity:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert follows(ys, mono) == _follows_before(ys, mono), (ys, mono)
+    with np.errstate(invalid="ignore"):
+        outcomes = {follows(ys, m) for ys in _follow_samples() for m in Monotonicity}
+    assert outcomes == {True, False}
 
 
 class TestClosedFormDistribution:
