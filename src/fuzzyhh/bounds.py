@@ -69,6 +69,9 @@ __all__ = [
     "classical_hh_r_rhs",
     "classical_hh_preinvex",
     "endpoint_bound",
+    "endpoint_inputs",
+    "scaled_value",
+    "route_bound",
     "FuzzyHHReport",
     "verify_fuzzy_hh",
 ]
@@ -138,18 +141,22 @@ class BoundInputs:
     fscaled: float | None = None
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value:g}")
+        finite = math.isfinite
+        r, alpha, m, fscaled = self.r, self.alpha, self.m, self.fscaled
+        if not (finite(self.fa) and finite(self.fend) and finite(self.eta_len)
+                and (r is None or finite(r)) and (alpha is None or finite(alpha))
+                and (m is None or finite(m)) and (fscaled is None or finite(fscaled))):
+            name, value = next((name, value) for name, value in vars(self).items()
+                               if value is not None and not finite(value))
+            raise ValueError(f"{name} must be finite, got {value:g}")
         if self.fa < 0 or self.fend < 0:
             raise ValueError("endpoint values must be non-negative")
         if not self.eta_len > 0:
             raise ValueError("eta_len must be positive")
-        r_route = self.r is not None
-        am_route = self.alpha is not None or self.m is not None
-        if r_route == am_route:
+        am_route = alpha is not None or m is not None
+        if (r is not None) == am_route:
             raise ValueError("select exactly one route: r, or alpha and m")
-        if am_route and (self.alpha is None or self.m is None):
+        if am_route and (alpha is None or m is None):
             raise ValueError("the scaled-argument route needs both alpha and m")
 
 
@@ -308,32 +315,39 @@ def classical_hh_preinvex(f: ScalarFunction, iv: InvexInterval) -> tuple[float, 
     return lhs, rhs
 
 
-def endpoint_bound(
-    f: ScalarFunction,
-    iv: InvexInterval,
-    r: float | None = None,
-    alpha: float | None = None,
-    m: float | None = None,
-) -> BoundResult:
+def endpoint_bound(f: ScalarFunction, iv: InvexInterval, r: float | None = None,
+                   alpha: float | None = None, m: float | None = None) -> BoundResult:
     """Evaluate f's endpoint scalars on [a, a + L] and solve the route the
-    flags select; ``BoundInputs`` rejects any other mix of them.
+    flags select: ``route_bound(endpoint_inputs(...))``."""
+    return route_bound(endpoint_inputs(f, iv, r, alpha, m))
 
-    Given alpha and m > 0, fscaled = f((a + L)/m) is evaluated too, raising
-    ``DomainEscape`` when that point lies outside f's declared domain.
-    """
-    fa = float(f.evaluate(iv.a))
-    fend = float(f.evaluate(iv.end))
-    fscaled = None
-    if alpha is not None and m is not None and m > 0:  # alpha_m_bound rejects m <= 0
-        point = iv.end / m
-        if not f.domain.contains(point):
-            raise DomainEscape(
-                f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
-                f"[{f.domain.lo:g}, {f.domain.hi:g}]"
-            )
-        fscaled = float(f.evaluate(f.domain.clip(point)))
-    inputs = BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r, alpha=alpha, m=m,
-                         fscaled=fscaled)
+
+def endpoint_inputs(f: ScalarFunction, iv: InvexInterval, r: float | None = None,
+                    alpha: float | None = None, m: float | None = None) -> BoundInputs:
+    """f(a), f(a + L) and ``scaled_value`` with the flags; ``BoundInputs``
+    rejects any other mix of them than one route."""
+    fa, fend = float(f.evaluate(iv.a)), float(f.evaluate(iv.end))
+    return BoundInputs(fa=fa, fend=fend, eta_len=iv.eta_len, r=r, alpha=alpha, m=m,
+                       fscaled=scaled_value(f, iv, alpha, m))
+
+
+def scaled_value(f: ScalarFunction, iv: InvexInterval, alpha: float | None,
+                 m: float | None) -> float | None:
+    """fscaled = f((a + L)/m) given alpha and m > 0, else None; raises
+    ``DomainEscape`` when that point lies outside f's declared domain."""
+    if alpha is None or m is None or not m > 0:  # alpha_m_bound rejects m <= 0
+        return None
+    point = iv.end / m
+    if not f.domain.contains(point):
+        raise DomainEscape(
+            f"(a + eta_len)/m = {point:g} lies outside f's declared domain "
+            f"[{f.domain.lo:g}, {f.domain.hi:g}]"
+        )
+    return float(f.evaluate(f.domain.clip(point)))
+
+
+def route_bound(inputs: BoundInputs) -> BoundResult:
+    """The bound of the route ``inputs`` select."""
     return r_preinvex_bound(inputs) if inputs.r is not None else alpha_m_bound(inputs)
 
 

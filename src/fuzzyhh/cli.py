@@ -25,9 +25,12 @@ from typing import Any
 
 from . import golden
 from .bounds import (
+    BoundInputs,
     NoRoot,
     MissingScaledValue,
-    endpoint_bound,
+    endpoint_inputs,
+    route_bound,
+    scaled_value,
     verify_fuzzy_hh,
 )
 from .convexity import (
@@ -389,18 +392,25 @@ def _sweep_integral(ns: argparse.Namespace, iv: InvexInterval) -> tuple[Any, flo
     return f, sugeno_integral(f, iv.domain, grid=ns.grid).value
 
 
-def _sweep_row(ns: argparse.Namespace, param: str, value: float,
-               fixed: tuple[Any, float] | None) -> dict[str, Any]:
-    """One CSV row; ``fixed`` is (f, integral) when the sweep leaves eta_len alone."""
+def _sweep_row(ns: argparse.Namespace, param: str, value: float, fixed: tuple[Any, float] | None,
+               last: BoundInputs | None) -> tuple[dict[str, Any], BoundInputs]:
+    """One CSV row and its bound inputs.  ``fixed`` is (f, integral) when the
+    sweep leaves eta_len alone; then ``last``, the previous row's inputs if
+    any, lends f(a) and f(a + L), and fscaled too unless m moves."""
     eta_len = value if param == "eta-len" else _eta_len(ns)
     iv = InvexInterval(ns.a, eta_len)
     r = value if param == "r" else ns.r
     alpha = value if param == "alpha" else ns.alpha
     m = value if param == "m" else ns.m
     f, integral = fixed or _sweep_integral(ns, iv)
-    bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
+    if fixed and last is not None:
+        fscaled = scaled_value(f, iv, alpha, m) if param == "m" else last.fscaled
+        inputs = dataclasses.replace(last, r=r, alpha=alpha, m=m, fscaled=fscaled)
+    else:
+        inputs = endpoint_inputs(f, iv, r=r, alpha=alpha, m=m)
+    bound = route_bound(inputs)
     return {"param": value, "integral": integral, "beta": bound.beta,
-            "bound": bound.bound, "case": bound.case.value}
+            "bound": bound.bound, "case": bound.case.value}, inputs
 
 
 def _sweep_value(param: str, text: str) -> float:
@@ -424,8 +434,10 @@ def _run_sweep(ns: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["param", "integral", "beta", "bound", "case"])
     writer.writeheader()
+    inputs = None
     for value in values:
-        writer.writerow(_sweep_row(ns, ns.param, value, fixed))
+        row, inputs = _sweep_row(ns, ns.param, value, fixed, inputs)
+        writer.writerow(row)
     payload = buf.getvalue()
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:

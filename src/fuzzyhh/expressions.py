@@ -111,135 +111,88 @@ class Call:
 Node = Num | Var | Unary | BinOp | Call
 
 
-# -- tokenizer ---------------------------------------------------------------
-
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = set("+-*/^(),")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | one of +-*/^(), | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(src, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(i, ("a number", "a name", "an operator"), found=repr(ch))
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
 # -- parser ------------------------------------------------------------------
+#
+# One pattern tokenizes: each match is a number, a name, an operator, or any
+# other character that is not whitespace, which is an error.  The search skips
+# the whitespace between tokens.
+
+_TOKEN = re.compile(r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 
 class _Parser:
+    """Recursive descent by index over the (kind, text, offset) tokens: kind
+    "num", "ident" or the operator itself, closed by ("end", "", len(src))."""
+
     def __init__(self, src: str) -> None:
-        self.tokens = _tokenize(src)
-        self.pos = 0
+        self.tokens, self.i = [], 0
+        for m in _TOKEN.finditer(src):
+            kind, text = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ExprSyntaxError(m.start(), ("a number", "a name", "an operator"),
+                                      found=repr(text))
+            self.tokens.append((text if kind == "op" else kind, text, m.start()))
+        self.tokens.append(("end", "", len(src)))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(tok.offset, (f"'{kind}'",), found=repr(tok.text))
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(tok.offset, ("an operator", "end of input"), found=repr(tok.text))
-        return node
+    def expect(self, kind: str) -> None:
+        got, text, offset = self.tokens[self.i]
+        if got != kind:
+            raise ExprSyntaxError(offset, (f"'{kind}'",), found=repr(text))
+        self.i += 1
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+        while (op := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
+        while (op := self.tokens[self.i][0]) in ("*", "/"):
+            self.i += 1
             node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "-":
-            self.advance()
+        """unary and power: '-' unary | atom ('^' unary)?"""
+        if self.tokens[self.i][0] == "-":
+            self.i += 1
             return Unary("-", self.unary())
-        return self.power()
-
-    def power(self) -> Node:
         node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
             return BinOp("^", node, self.unary())
         return node
 
     def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "x":
+        kind, text, offset = self.tokens[self.i]
+        self.i += 1
+        if kind == "num":
+            return Num(float(text))
+        if kind == "ident":
+            if text == "x":
                 return Var()
-            if tok.text in FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                arity = FUNCTIONS[tok.text]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        tok.offset, (f"{arity} argument(s) to {tok.text}",), found=f"{len(args)}"
-                    )
-                return Call(tok.text, tuple(args))
-            raise ExprSyntaxError(
-                tok.offset, ("'x'",) + tuple(sorted(FUNCTIONS)), found=repr(tok.text)
-            )
-        if tok.kind == "(":
-            self.advance()
+            arity = FUNCTIONS.get(text)
+            if arity is None:
+                raise ExprSyntaxError(offset, ("'x'",) + tuple(sorted(FUNCTIONS)), found=repr(text))
+            self.expect("(")
+            args = [self.expr()]
+            while self.tokens[self.i][0] == ",":
+                self.i += 1
+                args.append(self.expr())
+            self.expect(")")
+            if len(args) != arity:
+                raise ExprSyntaxError(offset, (f"{arity} argument(s) to {text}",),
+                                      found=f"{len(args)}")
+            return Call(text, tuple(args))
+        if kind == "(":
             node = self.expr()
             self.expect(")")
             return node
         raise ExprSyntaxError(
-            tok.offset, ("a number", "'x'", "a function", "'('"), found=repr(tok.text) if tok.text else ""
+            offset, ("a number", "'x'", "a function", "'('"), found=repr(text) if text else ""
         )
 
 
@@ -247,7 +200,12 @@ def parse_expression(src: str) -> Node:
     """Parse source text into an AST; raises ``ExprSyntaxError`` with offset."""
     if not src or not src.strip():
         raise ExprSyntaxError(0, ("a non-empty expression",))
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    node = parser.expr()
+    kind, text, offset = parser.tokens[parser.i]
+    if kind != "end":
+        raise ExprSyntaxError(offset, ("an operator", "end of input"), found=repr(text))
+    return node
 
 
 # -- printer -----------------------------------------------------------------
@@ -307,23 +265,23 @@ def to_source(node: Node) -> str:
 
 class _Code(NamedTuple):
     run: Callable  # x -> np.float64 or array
+    ext: Callable  # the interval extension (see below)
     value: np.float64 | None = None  # the folded value of a subtree without x
     xfree: bool = False  # no x below: the subtree is folded
     owned: bool = False  # run returns a new array for array x
-    ext: Callable | None = None  # the interval extension (see below)
 
 
 def _const(value) -> _Code:
     c = float(value)
     ext = (lambda a, b: (c, c, 0.0, 0.0)) if math.isfinite(c) else _unbounded
-    return _Code(lambda x: value, value=value, xfree=True, ext=ext)
+    return _Code(lambda x: value, ext, value, True)
 
 
 def _raiser(message: str) -> _Code:
     def run(x):
         raise EvalError(message)
 
-    return _Code(run, xfree=True, ext=_unbounded)
+    return _Code(run, _unbounded, None, True)
 
 
 def _check(test, message: str):
@@ -338,7 +296,7 @@ def _check(test, message: str):
 
 def _fractional_power_of_negative(base, exponent):
     neg = base < 0
-    if np.any(neg) and np.any(neg & (exponent != np.floor(exponent))):
+    if neg.any() and (neg & (exponent != np.floor(exponent))).any():
         raise EvalError("negative base raised to a fractional power")
 
 
@@ -357,12 +315,11 @@ def _may(code: _Code, test) -> bool:
     return code.value is None or bool(test(code.value))
 
 
-def _apply(ufunc, args: tuple[_Code, ...], checks=()) -> _Code:
+def _apply(ufunc, args: tuple[_Code, ...], checks: tuple, ext: Callable) -> _Code:
     """``ufunc`` over the operands, after the domain checks, into the first
     owned array operand if there is one."""
     runs = [a.run for a in args]
-    owned = [i for i, a in enumerate(args) if a.owned]
-    into = owned[0] if owned else None
+    into = 0 if args[0].owned else 1 if args[-1].owned else None
 
     def run(x):
         vals = [r(x) for r in runs]
@@ -372,7 +329,7 @@ def _apply(ufunc, args: tuple[_Code, ...], checks=()) -> _Code:
             return ufunc(*vals, out=vals[into])
         return ufunc(*vals)
 
-    return _Code(run, None, all([a.xfree for a in args]), True)
+    return _Code(run, ext, None, all([a.xfree for a in args]), True)
 
 
 def _power(base: _Code, exponent: _Code) -> _Code:
@@ -382,26 +339,25 @@ def _power(base: _Code, exponent: _Code) -> _Code:
     if _may(base, lambda b: b < 0) and _may(exponent, lambda e: e != np.floor(e)):
         checks.append(_fractional_power_of_negative)
     e = None if exponent.value is None else float(exponent.value)
-    return _apply(np.power, (base, exponent), tuple(checks))._replace(
-        ext=_ext_power(base.ext, exponent.ext, e))
+    return _apply(np.power, (base, exponent), tuple(checks), _ext_power(base.ext, exponent.ext, e))
 
 
 def _compile(node: Node) -> _Code:
     if isinstance(node, Num):
         return _const(np.float64(node.value))
     if isinstance(node, Var):
-        return _Code(lambda x: x, ext=_ext_var)
-    if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        code = _apply(np.negative, (operand,))._replace(ext=_ext_negative(operand.ext))
-    elif isinstance(node, BinOp):
+        return _Code(lambda x: x, _ext_var)
+    if isinstance(node, BinOp):
         left, right = _compile(node.left), _compile(node.right)
         if node.op == "^":
             code = _power(left, right)
         else:
             divides = node.op == "/" and _may(right, lambda v: v == 0)
-            code = _apply(_BINARY[node.op], (left, right), (_ZERO_DIVISOR,) if divides else ())
-            code = code._replace(ext=_ext_binary(node.op, left, right))
+            code = _apply(_BINARY[node.op], (left, right), (_ZERO_DIVISOR,) if divides else (),
+                          _ext_binary(node.op, left, right))
+    elif isinstance(node, Unary):
+        operand = _compile(node.operand)
+        code = _apply(np.negative, (operand,), (), _ext_negative(operand.ext))
     else:
         assert isinstance(node, Call)
         args = tuple(_compile(a) for a in node.args)
@@ -409,8 +365,8 @@ def _compile(node: Node) -> _Code:
             code = _power(*args)
         else:
             check = _DOMAIN.get(node.func)
-            code = _apply(_CALLS[node.func], args, (check,) if check else ())
-            code = code._replace(ext=_ext_call(node.func, args[0].ext))
+            code = _apply(_CALLS[node.func], args, (check,) if check else (),
+                          _ext_call(node.func, args[0].ext))
     if not code.xfree:
         return code
     try:
@@ -438,15 +394,20 @@ def _evaluator(code: _Code) -> Callable:
     run, fresh = code.run, code.owned
 
     def ev(x):
-        scalar = np.ndim(x) == 0
-        arr = np.float64(x) if scalar else np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = run(arr)
-        if not (fresh and type(out) is np.ndarray):  # x itself or a constant: a read-only view
-            out = np.broadcast_to(np.asarray(out, dtype=float), np.shape(arr))
-        if not np.isfinite(out).all():
-            raise EvalError("expression produced a non-finite value (overflow?)")
-        return float(out) if scalar else out
+        if type(x) is float or np.ndim(x) == 0:
+            with np.errstate(all="ignore"):
+                out = float(run(np.float64(x)))
+            if math.isfinite(out):
+                return out
+        else:
+            arr = np.asarray(x, dtype=float)
+            with np.errstate(all="ignore"):
+                out = run(arr)
+            if not (fresh and type(out) is np.ndarray):  # x itself or a constant: a read-only view
+                out = np.broadcast_to(np.asarray(out, dtype=float), arr.shape)
+            if np.isfinite(out).all():
+                return out
+        raise EvalError("expression produced a non-finite value (overflow?)")
 
     return ev
 

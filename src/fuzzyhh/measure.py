@@ -91,8 +91,21 @@ class RealInterval:
         return xs
 
     def grid(self, n: int) -> np.ndarray:
-        """``n`` evenly spaced points including both endpoints."""
-        return np.linspace(self.lo, self.hi, n)
+        """``n`` evenly spaced points including both endpoints: the floats of
+        ``np.linspace(lo, hi, n)``, operation for operation."""
+        if n < 0:
+            raise ValueError(f"Number of samples, {n}, must be non-negative.")  # as numpy says
+        lo, hi, div = float(self.lo), float(self.hi), max(n - 1, 1)
+        xs = np.arange(n, dtype=float)
+        step = (hi - lo) / div
+        if step == 0.0:  # a zero or subnormal width: numpy divides, then scales
+            xs /= div
+            step = hi - lo
+        xs *= step
+        xs += lo
+        if n > 1:
+            xs[-1] = hi
+        return xs
 
 
 class Monotonicity(enum.Enum):
@@ -112,11 +125,11 @@ def follows(ys: np.ndarray, monotonicity: Monotonicity) -> bool:
     """
     if monotonicity is Monotonicity.UNKNOWN:
         return False
-    dy = np.diff(ys)
-    slack = 1e-11 * max(1.0, float(np.max(np.abs(ys))))
+    dy = ys[1:] - ys[:-1]
+    slack = 1e-11 * max(1.0, float(np.abs(ys).max()))
     if monotonicity is Monotonicity.INCREASING:
-        return bool(np.all(dy >= -slack))
-    return bool(np.all(dy <= slack))
+        return bool(dy.min(initial=np.inf) >= -slack)  # NaN compares False
+    return bool(dy.max(initial=-np.inf) <= slack)
 
 
 @dataclass(frozen=True)

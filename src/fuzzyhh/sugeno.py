@@ -458,7 +458,7 @@ def _monotone_crossing(
         # sign at the crossing; k is the first sample past it
         gap = ys - (hi - xs if increasing else xs - lo)
         near = gap < 0.0 if increasing else gap >= 0.0
-        k = int(np.argmin(near)) if not near.all() else xs.size
+        k = int(near.argmin()) if not near.all() else xs.size
         i, j = max(k - 1, 0), min(k, xs.size - 1)
         x_l, x_r, f_l, f_r = float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j])
         if x_r - x_l <= tol or x_r - x_l >= width:
@@ -826,7 +826,7 @@ def sugeno_integral(
     # one guard sample: the sign checks of every route and the monotone form's first round
     xs = A.grid(CROSSING_POINTS)
     ys = np.asarray(f.evaluate(xs), dtype=float)
-    _require_non_negative(float(np.min(ys)), A)
+    _require_non_negative(float(ys.min()), A)
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
     if f.monotonicity is not Monotonicity.UNKNOWN:

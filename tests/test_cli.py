@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,11 +11,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import validate
 
 from fuzzyhh import RealInterval, bounds, cli, function_from_expression, sugeno_integral
 from fuzzyhh.cli import main
+from fuzzyhh.convexity import InvexInterval
 
 # The stable report contract: field names and types; extra fields are allowed.
 REPORT_SCHEMA = {
@@ -564,6 +567,41 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("param, values, flags, points", [
+        # f(a) and f(a + L) serve every row; fscaled = f((a + L)/m) is evaluated where m moves
+        ("r", [0.25 + 0.35 * i for i in range(8)], (), [0.0, 1.1]),
+        ("alpha", [0.2, 0.5, 0.9], ("--m", "0.5"), [0.0, 1.1, 2.2]),
+        ("m", [0.5, 0.8, 1.0], ("--alpha", "0.5"), [0.0, 1.1, 2.2, 1.1 / 0.8, 1.1]),
+    ])
+    def test_endpoints_are_evaluated_once(self, capsys, monkeypatch, param, values, flags, points):
+        scalars = []
+        build = cli._build_function
+
+        def counting(ns, domain):
+            f = build(ns, domain)
+
+            def evaluate(x):
+                if np.ndim(x) == 0:
+                    scalars.append(float(x))
+                return f.evaluate(x)
+
+            return dataclasses.replace(f, evaluate=evaluate)
+
+        monkeypatch.setattr(cli, "_build_function", counting)
+        argv = ("sweep", "-f", "0.7*x^2.2 + 0.1", "-a", "0", "-b", "1.1", "--fdomain", "0:3",
+                "--param", param, "--values", ",".join(repr(v) for v in values), *flags)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert scalars == pytest.approx(points, rel=1e-15)
+        # the rows of one bound per value
+        f = function_from_expression("0.7*x^2.2 + 0.1", RealInterval(0.0, 3.0))
+        iv = InvexInterval(0.0, 1.1)
+        route = dict(zip([flag[2:] for flag in flags[::2]], map(float, flags[1::2])))
+        for row, value in zip(csv.DictReader(io.StringIO(out)), values, strict=True):
+            bound = bounds.endpoint_bound(f, iv, **{**route, param: value})
+            assert (row["beta"], row["bound"], row["case"]) == (
+                str(bound.beta), str(bound.bound), bound.case.value)
 
 
 class TestUsage:
