@@ -39,13 +39,14 @@ from .convexity import (
     EtaMap,
     InvexInterval,
     NonPositiveFunction,
+    certify_convex,
     check_alpha_m_preinvex,
     check_m_preinvex,
     check_preinvex,
     check_r_preinvex,
     scaled_eta,
 )
-from .expressions import EvalError, ExprSyntaxError, function_from_expression
+from .expressions import EvalError, ExprSyntaxError, function_from_expression, parse_expression
 from .measure import RealInterval
 from .sugeno import IntegralMethod, NegativeFunction, sugeno_integral
 
@@ -124,7 +125,7 @@ def _add_flags(parser: argparse.ArgumentParser, reads: tuple[str, ...]) -> None:
              "thresholds (the assumption-free oracle)")
     add("--grid", type=int, default=1_000_000,
         help="grid size for sampled distributions (default 1e6)")
-    add("--samples", type=int, default=100_000, help="draws per hypothesis check (default 1e5)")
+    add("--samples", type=int, default=100_000, help="draws when no proof is found (default 1e5)")
     add("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", type=str, default=None, metavar="PATH",
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_flags(sub.add_parser("integrate", help="Sugeno integral of an expression over [a, b]."),
                ("-f", "-a", "-b", "--fdomain", "--method", "--grid"))
-    _add_flags(sub.add_parser("check", help="sample a generalized-convexity hypothesis of f."),
+    _add_flags(sub.add_parser("check", help="prove or sample a preinvexity hypothesis of f."),
                ("-f", "-a", "-b", "--eta", "--r", "--alpha", "--m", "--fdomain", "--samples",
                 "--seed"))
     _add_flags(sub.add_parser("bound", help="compute the bound for the selected route and "
@@ -213,10 +214,9 @@ def _render_text(report: dict[str, Any]) -> str:
         prov_bits[-1] += " (sample resolution)"
     if "hint" in prov:
         prov_bits += [f"hint={prov['hint']}", f"pieces={prov['pieces']}"]
-    if prov.get("grid") is not None:
-        prov_bits.append(f"grid={prov['grid']}")
-    if prov.get("seed") is not None:
-        prov_bits.append(f"seed={prov['seed']}")
+    for key in ("grid", "seed", "hypothesis"):
+        if prov.get(key) is not None:
+            prov_bits.append(f"{key}={prov[key]}")
     lines.append("provenance: " + ", ".join(prov_bits))
     lines.append(f"verdict: {report['verdict']}")
     lines.append(f"elapsed: {report['elapsed_s']:.3f}s")
@@ -291,24 +291,29 @@ def _run_check(ns: argparse.Namespace) -> int:
     if ns.r is not None and (ns.alpha is not None or ns.m is not None):
         raise ValueError("select one route: --r or --alpha/--m")
     if ns.r is not None:
-        rep = check_r_preinvex(f, K, eta, ns.r, samples=ns.samples, seed=ns.seed)
+        sample = functools.partial(check_r_preinvex, f, K, eta, ns.r)
         hypothesis = f"r-preinvex (r = {ns.r:g})"
     elif ns.alpha is not None and ns.m is not None:
-        rep = check_alpha_m_preinvex(f, K, eta, ns.alpha, ns.m, samples=ns.samples, seed=ns.seed)
+        sample = functools.partial(check_alpha_m_preinvex, f, K, eta, ns.alpha, ns.m)
         hypothesis = f"(alpha, m)-preinvex (alpha = {ns.alpha:g}, m = {ns.m:g})"
     elif ns.m is not None:
-        rep = check_m_preinvex(f, K, eta, ns.m, samples=ns.samples, seed=ns.seed)
+        sample = functools.partial(check_m_preinvex, f, K, eta, ns.m)
         hypothesis = f"m-preinvex (m = {ns.m:g})"
     elif ns.alpha is not None:
         raise ValueError("--alpha needs --m")
     else:
-        rep = check_preinvex(f, K, eta, samples=ns.samples, seed=ns.seed)
+        sample = functools.partial(check_preinvex, f, K, eta)
         hypothesis = "preinvex"
+    covered = eta is AFFINE_ETA and ns.samples >= 1 and (0.0 < ns.r < math.inf if ns.r is not None
+               else ns.alpha in (None, 1.0) and (ns.m is None or 0.0 < ns.m <= 1.0))
+    proof = covered and certify_convex(f, parse_expression(ns.function), K, ns.r, ns.m or 1.0)
+    rep = proof or sample(samples=ns.samples, seed=ns.seed)
     witness = dataclasses.asdict(rep.witness) if rep.witness is not None else None
     report = _report(
         "check", ns,
         result={"holds": rep.holds, "witness": witness},
         provenance={"method": hypothesis, "residual": rep.max_violation,
+                    "hypothesis": "certified" if proof else "sampled",
                     "grid": None, "seed": ns.seed},
         verdict="holds" if rep.holds else "violated",
         t0=t0,

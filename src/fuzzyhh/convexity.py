@@ -1,11 +1,11 @@
-"""Sampling-based certification of generalized-convexity hypotheses.
+"""Certification of generalized-convexity hypotheses, by sample or by proof.
 
 Each checker draws (u, v, t) triples from K x K x [0, 1] with a seeded
 generator and either certifies the defining inequality on every draw or
-returns the most violated draw as a concrete witness.  Certification is
-statistical, not symbolic: the function is a black box, and these checks gate
-the hypotheses the bound routines rest on while producing reproducible
-counterexamples.
+returns the most violated draw as a reproducible witness: a statistical
+verdict on a black-box function.  ``certify_convex`` instead proves, from an
+expression's interval extension, the hypotheses that the affine eta turns
+into convexity of f or f**r; the CLI samples only where it finds no proof.
 
 All checkers consume the same sample stream for a given (K, samples, seed),
 so hypotheses that degenerate into one another (r = 1, m = 1, alpha = 1)
@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .expressions import BinOp, Node, Num, derivative, extend_expression
 from .measure import RealInterval, ScalarFunction, SET_SLACK
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "check_r_preinvex",
     "check_m_preinvex",
     "check_alpha_m_preinvex",
+    "certify_convex",
 ]
 
 INEQ_SLACK = 1e-9
@@ -428,3 +430,43 @@ def check_m_preinvex(
 ) -> HypothesisReport:
     """The alpha = 1 special case of the scaled-argument hypothesis."""
     return check_alpha_m_preinvex(f, K, eta, alpha=1.0, m=m, samples=samples, seed=seed)
+
+
+#: Cells of the bisection that ``certify_convex`` may make for its proof.
+PROOF_CELLS = 32
+
+#: Bits allowed to what the sampler rounds on the hull: f (over r for r < 1,
+#: as f**r for r > 1) and |x*f'|, the change of f at a path point an ulp off
+#: (f' from g', for r > 1 where f is not near 0); some ulps of 2**16 << 1e-9.
+PROOF_BITS = 16.0
+
+
+def certify_convex(f: ScalarFunction, node: Node, K: RealInterval, r: float | None = None,
+                   m: float = 1.0) -> HypothesisReport | None:
+    """A report with no draw, holding, if the extension of f's tree ``node``
+    proves the hypothesis the sampler checks for the affine eta, else None:
+    g = f (r None) or f**r (r > 0) convex on K, or for m < 1 f convex on the
+    hull H of 0, K and K/m with f(0) <= 0, so that f(v) <= m*f(v/m).  g''s
+    slope bounds enclose g'' on the cells of a widest-first bisection of H.
+    None also wherever the sampler could raise or round past ``INEQ_SLACK``.
+    r and m < 1 do not combine: no checker samples that hypothesis."""
+    ends = [K.lo, K.hi] + ([0.0, K.lo / m, K.hi / m] if m < 1.0 else [])
+    lo, hi, power = min(ends), max(ends), 1.0 if r is None else r
+    enc = f.extension and all(f.domain.contains(x) for x in ends) and f.extension(lo, hi)
+    slope = derivative(BinOp("^", node, Num(power)))
+    if not enc or slope is None or r is not None and enc.lo < 0.0 \
+            or m < 1.0 and (f.extension(0.0, 0.0) or enc).hi > 0.0:  # f(0) <= 0
+        return None
+    ext, cells, steep = extend_expression(slope), [(lo, hi)], 0.0
+    for a, b in cells:  # a queue of halves: the widest cell first
+        e, mid = ext(a, b), 0.5 * (a + b)
+        if e is not None and e.slope_lo >= 0.0:
+            steep = max(steep, -e.lo, e.hi)
+        elif len(cells) >= PROOF_CELLS or e is not None and e.slope_hi < 0.0 or not a < mid < b:
+            return None
+        else:
+            cells += [(a, mid), (mid, b)]
+    bits = math.log2(max(-enc.lo, enc.hi, 1.0))
+    path = math.log2(max(steep * max(-lo, hi), 1.0)) + max(1.0 - power, 0.0) * bits
+    rounding = max(max(power, 1.0) * bits, path) - math.log2(min(power, 1.0))
+    return HypothesisReport(True, 0, None, 0.0) if rounding <= PROOF_BITS else None

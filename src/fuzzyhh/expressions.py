@@ -54,6 +54,7 @@ __all__ = [
     "function_from_expression",
     "Enclosure",
     "extend_expression",
+    "derivative",
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1, "pow": 2}
@@ -758,6 +759,76 @@ def _extension(run: Callable) -> Callable:
         return Enclosure(lo, hi, slope_lo, slope_hi)
 
     return ext
+
+
+# -- derivative ------------------------------------------------------------------
+#
+# Built on demand by ``_op``: constants fold as in ``compile_expression``, + 0,
+# * 1 and * 0 drop, (c*w)^r = c^r*w^r (c > 0) and (w^p)^r = w^(p*r) (p not
+# integral or r integral), so the derivative of (c*x^p)^r is bounded at 0 for
+# p*r >= 1.  A p*r that only its rounding makes integral is moved off it.
+
+
+def _op(op: str, u: Node, v: Node) -> Node:
+    a, b = (n.value if isinstance(n, Num) else None for n in (u, v))
+    if a is not None and b is not None:
+        with np.errstate(all="ignore"):
+            return Num(float((np.power if op == "^" else _BINARY[op])(a, b)))
+    if op in "+-" and b == 0.0 or op in "*/^" and b == 1.0:
+        return u
+    if op == "+" and a == 0.0 or op == "*" and a == 1.0:
+        return v
+    if op in "*/" and a == 0.0 or op == "*" and b == 0.0:
+        return Num(0.0)
+    if op == "^" and b is not None and isinstance(u, BinOp):
+        c, p = (n.value if isinstance(n, Num) else None for n in (u.left, u.right))
+        if u.op == "*" and c is not None and 0.0 < (scale := _op("^", u.left, v).value) < _INF:
+            return _op("*", Num(scale), _op("^", u.right, v))  # (c*w)^r = c^r*w^r
+        if u.op == "^" and p is not None and math.isfinite(e := p * b) \
+                and (_integer(b) or not _integer(p)):  # (w^p)^r = w^(p*r)
+            (pn, pd), (bn, bd) = p.as_integer_ratio(), b.as_integer_ratio()
+            if e == math.floor(e) and (gap := pn * bn - int(e) * pd * bd):  # (p*r - e)*pd*bd
+                e = math.nextafter(e, math.copysign(_INF, gap))
+            return _op("^", u.left, Num(e))
+    return BinOp(op, u, v)
+
+
+_CALL_DERIVATIVES = {  # f'(u) for the functions of the DSL but abs
+    "sin": lambda u: Call("cos", (u,)), "exp": lambda u: Call("exp", (u,)),
+    "cos": lambda u: _op("-", Num(0.0), Call("sin", (u,))), "log": lambda u: _op("/", Num(1.0), u),
+    "sqrt": lambda u: _op("/", Num(0.5), Call("sqrt", (u,)))}
+
+
+def _fold_and_derive(node: Node) -> tuple[Node, Node]:
+    """``node`` rebuilt by ``_op``, and its derivative; KeyError at abs."""
+    if isinstance(node, (Num, Var)):
+        return node, Num(1.0 if isinstance(node, Var) else 0.0)
+    if isinstance(node, Call) and node.func != "pow":
+        u, du = _fold_and_derive(node.args[0])
+        return Call(node.func, (u,)), _op("*", _CALL_DERIVATIVES[node.func](u), du)
+    op, left, right = ("-", Num(0.0), node.operand) if isinstance(node, Unary) else \
+        ("^", *node.args) if isinstance(node, Call) else (node.op, node.left, node.right)
+    (u, du), (v, dv) = _fold_and_derive(left), _fold_and_derive(right)
+    g = _op(op, u, v)
+    if op in "+-":
+        return g, _op(op, du, dv)
+    if op == "*":
+        return g, _op("+", _op("*", du, v), _op("*", u, dv))
+    if op == "/":  # u'/v - (u/v)*v'/v
+        return g, _op("-", _op("/", du, v), _op("/", _op("*", g, dv), v))
+    if g != BinOp(op, u, v):  # a folded power
+        return _fold_and_derive(g)
+    if dv == Num(0.0):  # c*u^(c-1)*u'
+        return g, _op("*", _op("*", v, _op("^", u, _op("-", v, Num(1.0)))), du)
+    return g, _op("*", g, _op("+", _op("*", dv, Call("log", (u,))), _op("/", _op("*", v, du), u)))
+
+
+def derivative(node: Node) -> Node | None:
+    """The derivative of ``node`` in x as a tree, or None if it holds abs."""
+    try:
+        return _fold_and_derive(node)[1]
+    except KeyError:
+        return None
 
 
 #: Points of the domain grid on which ``function_from_expression`` evaluates

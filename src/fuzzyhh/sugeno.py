@@ -595,10 +595,10 @@ def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> tuple[list, li
 
     Each proposed range is proved monotone by one interval evaluation; a
     monotone range that fails (or that the extension cannot bound) is
-    bisected down to single cells, and turning ranges and single cells that
-    fail are kept as gaps, cell rows with their enclosures.  Adjacent pieces
-    that share a direction are merged.  A piece is [i, j, up, down], its
-    sample indices and the directions proved.
+    bisected down to single cells, a proposal of over three cells first into
+    its end cells and middle (stacked with turning None); turning ranges and
+    failing single cells are kept as gaps, cell rows with their enclosures.
+    Adjacent pieces of one direction merge; a piece is [i, j, up, down].
     """
     pieces, gaps = [], []
     stack = _proposals(ys)[::-1]
@@ -613,9 +613,11 @@ def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> tuple[list, li
                 prev[1:] = [j, prev[2] and up, prev[3] and down]
             else:
                 pieces.append([i, j, up, down])
+        elif j - i > 3 and turning is False:
+            stack += [(j - 1, j, None), (i + 1, j - 1, None), (i, i + 1, None)]
         elif j - i > 1 and not turning:
             mid = (i + j) // 2
-            stack += [(mid, j, False), (i, mid, False)]
+            stack += [(mid, j, None), (i, mid, None)]
         elif e is None:
             raise _GiveUp("no enclosure")
         else:

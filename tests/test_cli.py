@@ -49,6 +49,7 @@ REPORT_SCHEMA = {
                 "seed": {"type": ["integer", "null"]},
                 "hint": {"enum": ["certified", "declared", "unknown"]},
                 "pieces": {"type": "integer", "minimum": 0},
+                "hypothesis": {"enum": ["certified", "sampled"]},
             },
         },
         "verdict": {"type": "string"},
@@ -314,6 +315,25 @@ class TestCheck:
         )
         assert code == 0
         assert report["provenance"]["method"] == "preinvex"
+        assert report["provenance"]["hypothesis"] == "certified"
+
+    @pytest.mark.parametrize("argv, hypothesis, code", [
+        (("-f", "x^2", "--r", "1"), "certified", 0),
+        (("-f", "0.5296*x^1.3762 + 0.0", "--r", "1.2238"), "certified", 0),
+        (("-f", "2*x^1.5", "--alpha", "1", "--m", "0.5", "--fdomain", "0:2"), "certified", 0),
+        (("-f", "sqrt(x)", "--r", "1"), "sampled", 2),
+        (("-f", "x^4/2", "--r", "0.5"), "sampled", 0),  # (x^4/2)^0.5 has no folded form
+    ])
+    def test_provenance_says_whether_the_hypothesis_was_proved(self, capsys, argv, hypothesis,
+                                                              code):
+        got, report, _ = run_json(capsys, "check", "-a", "0", "-b", "1", *argv)
+        validate(report, REPORT_SCHEMA)
+        assert (got, report["provenance"]["hypothesis"]) == (code, hypothesis)
+        if hypothesis == "certified":  # no draw: no violation measured
+            assert (report["result"]["witness"], report["provenance"]["residual"]) == (None, 0.0)
+        got, out, _ = run(capsys, "check", "-a", "0", "-b", "1", *argv)
+        line = next(x for x in out.splitlines() if x.startswith("provenance: "))
+        assert line.endswith(f", seed=0, hypothesis={hypothesis}")
 
 
     @pytest.mark.parametrize("r", ["1e-12", "1e-200", "1e-310"])

@@ -529,3 +529,168 @@ def test_non_positive_function_messages(src, r):
     got = outcome(check_r_preinvex, f, UNIT, AFFINE_ETA, r, 3 * BLOCK, SEED)
     assert got == outcome(ref_r_preinvex, f, UNIT, AFFINE_ETA, r, 3 * BLOCK, SEED)
     assert got[0] is NonPositiveFunction
+
+
+# -- the convexity proof that stands for the sample in the CLI --------------------
+
+import contextlib
+import io
+import json
+
+from fuzzyhh import convexity
+from fuzzyhh.cli import main
+from fuzzyhh.convexity import certify_convex
+from fuzzyhh.expressions import extend_expression
+
+
+def _family(rng):
+    """A seeded function of the proof's families, non-negative on [0, 2.5]."""
+    kind = rng.integers(9)
+    c, p, d = rng.uniform(0.2, 2.0), rng.uniform(0.2, 3.0), float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+    if kind == 0:
+        return f"{c!r}*x^{p!r} + {d!r}"
+    if kind == 1:
+        return f"exp({rng.uniform(-3.0, 3.0)!r}*x)"
+    if kind == 2:
+        return f"1/({rng.uniform(2.6, 4.0)!r} - x)"
+    if kind == 3:
+        return (f"{c!r}*x^{p!r} + exp({rng.uniform(-2.0, 2.0)!r}*x)"
+                f" + 1/({rng.uniform(2.6, 4.0)!r} - x)")
+    if kind == 4:
+        return f"{c!r}*x^{rng.uniform(0.2, 0.9)!r}"  # concave
+    if kind == 5:
+        return f"{c!r}*x^{p!r}*{d!r} + exp({rng.uniform(-1.0, 1.0)!r}*x)"
+    if kind == 6:
+        return f"exp({rng.uniform(0.1, 2.0)!r}*x) - 1"  # f(0) = 0, as m < 1 needs
+    if kind == 7:
+        return f"{c!r}*x^{rng.uniform(1.0, 3.0)!r}"
+    return "exp(sin(3*x))"
+
+
+ROUTES = [(), ("--r", "0.3"), ("--r", "1"), ("--r", "2.5"),
+          ("--alpha", "1", "--m", "0.4", "--fdomain", "0:2.5"),
+          ("--alpha", "1", "--m", "1", "--fdomain", "0:2.5")]
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+def _library_check(src, route, samples, seed):
+    opts = dict(zip(route[::2], route[1::2]))
+    f = function_from_expression(src, RealInterval(0.0, 2.5) if "--fdomain" in opts else UNIT)
+    if "--r" in opts:
+        return check_r_preinvex(f, UNIT, AFFINE_ETA, float(opts["--r"]), samples, seed)
+    if "--m" in opts:
+        return check_alpha_m_preinvex(f, UNIT, AFFINE_ETA, 1.0, float(opts["--m"]), samples, seed)
+    return check_preinvex(f, UNIT, AFFINE_ETA, samples, seed)
+
+
+def test_a_certificate_never_meets_a_sampled_witness():
+    """Wherever the CLI reports ``certified``, the library sampler holds on
+    1e4 draws of two seeds; and a sampled verdict is the sampler's own."""
+    rng = np.random.default_rng(808)
+    seen = {"certified": 0, "sampled": 0}
+    certified = dict.fromkeys(ROUTES, 0)
+    for _ in range(60):
+        src = _family(rng)
+        for route in ROUTES:
+            code, report = _cli("check", "-f", src, "-a", "0", "-b", "1", *route,
+                                "--samples", "10000", "--format", "json")
+            hypothesis = report["provenance"]["hypothesis"]
+            seen[hypothesis] += 1
+            certified[route] += hypothesis == "certified"
+            if hypothesis == "certified":
+                assert (code, report["result"]["witness"], report["provenance"]["residual"]) \
+                    == (0, None, 0.0)
+                for seed in (0, 1):
+                    assert _library_check(src, route, 10_000, seed).holds, (src, route, seed)
+            else:
+                assert report["result"]["holds"] == _library_check(src, route, 10_000, 0).holds
+    assert seen["certified"] > 150 and seen["sampled"] > 60, seen
+    assert min(certified.values()) >= 10, certified
+
+
+@pytest.mark.parametrize("argv", [
+    ("-f", "0.7*x^0.6", "--r", "1"),  # concave
+    ("-f", "1.3*x^0.35 + 0.2",),
+    ("-f", "0.4", "--m", "0.5", "--fdomain", "0:2"),  # f(0) > 0: m*f(v/m) < f(v)
+    ("-f", "0.4", "--alpha", "1", "--m", "0.5", "--fdomain", "0:2"),
+    ("-f", "x^2", "--alpha", "0.5", "--m", "0.5", "--fdomain", "0:2"),  # alpha < 1: sampled
+    ("-f", "x^2", "--r", "-1"),  # r <= 0: sampled
+    ("-f", "x^2", "--eta", "scaled:1"),
+])
+def test_known_violators_and_uncovered_routes_are_sampled(argv):
+    code, report = _cli("check", "-a", "0", "-b", "1", *argv, "--samples", "20000",
+                        "--format", "json")
+    assert report["provenance"]["hypothesis"] == "sampled"
+    if "--eta" not in argv and "-1" not in argv:
+        assert (code, report["result"]["holds"]) == (2, False)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("-f", "x^2 - 0.5", "--r", "2"), "r = 2 > 0 requires f >= 0 on K; a sampled value was < 0"),
+    (("-f", "x^2", "--m", "0.5"), "m-preinvex: v/m = "),  # K/m leaves the default domain
+    (("-f", "x^2", "--fdomain", "0:0.5"), "preinvex: path point "),
+    (("-f", "x^2", "--samples", "0"), "need at least one sample"),
+    (("-f", "x^2", "--m", "0"), "m must lie in (0, 1]"),
+    (("-f", "x^2", "--r", "inf"), "r must be finite"),
+])
+def test_errors_still_raise_before_any_proof(capsys, argv, message):
+    code = main(["check", "-a", "0", "-b", "1", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert message in captured.err
+
+
+class TestCertifyConvex:
+    def _proof(self, src, domain=UNIT, **kw):
+        f = function_from_expression(src, domain)
+        return certify_convex(f, parse_expression(src), UNIT, **kw)
+
+    def test_a_proof_is_a_report_without_draws(self):
+        assert self._proof("x^2") == HypothesisReport(True, 0, None, 0.0)
+        assert self._proof("0.5296*x^1.3762 + 0.0", r=1.2238) is not None
+        assert self._proof("2*x^1.5", RealInterval(0.0, 2.0), m=0.5) is not None
+
+    def test_negative_values_fail_only_the_power_routes(self):
+        assert self._proof("x^2 - 1") is not None
+        assert self._proof("x^2 - 1", r=1.0) is None
+
+    def test_the_scaled_route_needs_f0_at_most_zero(self):
+        assert self._proof("x^2 + 1e-9", RealInterval(0.0, 2.0), m=0.5) is None
+        assert self._proof("x^2 + 1e-9", RealInterval(0.0, 2.0), m=1.0) is not None
+        assert self._proof("x^2 - 0.1", RealInterval(-1.0, 2.0), m=0.5) is not None
+
+    def test_large_values_and_tiny_r_are_left_to_the_sampler(self):
+        assert self._proof("70000*x^2") is None
+        assert self._proof("30000*x^2") is not None
+        assert self._proof("60000*x^2") is None  # |x*f'| = 120000 at x = 1
+        # a path point an ulp off moves f by more than 1e-9: the sampler's own witnesses
+        K = RealInterval(1e6, 1e6 + 1e-2)
+        f = function_from_expression("60*(x - 1000000)", K)
+        assert certify_convex(f, parse_expression("60*(x - 1000000)"), K) is None
+        assert self._proof("1/(1.0001 - x)") is None
+        assert self._proof("1/(1.1 - x)") is not None
+        assert self._proof("exp(x)", r=1e-6) is None  # the power mean rounds at 1/r
+        assert self._proof("10*exp(x)", r=40.0) is None  # f**r near overflow
+
+    def test_a_proof_bisects_within_its_cells(self, monkeypatch):
+        calls = []
+
+        def counting(node):
+            ext = extend_expression(node)
+            return lambda a, b: calls.append((a, b)) or ext(a, b)
+
+        monkeypatch.setattr(convexity, "extend_expression", counting)
+        # g'' = 12x^2 - 6x + 1 > 0, which the extension of g' proves only on halves
+        assert self._proof("x^4 - x^3 + 0.5*x^2") is not None
+        assert 1 < len(calls) < convexity.PROOF_CELLS and calls[:3] == [(0, 1), (0, 0.5), (0.5, 1)]
+        calls.clear()
+        assert self._proof("sin(x + 1)") is None and len(calls) == 1  # g'' < 0 on all of [0, 1]
+        calls.clear()
+        assert self._proof("x^3/3", r=0.5) is None  # unbounded at 0: the cells run out
+        assert len(calls) <= convexity.PROOF_CELLS

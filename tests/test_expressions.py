@@ -575,3 +575,90 @@ def test_constant_operands_give_the_general_rules_floats(monkeypatch):
             assert repr(got) == repr(want), (to_source(tree), a, b)
             bounded += got is not None
     assert bounded > 2000
+
+
+# -- the symbolic derivative -------------------------------------------------------
+
+from fuzzyhh.expressions import _fold_and_derive, derivative
+
+
+def _central(ev_, x, h):
+    return (ev_(x + h) - ev_(x - h)) / (2.0 * h)
+
+
+class TestDerivative:
+    def test_random_trees_agree_with_central_differences_and_slope_bounds(self):
+        """Wherever two central differences of f agree, the derivative tree
+        agrees with them, and its value lies within the slope bounds of f's
+        own extension on a cell around the point."""
+        rng = np.random.default_rng(31)
+        compared = enclosed = 0
+        for seed in range(400):
+            src = _random_source(np.random.default_rng(seed))
+            if "abs" in src:
+                continue
+            tree = parse_expression(src)
+            d = derivative(tree)
+            assert d is not None, src
+            f_, d_, ext = compile_expression(tree), compile_expression(d), extend_expression(tree)
+            for x in rng.uniform(-2.0, 3.0, 5):
+                h = 1e-4 * max(1.0, abs(x))
+                try:
+                    coarse, fine, got = _central(f_, x, h), _central(f_, x, h / 2), d_(x)
+                except EvalError:
+                    continue
+                if abs(coarse - fine) > 1e-7 * max(1.0, abs(fine)):
+                    continue  # not smooth enough at this scale to compare
+                compared += 1
+                assert got == pytest.approx(fine, rel=1e-5, abs=1e-6), (src, x)
+                enc = ext(x - h, x + h)
+                if enc is not None:
+                    enclosed += 1
+                    slack = 1e-9 * max(1.0, abs(got))
+                    assert enc.slope_lo - slack <= got <= enc.slope_hi + slack, (src, x)
+        assert compared > 500 and enclosed > 400
+
+    def test_folded_power_equals_the_power(self):
+        """(c*x^p)^r folds to c^r*x^(p*r), equal to 1e-12 relative on x >= 0."""
+        rng = np.random.default_rng(5)
+        xs = np.concatenate(([0.0, 1e-3, 1.0], rng.uniform(0.0, 5.0, 200)))  # no underflow
+        for _ in range(300):
+            c, p, r = rng.uniform(0.05, 3.0), rng.uniform(0.2, 4.0), rng.uniform(0.2, 3.0)
+            tree = BinOp("^", BinOp("*", Num(c), BinOp("^", Var(), Num(p))), Num(r))
+            folded, _ = _fold_and_derive(tree)
+            assert isinstance(folded, BinOp) and folded.op == "*" and folded.right.left == Var()
+            want, got = compile_expression(tree)(xs), compile_expression(folded)(xs)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("src, exponent", [
+        ("(x^0.1)^10", math.nextafter(1.0, 2.0)),  # 0.1 is above 1/10: the product is above 1
+        ("(x^0.3333333333333333)^3", math.nextafter(1.0, 0.0)),
+        ("(x^0.7)^1.4285714285714286", math.nextafter(1.0, 0.0)),
+        ("(x^0.25)^6", 1.5),  # exact
+    ])
+    def test_a_rounded_exponent_keeps_the_side_of_an_integer(self, src, exponent):
+        folded, _ = _fold_and_derive(parse_expression(src))
+        assert folded == BinOp("^", Var(), Num(exponent))
+
+    def test_powers_that_do_not_fold(self):
+        assert _fold_and_derive(parse_expression("(x^0.5)^2"))[0] == Var()
+        # (x^2)^0.5 = |x| is not x: the tree keeps the power and its derivative the sign
+        folded, d = _fold_and_derive(parse_expression("(x^2)^0.5"))
+        assert folded == parse_expression("(x^2)^0.5")
+        assert compile_expression(d)(-0.5) == -1.0
+        assert _fold_and_derive(parse_expression("(0 - 2*x^0.5)^2"))[0] != parse_expression("4*x")
+
+    def test_abs_has_no_rule_and_constants_fold_away(self):
+        assert derivative(parse_expression("abs(x - 0.5)")) is None
+        assert derivative(parse_expression("x^2 + abs(x)")) is None
+        assert derivative(parse_expression("3*(2 + 0*x) + 0")) == Num(0.0)
+        assert derivative(parse_expression("x*1 + 0")) == Num(1.0)
+        assert to_source(derivative(parse_expression("2*x^3 + 0.0"))) == "2*(3*x^2)"
+
+    def test_building_a_function_takes_no_derivative(self, monkeypatch):
+        def fail(node):
+            raise AssertionError("derivative built")
+
+        monkeypatch.setattr(expressions, "_fold_and_derive", fail)
+        f = function_from_expression("0.5*x^1.5 + 0.0", RealInterval(0.0, 1.0))
+        assert f.monotonicity is Monotonicity.INCREASING
