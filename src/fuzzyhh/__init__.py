@@ -1,12 +1,12 @@
 """Sugeno integrals on real intervals and their generalized-preinvex upper bounds.
 
 The package splits into a measure layer (intervals, level-set distribution
-functions), the integral itself (a monotone crossing search, a crossing
-search over certified monotone pieces and an exact grid sup-min, with
-fixed-point and threshold-sweep oracles, and the sup-level kernel
-``solve_beta``), sampling checkers for generalized-convexity hypotheses, the
-bounds (each the integral of its hypothesis's majorant by ``solve_beta``), a
-small expression DSL, and a CLI that ties them together.
+functions and ``solve_beta``, the one bracketing solver of the package), the
+integral itself (a monotone crossing search, a crossing search over
+certified monotone pieces and an exact grid sup-min, with fixed-point and
+threshold-sweep oracles), sampling checkers for generalized-convexity
+hypotheses, the bounds (each the integral of its hypothesis's majorant by
+``solve_beta``), a small expression DSL, and a CLI that ties them together.
 """
 
 from .measure import (
@@ -18,13 +18,13 @@ from .measure import (
     ScalarFunction,
     StrategyMismatch,
     from_callable,
+    solve_beta,
 )
 from .sugeno import (
     IntegralMethod,
     NegativeFunction,
     SugenoError,
     SugenoResult,
-    solve_beta,
     sugeno_fixed_point,
     sugeno_integral,
     sugeno_supmin,

@@ -7,12 +7,12 @@ share of [0, 1] where M >= b has a closed form, and the integral is
 
     beta = sup{b in [0, L] : L * share(b) >= b},
 
-found by ``solve_beta`` (defined in ``sugeno``, which integrates monotone
-functions with it too), one ITP search over the bit patterns of
-non-negative floats that ends on adjacent floats (about a dozen evaluations
-of the share, never more than one above bisection's worst case).  beta
-never exceeds L, so a saturated majorant (one that stays at or above L)
-gives beta = L.  The solvers consume only the scalars
+found by ``solve_beta`` (defined in ``measure``, whose level sets and the
+``sugeno_fixed_point`` oracle use it too), one ITP search over the bit
+patterns of non-negative floats that ends on adjacent floats (about a dozen
+evaluations of the share, never more than one above bisection's worst
+case).  beta never exceeds L, so a saturated majorant (one that stays at or
+above L) gives beta = L.  The solvers consume only the scalars
 
     fa      = f(a)
     fend    = f(a + L)
@@ -68,7 +68,6 @@ __all__ = [
     "alpha_m_bound",
     "classical_hh_r_rhs",
     "classical_hh_preinvex",
-    "endpoint_bound",
     "endpoint_inputs",
     "scaled_value",
     "route_bound",
@@ -315,13 +314,6 @@ def classical_hh_preinvex(f: ScalarFunction, iv: InvexInterval) -> tuple[float, 
     return lhs, rhs
 
 
-def endpoint_bound(f: ScalarFunction, iv: InvexInterval, r: float | None = None,
-                   alpha: float | None = None, m: float | None = None) -> BoundResult:
-    """Evaluate f's endpoint scalars on [a, a + L] and solve the route the
-    flags select: ``route_bound(endpoint_inputs(...))``."""
-    return route_bound(endpoint_inputs(f, iv, r, alpha, m))
-
-
 def endpoint_inputs(f: ScalarFunction, iv: InvexInterval, r: float | None = None,
                     alpha: float | None = None, m: float | None = None) -> BoundInputs:
     """f(a), f(a + L) and ``scaled_value`` with the flags; ``BoundInputs``
@@ -372,13 +364,16 @@ def verify_fuzzy_hh(
 ) -> FuzzyHHReport:
     """End-to-end check that the Sugeno integral stays below its bound.
 
-    Computes ``endpoint_bound`` for the selected route (first, so that
-    flags selecting no route fail before the integral runs), then the
-    integral over [a, a + L], and passes iff margin >= -tol.  The caller is
-    responsible for having certified the convexity hypothesis; this routine
-    only composes the two computations.
+    Computes the bound of the selected route from f's endpoint scalars
+    (first, so that flags selecting no route fail before the integral runs),
+    then the integral over [a, a + L], and passes iff margin >= -tol; a NaN
+    ``tol`` raises ``ValueError``.  The caller is responsible for having
+    certified the convexity hypothesis; this routine only composes the two
+    computations.
     """
-    bound = endpoint_bound(f, iv, r=r, alpha=alpha, m=m)
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    bound = route_bound(endpoint_inputs(f, iv, r, alpha, m))
     integral = sugeno_integral(f, iv.domain, grid=grid)
     margin = bound.bound - integral.value
     return FuzzyHHReport(integral, bound, margin, margin >= -tol)

@@ -6,16 +6,20 @@ their Lebesgue measure, so the central object is the distribution function
 
     F(beta) = mu(A intersect {x : f(x) >= beta}),
 
-which is non-increasing in the threshold ``beta``.  ``DistributionProfile``
-evaluates it for a monotone function by closed-form inversion (bisection on
-the level-set boundary to ``INVERSION_TOL``); ``sugeno`` integrates every
-other function without it.
+which is non-increasing in the threshold ``beta``.  Every monotone question
+of the package is sup{b in [0, L] : G(b) >= b} for a non-increasing G, and
+``solve_beta`` answers each one on adjacent floats: the integral of a
+monotone function over its distribution (``sugeno.sugeno_fixed_point``),
+every bound for its majorant (``bounds``), and the level set itself.
+``DistributionProfile`` evaluates F for a monotone function through it,
+exact to the float; ``sugeno`` integrates every function without it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,17 +32,28 @@ __all__ = [
     "RealInterval",
     "Monotonicity",
     "ScalarFunction",
-    "INVERSION_TOL",
     "DistributionProfile",
     "follows",
     "from_callable",
+    "solve_beta",
 ]
 
 #: Slack for closed-interval membership tests (paths may land an ulp outside).
 SET_SLACK = 1e-12
 
-#: Width in x to which ``DistributionProfile`` bisects a level-set boundary.
-INVERSION_TOL = 1e-12
+#: The constants of ``solve_beta``'s ITP search, counted in float64 bit
+#: patterns.  A solve takes at most ITP_N0 evaluations more than bisection's
+#: worst case.  For a bracket of w patterns the truncation moves the regula
+#: falsi point (w >> ITP_SCALE)**2 patterns, at least one (k1 = 2**-60,
+#: k2 = 2): 2**-8 of the bracket when it is one binade (2**52 patterns)
+#: wide, superlinearly less as it narrows.  The first step probes
+#: FIRST_PROBE patterns (10 binades, a factor of 1024) below L.
+ITP_N0 = 1
+ITP_SCALE = 30
+FIRST_PROBE = 10 << 52
+
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
 
 class MeasureError(Exception):
@@ -183,7 +198,9 @@ def from_callable(
 class DistributionProfile:
     """The map beta -> mu(A intersect {f >= beta}) of a monotone f, by
     closed-form inversion: the level set is the part of A on one side of the
-    point where f crosses beta, found by bisection to ``INVERSION_TOL``."""
+    point where f crosses beta, and its measure is the largest float d in
+    [0, mu(A)] with f(hi - d) >= beta (f increasing) or f(lo + d) >= beta
+    (f decreasing), found by ``solve_beta``."""
 
     f: ScalarFunction
     A: RealInterval
@@ -198,41 +215,84 @@ class DistributionProfile:
                 "closed-form level sets need a monotonicity hint; "
                 "integrate with sugeno_supmin_exact instead"
             )
-        lo, hi = self.A.lo, self.A.hi
+        ev, lo, hi, L = self.f.evaluate, self.A.lo, self.A.hi, self.A.length()
         if lo == hi:
             return 0.0
-        f_lo = float(self.f.evaluate(lo))
-        f_hi = float(self.f.evaluate(hi))
+        f_lo = float(ev(lo))
+        f_hi = float(ev(hi))
         if mono is Monotonicity.INCREASING:
             if beta <= f_lo:
-                return self.A.length()
+                return L
             if beta > f_hi:
                 return 0.0
-            return hi - _invert_increasing(self.f.evaluate, lo, hi, beta)
+            return solve_beta(lambda d: L if float(ev(max(hi - d, lo))) >= beta else 0.0, L)[0]
         if beta <= f_hi:
-            return self.A.length()
+            return L
         if beta > f_lo:
             return 0.0
-        return _invert_decreasing(self.f.evaluate, lo, hi, beta) - lo
+        return solve_beta(lambda d: L if float(ev(min(lo + d, hi))) >= beta else 0.0, L)[0]
 
 
-def _invert_increasing(ev, lo: float, hi: float, beta: float) -> float:
-    # Entry invariant: ev(lo) < beta <= ev(hi).  Converges to inf{x : f >= beta}.
-    while hi - lo > INVERSION_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(ev(mid)) >= beta:
-            hi = mid
+def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
+    """sup{b in [0, L] : F(b) >= b} for a non-increasing F >= 0 on [0, L].
+
+    Returns (beta, residual, bracket).  The search runs on the bit patterns
+    of non-negative float64s, whose integer order is their order as floats,
+    so it keeps full relative precision for tiny bounds.  It ends on adjacent
+    floats: F(beta) >= beta holds at beta and fails at the next float.
+
+    F(L) >= L is tested first and gives beta = L.  Otherwise the bracket of
+    patterns [0, L] shrinks by the ITP method (interpolate, truncate,
+    project; Oliveira & Takahashi, ACM TOMS 47(1), 2021).  Each step takes
+    the regula falsi point of g(b) = F(b) - b in value space, moves it
+    towards the bracket's bit midpoint by (w >> ``ITP_SCALE``)**2 of its w
+    patterns (at least one), and projects it into the window around that
+    midpoint that leaves the solve at most ``ITP_N0`` evaluations above
+    bisection's worst case.  A smooth F takes about a dozen evaluations.
+    F(0) is never evaluated, so the first step probes ``FIRST_PROBE``
+    patterns below L (or the bit midpoint, if that is higher), and a step
+    whose interpolation is not a number in the bracket (F not yet known at
+    the lower end, or not finite) takes the bit midpoint.  Jumps and
+    plateaus of F cost steps, never more than that bound.
+    """
+    fb = F(L)
+    if fb >= L:
+        return L, 0.0, (L, L)
+    to_bits, to_float, pack_f, pack_u = _U64.unpack, _F64.unpack, _F64.pack, _U64.pack
+    lo, hi = 0, to_bits(pack_f(L))[0]  # F(0) >= 0 always holds
+    blo, glo = 0.0, math.nan  # F(0) is never evaluated: nan interpolates to nothing
+    bhi, ghi = L, fb - L
+    # bisection needs ceil(log2(hi)) steps; with ITP_N0 spare ones, the
+    # first step may leave up to reach patterns on either side
+    reach = 1 << ((hi - 1).bit_length() + ITP_N0 - 1)
+    x = max((lo + hi) >> 1, hi - FIRST_PROBE)
+    while hi - lo > 1:
+        # project x, which lies inside (lo, hi), into the window that
+        # leaves at most reach patterns on either side; reach halves per step
+        if x < hi - reach:
+            x = hi - reach
+        elif x > lo + reach:
+            x = lo + reach
+        b = to_float(pack_u(x))[0]
+        fb = F(b)
+        if fb >= b:
+            lo, blo, glo = x, b, fb - b
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _invert_decreasing(ev, lo: float, hi: float, beta: float) -> float:
-    # Entry invariant: ev(hi) < beta <= ev(lo).  Converges to sup{x : f >= beta}.
-    while hi - lo > INVERSION_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(ev(mid)) >= beta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, bhi, ghi = x, b, fb - b
+        reach >>= 1
+        x = (lo + hi) >> 1
+        bf = blo + (bhi - blo) * (glo / (glo - ghi))
+        if blo <= bf <= bhi:  # else the bit midpoint: F was not finite or not yet known
+            xf = to_bits(pack_f(bf))[0]
+            delta = (hi - lo) >> ITP_SCALE  # truncation k1 * w**k2, w patterns
+            delta = delta * delta or 1
+            if xf < x:
+                xf += delta
+                if xf < x:
+                    x = xf
+            else:
+                xf -= delta
+                if xf > x:
+                    x = xf
+    beta, past = to_float(pack_u(lo))[0], to_float(pack_u(hi))[0]
+    return beta, past - beta, (beta, past)

@@ -70,13 +70,14 @@ it, "unknown" when the value rests on none.
 Two more routes stay as oracles:
 
 * ``sugeno_fixed_point`` integrates a monotone f as sup{b : F(b) >= b}
-  with ``solve_beta``, F from the closed-form ``DistributionProfile``.
-  ``solve_beta`` is the one sup-level kernel of the package: every bound of
-  ``bounds`` is the same problem for a majorant.  Plateaus, jumps and steep
-  stretches of F need no special case, since its bracketing search (ITP
-  over float bit patterns) ends on adjacent floats whatever F does between
-  them.  It is a library and test oracle: ``sugeno_integral`` never calls
-  it.
+  with ``measure.solve_beta``, F from the closed-form
+  ``DistributionProfile``.  ``solve_beta`` is the one bracketing solver of
+  the package: the profile finds each level set's measure with it, and
+  every bound of ``bounds`` is the same problem for a majorant.  Plateaus,
+  jumps and steep stretches of F need no special case, since its search
+  (ITP over float bit patterns) ends on adjacent floats whatever F does
+  between them, so the value is exact to the float.  It is a library and
+  test oracle: ``sugeno_integral`` never calls it.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
   sweep against a midpoint-grid distribution.  It is deliberately plain: it
@@ -90,20 +91,19 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .expressions import Enclosure, EvalError
 from .measure import (
-    INVERSION_TOL,
     DistributionProfile,
     Monotonicity,
     RealInterval,
     ScalarFunction,
     follows,
+    solve_beta,
 )
 
 __all__ = [
@@ -155,20 +155,6 @@ LADDER = np.sort([0.0] + [s * 2.0**-k for k in (1, *range(3, 40, 4)) for s in (-
 #: The sign guard: an integrand value below this raises ``NegativeFunction``.
 NEGATIVE_BELOW = -1e-12
 
-#: The constants of ``solve_beta``'s ITP search, counted in float64 bit
-#: patterns.  A solve takes at most ITP_N0 evaluations more than bisection's
-#: worst case.  For a bracket of w patterns the truncation moves the regula
-#: falsi point (w >> ITP_SCALE)**2 patterns, at least one (k1 = 2**-60,
-#: k2 = 2): 2**-8 of the bracket when it is one binade (2**52 patterns)
-#: wide, superlinearly less as it narrows.  The first step probes
-#: FIRST_PROBE patterns (10 binades, a factor of 1024) below L.
-ITP_N0 = 1
-ITP_SCALE = 30
-FIRST_PROBE = 10 << 52
-
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
-
 
 class SugenoError(Exception):
     """Base class for integration failures."""
@@ -189,8 +175,8 @@ class SugenoResult:
 
     ``residual`` is the width of the final crossing cell for the monotone
     form of ``sugeno_integral``, the width of the final level bracket for its
-    piecewise form and, for ``sugeno_fixed_point``, the larger of the final
-    float bracket and the profile's inversion tolerance, all reported as
+    piecewise form and the final float bracket of ``sugeno_fixed_point``
+    (the gap to the next float, 0 at a saturated value), all reported as
     ``FIXED_POINT``; it is the grid cell measure mu / n for
     ``sugeno_supmin_exact`` and the threshold spacing for ``sugeno_supmin``,
     both reported as ``SUPMIN_GRID``.  ``hint`` says where the monotonicity
@@ -206,79 +192,11 @@ class SugenoResult:
     pieces: int = 0
 
 
-def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
-    """sup{b in [0, L] : F(b) >= b} for a non-increasing F >= 0 on [0, L].
-
-    Returns (beta, residual, bracket).  The search runs on the bit patterns
-    of non-negative float64s, whose integer order is their order as floats,
-    so it keeps full relative precision for tiny bounds.  It ends on adjacent
-    floats: F(beta) >= beta holds at beta and fails at the next float.
-
-    F(L) >= L is tested first and gives beta = L.  Otherwise the bracket of
-    patterns [0, L] shrinks by the ITP method (interpolate, truncate,
-    project; Oliveira & Takahashi, ACM TOMS 47(1), 2021).  Each step takes
-    the regula falsi point of g(b) = F(b) - b in value space, moves it
-    towards the bracket's bit midpoint by (w >> ``ITP_SCALE``)**2 of its w
-    patterns (at least one), and projects it into the window around that
-    midpoint that leaves the solve at most ``ITP_N0`` evaluations above
-    bisection's worst case.  A smooth F takes about a dozen evaluations.
-    F(0) is never evaluated, so the first step probes ``FIRST_PROBE``
-    patterns below L (or the bit midpoint, if that is higher), and a step
-    whose interpolation is not a number in the bracket (F not yet known at
-    the lower end, or not finite) takes the bit midpoint.  Jumps and
-    plateaus of F cost steps, never more than that bound.
-    """
-    fb = F(L)
-    if fb >= L:
-        return L, 0.0, (L, L)
-    to_bits, to_float, pack_f, pack_u = _U64.unpack, _F64.unpack, _F64.pack, _U64.pack
-    lo, hi = 0, to_bits(pack_f(L))[0]  # F(0) >= 0 always holds
-    blo, glo = 0.0, math.nan  # F(0) is never evaluated: nan interpolates to nothing
-    bhi, ghi = L, fb - L
-    # bisection needs ceil(log2(hi)) steps; with ITP_N0 spare ones, the
-    # first step may leave up to reach patterns on either side
-    reach = 1 << ((hi - 1).bit_length() + ITP_N0 - 1)
-    x = max((lo + hi) >> 1, hi - FIRST_PROBE)
-    while hi - lo > 1:
-        # project x, which lies inside (lo, hi), into the window that
-        # leaves at most reach patterns on either side; reach halves per step
-        if x < hi - reach:
-            x = hi - reach
-        elif x > lo + reach:
-            x = lo + reach
-        b = to_float(pack_u(x))[0]
-        fb = F(b)
-        if fb >= b:
-            lo, blo, glo = x, b, fb - b
-        else:
-            hi, bhi, ghi = x, b, fb - b
-        reach >>= 1
-        x = (lo + hi) >> 1
-        bf = blo + (bhi - blo) * (glo / (glo - ghi))
-        if blo <= bf <= bhi:  # else the bit midpoint: F was not finite or not yet known
-            xf = to_bits(pack_f(bf))[0]
-            delta = (hi - lo) >> ITP_SCALE  # truncation k1 * w**k2, w patterns
-            delta = delta * delta or 1
-            if xf < x:
-                xf += delta
-                if xf < x:
-                    x = xf
-            else:
-                xf -= delta
-                if xf > x:
-                    x = xf
-    beta, past = to_float(pack_u(lo))[0], to_float(pack_u(hi))[0]
-    return beta, past - beta, (beta, past)
-
-
 def sugeno_fixed_point(profile: DistributionProfile) -> SugenoResult:
-    """sup{b in [0, mu(A)] : F(b) >= b} by ``solve_beta``, F the profile's.
-
-    ``residual`` is the larger of the final float bracket and the
-    profile's inversion tolerance ``INVERSION_TOL``.
-    """
+    """sup{b in [0, mu(A)] : F(b) >= b} by ``solve_beta``, F the profile's;
+    ``residual`` is the final float bracket."""
     value, width, _ = solve_beta(profile.at, profile.A.length())
-    return SugenoResult(value, IntegralMethod.FIXED_POINT, max(width, INVERSION_TOL))
+    return SugenoResult(value, IntegralMethod.FIXED_POINT, width)
 
 
 def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
@@ -818,7 +736,7 @@ def sugeno_integral(
     """
     if method not in ("auto", "supmin"):
         raise ValueError(f"unknown method {method!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if grid < 1:
         raise ValueError("grid must be positive")

@@ -840,6 +840,12 @@ class TestVerify:
         assert report.integral.value == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-6)
         assert report.bound.bound == pytest.approx(0.75, abs=1e-6)
 
+    def test_nan_tol_is_rejected(self):
+        # a NaN tol used to fail the golden x^3/3 bound, which holds
+        f = function_from_expression("x^3/3", UNIT)
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            verify_fuzzy_hh(f, InvexInterval(0.0, 1.0), r=0.5, tol=math.nan)
+
     def test_domain_too_narrow_for_scaled_point(self):
         f = function_from_expression("x^2/2", UNIT)
         with pytest.raises(DomainEscape):

@@ -619,7 +619,7 @@ class TestSweep:
         iv = InvexInterval(0.0, 1.1)
         route = dict(zip([flag[2:] for flag in flags[::2]], map(float, flags[1::2])))
         for row, value in zip(csv.DictReader(io.StringIO(out)), values, strict=True):
-            bound = bounds.endpoint_bound(f, iv, **{**route, param: value})
+            bound = bounds.route_bound(bounds.endpoint_inputs(f, iv, **{**route, param: value}))
             assert (row["beta"], row["bound"], row["case"]) == (
                 str(bound.beta), str(bound.bound), bound.case.value)
 

@@ -185,3 +185,103 @@ def test_constant_function_distribution_is_a_step():
     assert profile.at(0.4) == 1.0
     assert profile.at(0.4000001) == 0.0
 
+
+
+# -- the level set is exact to the float ---------------------------------------
+
+
+def _assert_exact_level_set(profile: DistributionProfile, beta: float) -> None:
+    """``at(beta)`` is the largest float d in [0, L] at which f is still >= beta:
+    f(hi - d) for an increasing f, f(lo + d) for a decreasing one."""
+    ev, lo, hi, L = profile.f.evaluate, profile.A.lo, profile.A.hi, profile.A.length()
+    if profile.f.monotonicity is Monotonicity.INCREASING:
+        def holds(d):
+            return float(ev(max(hi - d, lo))) >= beta
+    else:
+        def holds(d):
+            return float(ev(min(lo + d, hi))) >= beta
+    d = profile.at(beta)
+    past = math.nextafter(d, math.inf)
+    assert 0.0 <= d <= L, (beta, d)
+    assert d == 0.0 or holds(d), (beta, d)
+    assert past > L or not holds(past), (beta, d)
+
+
+def _betas(profile: DistributionProfile, rng: np.random.Generator) -> list[float]:
+    """A sweep of thresholds: both closed-form ends and their neighbours,
+    values f takes inside A, and uniform draws up to past f's sup."""
+    ev, A = profile.f.evaluate, profile.A
+    ends = [float(ev(A.lo)), float(ev(A.hi))]
+    near = [math.nextafter(e, s) for e in ends for s in (-math.inf, math.inf)]
+    inside = [float(ev(x)) for x in rng.uniform(A.lo, A.hi, 8)]
+    top = 1.25 * max(ends)
+    return [b for b in [0.0, *ends, *near, *inside, *rng.uniform(0.0, top, 24)] if b >= 0.0]
+
+
+def _seeded_monotone(rng: np.random.Generator) -> list[tuple[str, RealInterval]]:
+    out = []
+    for _ in range(4):
+        lo = float(rng.uniform(0.0, 1.0))
+        A = RealInterval(lo, lo + float(rng.uniform(0.8, 1.25)))
+        c, p, d = (float(v) for v in rng.uniform((0.3, 1.5, 0.0), (2.0, 4.0, 0.2)))
+        s = A.hi + float(rng.uniform(0.0, 0.5))
+        k = float(rng.uniform(0.5, 2.5))
+        out += [
+            (f"{c!r}*x^{p!r} + {d!r}", A),
+            (f"{c!r}*({s!r} - x)^{p!r} + {d!r}", A),
+            (f"{c!r}*exp(-{k!r}*x) + {d!r}", A),
+            (f"{c!r}*sqrt(x + {d!r})", A),
+        ]
+    return out
+
+
+def test_level_sets_of_seeded_monotone_functions_are_exact_to_the_float():
+    rng = np.random.default_rng(2206)
+    directions = set()
+    for src, A in _seeded_monotone(rng):
+        f = function_from_expression(src, A)
+        assert f.monotonicity is not Monotonicity.UNKNOWN, src
+        directions.add(f.monotonicity)
+        profile = DistributionProfile(f, A)
+        for beta in _betas(profile, rng):
+            _assert_exact_level_set(profile, beta)
+    assert directions == {Monotonicity.INCREASING, Monotonicity.DECREASING}
+
+
+def _step(x):
+    return np.where(np.asarray(x, dtype=float) >= 0.3, 0.8, 0.2)
+
+
+def _plateaus(x):
+    # rises on [0, 0.3], flat on [0.3, 0.7], rises again: a plateau inside A
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x, 0.3) + np.maximum(x - 0.7, 0.0)
+
+
+def _clipped(x):
+    # flat at both ends of A
+    return np.clip(2.0 * np.asarray(x, dtype=float), 0.4, 1.6)
+
+
+@pytest.mark.parametrize("fn", [_step, _plateaus, _clipped], ids=["step", "plateaus", "clipped"])
+@pytest.mark.parametrize("mono", [Monotonicity.INCREASING, Monotonicity.DECREASING])
+def test_level_sets_of_declared_steps_and_plateaus_are_exact_to_the_float(fn, mono):
+    if mono is Monotonicity.DECREASING:
+        def g(x):
+            return fn(1.0 - np.asarray(x, dtype=float))
+    else:
+        g = fn
+    profile = DistributionProfile(from_callable(g, UNIT, mono), UNIT)
+    rng = np.random.default_rng(2207)
+    # the levels of the flat stretches themselves, and the ones just off them
+    flats = [0.2, 0.8, 0.3, 0.4, 1.6]
+    near = [math.nextafter(v, s) for v in flats for s in (-math.inf, math.inf)]
+    for beta in [*_betas(profile, rng), *flats, *near]:
+        _assert_exact_level_set(profile, beta)
+
+
+def test_solve_beta_is_one_function():
+    import fuzzyhh
+    from fuzzyhh import bounds, measure, sugeno
+
+    assert fuzzyhh.solve_beta is sugeno.solve_beta is bounds.solve_beta is measure.solve_beta

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyhh.measure import (
-    INVERSION_TOL,
     DistributionProfile,
     Monotonicity,
     RealInterval,
     from_callable,
 )
 from fuzzyhh import sugeno
+from fuzzyhh.golden import CUBIC_THIRD_ROOT, QUARTIC_HALVED_ROOT
 from fuzzyhh.expressions import (
     EvalError,
     compile_expression,
@@ -75,7 +75,19 @@ class TestFixedPoint:
         res = sugeno_fixed_point(profile)
         past = math.nextafter(res.value, 2.0)
         assert profile.at(res.value) >= res.value and profile.at(past) < past
-        assert res.residual == max(past - res.value, INVERSION_TOL) == INVERSION_TOL
+        assert res.residual == past - res.value
+
+    @pytest.mark.parametrize("src, want", [
+        ("x^4/2", QUARTIC_HALVED_ROOT),
+        ("x^3/3", CUBIC_THIRD_ROOT),
+        ("x^2/2", 2.0 - math.sqrt(3.0)),
+        ("3*x^2", (7.0 - math.sqrt(13.0)) / 6.0),
+    ])
+    def test_golden_roots_to_the_float(self, src, want):
+        # every level set is exact to the float, so the value is too
+        res = sugeno_fixed_point(DistributionProfile(function_from_expression(src, UNIT), UNIT))
+        assert abs(res.value - want) <= 2.3e-16
+        assert res.residual <= 2.3e-16
 
     def test_plateau_gives_the_plateau_value(self):
         # F jumps across the diagonal at a constant's value: no root of
@@ -92,7 +104,7 @@ class TestFixedPoint:
         res = sugeno_fixed_point(DistributionProfile(f, UNIT))
         assert res.value == pytest.approx(0.5001 / 1.0001, abs=1e-9)
         assert res.value == pytest.approx(0.5000499950, abs=1e-9)
-        # slope -1e10: as steep as the inversion tolerance resolves
+        # slope -1e10
         f = function_from_expression("1e-10*x + 0.5", UNIT)
         assert sugeno_fixed_point(DistributionProfile(f, UNIT)).value == pytest.approx(0.5, abs=1e-9)
 
@@ -222,6 +234,13 @@ class TestDispatcher:
         for grid in (0, -3):
             with pytest.raises(ValueError, match="grid must be positive"):
                 sugeno_integral(f, UNIT, grid=grid, method=method)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # NaN used to pass `tol <= 0` and refine every crossing to float resolution
+        f = function_from_expression("x^2/2", UNIT)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sugeno_integral(f, UNIT, tol=tol)
 
     def test_fixedpoint_is_not_a_method(self):
         # the fixed point is an oracle (sugeno_fixed_point), not a route
