@@ -186,7 +186,6 @@ def test_constant_function_distribution_is_a_step():
     assert profile.at(0.4000001) == 0.0
 
 
-
 # -- the level set is exact to the float ---------------------------------------
 
 
