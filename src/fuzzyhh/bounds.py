@@ -51,7 +51,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .convexity import DomainEscape, InvexInterval
+from .convexity import DomainEscape, InvexInterval, validate_alpha_m
 from .measure import ScalarFunction
 from .sugeno import SugenoResult, solve_beta, sugeno_integral
 
@@ -252,10 +252,7 @@ def alpha_m_bound(inputs: BoundInputs) -> BoundResult:
     alpha, m = inputs.alpha, inputs.m
     if alpha is None or m is None:
         raise ValueError("alpha_m_bound needs the alpha/m route")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 < m <= 1:
-        raise ValueError("m must lie in (0, 1]")
+    validate_alpha_m(alpha, m)
     if inputs.fscaled is None:
         raise MissingScaledValue("provide fscaled = f((a + eta_len)/m)")
     fa, fend, eta = inputs.fa, inputs.fend, inputs.eta_len

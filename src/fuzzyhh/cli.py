@@ -304,9 +304,9 @@ def _run_check(ns: argparse.Namespace) -> int:
     else:
         sample = functools.partial(check_preinvex, f, K, eta)
         hypothesis = "preinvex"
-    covered = eta is AFFINE_ETA and ns.samples >= 1 and (0.0 < ns.r < math.inf if ns.r is not None
-               else ns.alpha in (None, 1.0) and (ns.m is None or 0.0 < ns.m <= 1.0))
-    proof = covered and certify_convex(f, parse_expression(ns.function), K, ns.r, ns.m or 1.0)
+    covered = eta is AFFINE_ETA and ns.samples >= 1 and ns.alpha in (None, 1.0)
+    proof = covered and certify_convex(f, parse_expression(ns.function), K, ns.r,
+                                       1.0 if ns.m is None else ns.m)
     rep = proof or sample(samples=ns.samples, seed=ns.seed)
     witness = dataclasses.asdict(rep.witness) if rep.witness is not None else None
     report = _report(

@@ -3,9 +3,13 @@
 Each checker draws (u, v, t) triples from K x K x [0, 1] with a seeded
 generator and either certifies the defining inequality on every draw or
 returns the most violated draw as a reproducible witness: a statistical
-verdict on a black-box function.  ``certify_convex`` instead proves, from an
-expression's interval extension, the hypotheses that the affine eta turns
-into convexity of f or f**r; the CLI samples only where it finds no proof.
+verdict on a black-box function.  Each of the paper's two hypothesis
+families has one sampler: the power mean (``check_r_preinvex``) and the
+scaled argument (``check_alpha_m_preinvex``, whose (1, 1) and alpha = 1
+cases are ``check_preinvex`` and ``check_m_preinvex``).  ``certify_convex``
+instead proves, from an expression's interval extension, the hypotheses
+that the affine eta turns into convexity of f or f**r; it returns None
+wherever the sampler would raise, and the CLI samples where it finds no proof.
 
 All checkers consume the same sample stream for a given (K, samples, seed),
 so hypotheses that degenerate into one another (r = 1, m = 1, alpha = 1)
@@ -172,13 +176,19 @@ def _blocks(K: RealInterval, samples: int, seed: int, block: int = BLOCK):
         yield u, v, t
 
 
+def _first_escape(points, domain: RealInterval) -> int | None:
+    """The first index of ``points`` beyond ``SET_SLACK`` outside ``domain``,
+    or None: the array form of ``RealInterval.contains`` (NaN is not outside)."""
+    outside = (points < domain.lo - SET_SLACK) | (points > domain.hi + SET_SLACK)
+    return int(np.argmax(outside)) if np.any(outside) else None
+
+
 def _path_points(f: ScalarFunction, u, t, eta_uv, kind: str):
     """u + t*eta(v, u), checked against f's domain and clipped back in."""
     path = u + t * eta_uv
     lo, hi = f.domain.lo, f.domain.hi
-    outside = (path < lo - SET_SLACK) | (path > hi + SET_SLACK)
-    if np.any(outside):
-        i = int(np.argmax(outside))
+    i = _first_escape(path, f.domain)
+    if i is not None:
         raise DomainEscape(
             f"{kind}: path point {path[i]:g} leaves the declared domain "
             f"[{lo:g}, {hi:g}] (u={u[i]:g}, t={t[i]:g})"
@@ -257,21 +267,21 @@ def check_condition_c(
     p2 = y + t2 * e
     if eta.domain is not None:
         for pts in (base, p1, p2):
-            outside = (pts < eta.domain.lo - SET_SLACK) | (pts > eta.domain.hi + SET_SLACK)
-            if np.any(outside):
-                i = int(np.argmax(outside))
+            i = _first_escape(pts, eta.domain)
+            if i is not None:
                 raise DomainEscape(
                     f"eta-consistency: intermediate point {pts[i]:g} leaves eta's domain"
                 )
 
-    devs = (
-        np.abs(eta.apply(y, base) - (-t * e)),
-        np.abs(eta.apply(x, base) - (1.0 - t) * e),
-        np.abs(eta.apply(p2, p1) - (t2 - t1) * e),
+    identities = (
+        (eta.apply(y, base), -t * e),
+        (eta.apply(x, base), (1.0 - t) * e),
+        (eta.apply(p2, p1), (t2 - t1) * e),
     )
     worst = -np.inf
     where = (0, 0)
-    for k, dev in enumerate(devs):
+    for k, (lhs, rhs) in enumerate(identities):
+        dev = np.abs(lhs - rhs)
         i = int(np.argmax(dev))
         if float(dev[i]) > worst:
             worst = float(dev[i])
@@ -279,44 +289,23 @@ def check_condition_c(
     if worst <= INEQ_SLACK:
         return HypothesisReport(True, samples, None, worst)
     k, i = where
-    lhs_vals = (
-        eta.apply(y[i], y[i] + t[i] * e[i]),
-        eta.apply(x[i], y[i] + t[i] * e[i]),
-        eta.apply(y[i] + t2[i] * e[i], y[i] + t1[i] * e[i]),
-    )
-    rhs_vals = (-t[i] * e[i], (1.0 - t[i]) * e[i], (t2[i] - t1[i]) * e[i])
+    lhs, rhs = identities[k]
     witness = Witness(
         u=float(y[i]), v=float(x[i]),
         t=float(t[i] if k < 2 else t1[i]),
-        lhs=float(lhs_vals[k]), rhs=float(rhs_vals[k]),
+        lhs=float(lhs[i]), rhs=float(rhs[i]),
         kind=f"eta-consistency-{k + 1}",
         t2=float(t2[i]) if k == 2 else None,
     )
     return HypothesisReport(False, samples, witness, worst)
 
 
-def check_preinvex(
-    f: ScalarFunction,
-    K: RealInterval,
-    eta: EtaMap,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> HypothesisReport:
-    """f(u + t*eta(v, u)) <= (1 - t)*f(u) + t*f(v) on sampled draws.
-
-    Assumes invexity of K under eta has been certified separately; a path
-    point that leaves f's domain raises ``DomainEscape``.
-    """
-
-    def sides(u, v, t):
-        path = _path_points(f, u, t, eta.apply(v, u), "preinvex")
-        lhs = np.asarray(f.evaluate(path), dtype=float)
-        rhs = (1.0 - t) * np.asarray(f.evaluate(u), dtype=float) + t * np.asarray(
-            f.evaluate(v), dtype=float
-        )
-        return lhs, rhs
-
-    return _inequality_report(K, samples, seed, sides, "preinvex")
+def check_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, samples: int = 100_000,
+                   seed: int = 0) -> HypothesisReport:
+    """f(u + t*eta(v, u)) <= (1 - t)*f(u) + t*f(v): the (alpha, m) = (1, 1)
+    case of ``check_alpha_m_preinvex``, its witnesses and errors named
+    "preinvex"."""
+    return _scaled_argument(f, K, eta, 1.0, 1.0, samples, seed, "preinvex")
 
 
 def check_r_preinvex(
@@ -378,35 +367,35 @@ def _small_r_power_mean(fu, fv, t, r: float):
         return np.where(big > 0, big * np.exp(e), 0.0)
 
 
-def check_alpha_m_preinvex(
-    f: ScalarFunction,
-    K: RealInterval,
-    eta: EtaMap,
-    alpha: float,
-    m: float,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> HypothesisReport:
-    """f(u + t*eta(v, u)) <= (1 - t**alpha)*f(u) + m * t**alpha * f(v/m).
-
-    alpha and m must lie in (0, 1].  f's declared domain must contain v/m for
-    every v in K (``DomainEscape`` otherwise) - this is the reason functions
-    carry a domain wider than the integration interval.
-    """
+def validate_alpha_m(alpha: float, m: float) -> None:
+    """Raise ``ValueError`` unless alpha and m lie in (0, 1]."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if not 0 < m <= 1:
         raise ValueError("m must lie in (0, 1]")
+
+
+def _scaled_argument(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: float, m: float,
+                     samples: int, seed: int, kind: str) -> HypothesisReport:
+    """f(u + t*eta(v, u)) <= (1 - t**alpha)*f(u) + m * t**alpha * f(v/m), the
+    witness and the errors named ``kind``.
+
+    alpha and m must lie in (0, 1].  f's declared domain must contain v/m for
+    every v in K (``DomainEscape`` otherwise) - this is the reason functions
+    carry a domain wider than the integration interval.  Assumes invexity of
+    K under eta has been certified separately; a path point that leaves f's
+    domain raises ``DomainEscape`` too.
+    """
+    validate_alpha_m(alpha, m)
     lo, hi = f.domain.lo, f.domain.hi
 
     def sides(u, v, t):
-        path = _path_points(f, u, t, eta.apply(v, u), "alpha-m-preinvex")
+        path = _path_points(f, u, t, eta.apply(v, u), kind)
         scaled = v / m
-        outside = (scaled < lo - SET_SLACK) | (scaled > hi + SET_SLACK)
-        if np.any(outside):
-            i = int(np.argmax(outside))
+        i = _first_escape(scaled, f.domain)
+        if i is not None:
             raise DomainEscape(
-                f"alpha-m-preinvex: v/m = {scaled[i]:g} leaves the declared domain "
+                f"{kind}: v/m = {scaled[i]:g} leaves the declared domain "
                 f"[{lo:g}, {hi:g}]; declare a wider one"
             )
         np.clip(scaled, lo, hi, out=scaled)
@@ -417,19 +406,19 @@ def check_alpha_m_preinvex(
         )
         return lhs, rhs
 
-    return _inequality_report(K, samples, seed, sides, "alpha-m-preinvex")
+    return _inequality_report(K, samples, seed, sides, kind)
 
 
-def check_m_preinvex(
-    f: ScalarFunction,
-    K: RealInterval,
-    eta: EtaMap,
-    m: float,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> HypothesisReport:
-    """The alpha = 1 special case of the scaled-argument hypothesis."""
-    return check_alpha_m_preinvex(f, K, eta, alpha=1.0, m=m, samples=samples, seed=seed)
+def check_alpha_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: float,
+                           m: float, samples: int = 100_000, seed: int = 0) -> HypothesisReport:
+    """The scaled-argument hypothesis (``_scaled_argument``), named "alpha-m-preinvex"."""
+    return _scaled_argument(f, K, eta, alpha, m, samples, seed, "alpha-m-preinvex")
+
+
+def check_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, m: float,
+                     samples: int = 100_000, seed: int = 0) -> HypothesisReport:
+    """The alpha = 1 case of ``check_alpha_m_preinvex``, named as it is."""
+    return _scaled_argument(f, K, eta, 1.0, m, samples, seed, "alpha-m-preinvex")
 
 
 #: Cells of the bisection that ``certify_convex`` may make for its proof.
@@ -445,11 +434,14 @@ def certify_convex(f: ScalarFunction, node: Node, K: RealInterval, r: float | No
                    m: float = 1.0) -> HypothesisReport | None:
     """A report with no draw, holding, if the extension of f's tree ``node``
     proves the hypothesis the sampler checks for the affine eta, else None:
-    g = f (r None) or f**r (r > 0) convex on K, or for m < 1 f convex on the
-    hull H of 0, K and K/m with f(0) <= 0, so that f(v) <= m*f(v/m).  g''s
-    slope bounds enclose g'' on the cells of a widest-first bisection of H.
-    None also wherever the sampler could raise or round past ``INEQ_SLACK``.
-    r and m < 1 do not combine: no checker samples that hypothesis."""
+    g = f (r None) or f**r (0 < r < inf) convex on K, or for 0 < m < 1 f convex
+    on the hull H of 0, K and K/m with f(0) <= 0, so that f(v) <= m*f(v/m).
+    g''s slope bounds enclose g'' on the cells of a widest-first bisection of
+    H.  None for every other r or m, and wherever the sampler would raise or
+    could round past ``INEQ_SLACK``; never an exception.  r and m < 1 do not
+    combine: no checker samples that hypothesis."""
+    if not (r is None or 0.0 < r < math.inf) or not 0.0 < m <= 1.0:
+        return None
     ends = [K.lo, K.hi] + ([0.0, K.lo / m, K.hi / m] if m < 1.0 else [])
     lo, hi, power = min(ends), max(ends), 1.0 if r is None else r
     enc = f.extension and all(f.domain.contains(x) for x in ends) and f.extension(lo, hi)

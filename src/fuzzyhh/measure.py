@@ -131,17 +131,22 @@ class Monotonicity(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def step_slack(ys: np.ndarray) -> float:
+    """The size ``1e-11 * max(1, max |y|)`` up to which a step of ``ys`` is rounding noise."""
+    return 1e-11 * max(1.0, float(np.abs(ys).max()))
+
+
 def follows(ys: np.ndarray, monotonicity: Monotonicity) -> bool:
     """Whether an ordered sample ``ys`` is weakly monotone in the given sense.
 
-    Steps against the direction are forgiven up to a relative slack of
-    ``1e-11 * max(1, max |y|)``, so rounding noise on flat stretches does not
-    break a constant's or a plateau's hint.  ``UNKNOWN`` never follows.
+    Steps against the direction are forgiven up to ``step_slack(ys)``, so
+    rounding noise on flat stretches does not break a constant's or a
+    plateau's hint.  ``UNKNOWN`` never follows.
     """
     if monotonicity is Monotonicity.UNKNOWN:
         return False
     dy = ys[1:] - ys[:-1]
-    slack = 1e-11 * max(1.0, float(np.abs(ys).max()))
+    slack = step_slack(ys)
     if monotonicity is Monotonicity.INCREASING:
         return bool(dy.min(initial=np.inf) >= -slack)  # NaN compares False
     return bool(dy.max(initial=-np.inf) <= slack)

@@ -104,6 +104,7 @@ from .measure import (
     ScalarFunction,
     follows,
     solve_beta,
+    step_slack,
 )
 
 __all__ = [
@@ -479,14 +480,13 @@ def _monotone_cells(xs: np.ndarray, ys: np.ndarray) -> tuple:
 def _proposals(ys: np.ndarray) -> list[tuple[int, int, bool]]:
     """(i, j, turning): index ranges of the guard sample that cover it in order.
 
-    The sample turns where a step beyond the ``follows`` slack goes against
+    The sample turns where a step beyond ``step_slack`` goes against
     the previous such step; the two cells around each turn hold the turning
     point and form one turning range, merged with any it overlaps.  Between
     them lie the ranges the sample suggests are monotone.
     """
     dy = np.diff(ys)
-    slack = 1e-11 * max(1.0, float(np.max(np.abs(ys))))
-    steps = np.flatnonzero(np.abs(dy) > slack)
+    steps = np.flatnonzero(np.abs(dy) > step_slack(ys))
     up = dy[steps] > 0.0
     turns = steps[1:][up[1:] != up[:-1]]
     if turns.size >= MAX_PIECES:

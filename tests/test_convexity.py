@@ -523,6 +523,20 @@ def test_domain_escape_names_the_first_escaping_draw():
     assert got[0] is DomainEscape and "v/m = 1.9999" in got[1]
 
 
+def test_plain_preinvexity_keeps_v_in_the_domain():
+    """check_preinvex is the (1, 1) case of the scaled-argument sampler, so a
+    v outside f's domain is an escape there too, even where no path point is:
+    at seed 8 the one draw has u = 0.654 and v = 1.975, and t = 0 keeps the
+    path at u.  The whole-array reference, as the plain checker was written
+    before, evaluates f at that v and reports."""
+    K, f = RealInterval(0.0, 2.0), function_from_expression("x^2", UNIT)
+    u, v, t = ref_draw(K, 1, 8)
+    assert UNIT.contains(u[0]) and not UNIT.contains(v[0]) and t[0] == 0.0
+    assert isinstance(ref_preinvex(f, K, AFFINE_ETA, 1, 8), HypothesisReport)
+    with pytest.raises(DomainEscape, match=r"^preinvex: v/m = 1\.97455 leaves the declared domain"):
+        check_preinvex(f, K, AFFINE_ETA, samples=1, seed=8)
+
+
 @pytest.mark.parametrize("src, r", [("x-0.5", -1.0), ("x-0.5", 0.0), ("x-0.5", 0.5), ("x-0.5", 2.0)])
 def test_non_positive_function_messages(src, r):
     f = function_from_expression(src, UNIT)
@@ -677,6 +691,21 @@ class TestCertifyConvex:
         assert self._proof("1/(1.1 - x)") is not None
         assert self._proof("exp(x)", r=1e-6) is None  # the power mean rounds at 1/r
         assert self._proof("10*exp(x)", r=40.0) is None  # f**r near overflow
+
+    def test_outside_its_hypothesis_it_returns_none_without_raising(self):
+        # these raised ZeroDivisionError (m = 0), math domain errors (r = 0;
+        # r = -1 on x + 1) or certified (m < 0, m > 1)
+        for src in ("x^2", "x + 1"):
+            f = function_from_expression(src, RealInterval(-3.0, 3.0))
+            for kw in [dict(m=m) for m in (0.0, -0.5, 1.5, 2.0)] + \
+                    [dict(r=r) for r in (0.0, -1.0, math.inf, math.nan)]:
+                assert certify_convex(f, parse_expression(src), UNIT, **kw) is None, (src, kw)
+
+    def test_m_above_one_is_not_certified(self):
+        f = function_from_expression("x^2", RealInterval(-3.0, 3.0))
+        # u = 0, v = 1, t = 1 refutes f(u + t*(v - u)) <= (1 - t)*f(u) + m*t*f(v/m) at m = 2
+        assert f.evaluate(1.0) == 1.0 > 2.0 * f.evaluate(0.5) == 0.5
+        assert certify_convex(f, parse_expression("x^2"), UNIT, m=2.0) is None
 
     def test_a_proof_bisects_within_its_cells(self, monkeypatch):
         calls = []
