@@ -377,15 +377,7 @@ def validate_alpha_m(alpha: float, m: float) -> None:
 
 def _scaled_argument(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: float, m: float,
                      samples: int, seed: int, kind: str) -> HypothesisReport:
-    """f(u + t*eta(v, u)) <= (1 - t**alpha)*f(u) + m * t**alpha * f(v/m), the
-    witness and the errors named ``kind``.
-
-    alpha and m must lie in (0, 1].  f's declared domain must contain v/m for
-    every v in K (``DomainEscape`` otherwise) - this is the reason functions
-    carry a domain wider than the integration interval.  Assumes invexity of
-    K under eta has been certified separately; a path point that leaves f's
-    domain raises ``DomainEscape`` too.
-    """
+    """``check_alpha_m_preinvex`` with its witness and errors named ``kind``."""
     validate_alpha_m(alpha, m)
     lo, hi = f.domain.lo, f.domain.hi
 
@@ -411,7 +403,14 @@ def _scaled_argument(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: flo
 
 def check_alpha_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: float,
                            m: float, samples: int = 100_000, seed: int = 0) -> HypothesisReport:
-    """The scaled-argument hypothesis (``_scaled_argument``), named "alpha-m-preinvex"."""
+    """f(u + t*eta(v, u)) <= (1 - t**alpha)*f(u) + m * t**alpha * f(v/m).
+
+    alpha and m must lie in (0, 1].  f's declared domain must contain v/m for
+    every v in K (``DomainEscape`` otherwise) - this is the reason functions
+    carry a domain wider than the integration interval.  Assumes invexity of
+    K under eta has been certified separately; a path point that leaves f's
+    domain raises ``DomainEscape`` too.
+    """
     return _scaled_argument(f, K, eta, alpha, m, samples, seed, "alpha-m-preinvex")
 
 
