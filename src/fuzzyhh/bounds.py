@@ -53,7 +53,7 @@ from typing import Callable
 
 from .convexity import DomainEscape, InvexInterval, validate_alpha_m
 from .measure import ScalarFunction
-from .sugeno import SugenoResult, solve_beta, sugeno_integral
+from .sugeno import DEFAULT_GRID, SugenoResult, solve_beta, sugeno_integral
 
 __all__ = [
     "BoundError",
@@ -357,7 +357,7 @@ def verify_fuzzy_hh(
     alpha: float | None = None,
     m: float | None = None,
     tol: float = 1e-6,
-    grid: int = 1_000_000,
+    grid: int = DEFAULT_GRID,
 ) -> FuzzyHHReport:
     """End-to-end check that the Sugeno integral stays below its bound.
 

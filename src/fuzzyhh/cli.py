@@ -3,7 +3,9 @@
 Subcommands: integrate | check | bound | reproduce | sweep.  Functions are
 given as expressions in a small arithmetic DSL (see ``expressions``); results
 go to stdout as text (floats at 6 significant digits) or as a JSON report
-carrying full precision, and sweeps emit RFC-4180 CSV.
+carrying full precision, and sweeps emit RFC-4180 CSV.  Every subcommand
+but sweep returns its result, provenance, verdict and exit code, and
+``main`` alone times it, builds the report and delivers it.
 
 Exit codes: 0 when every requested verdict passes, 1 on usage or expression
 errors, 2 when a hypothesis check or a bound verification fails, 3 when no
@@ -35,6 +37,7 @@ from .bounds import (
 )
 from .convexity import (
     AFFINE_ETA,
+    DEFAULT_SAMPLES,
     DomainEscape,
     EtaMap,
     InvexInterval,
@@ -48,7 +51,7 @@ from .convexity import (
 )
 from .expressions import EvalError, ExprSyntaxError, function_from_expression, parse_expression
 from .measure import RealInterval
-from .sugeno import IntegralMethod, NegativeFunction, sugeno_integral
+from .sugeno import DEFAULT_GRID, IntegralMethod, NegativeFunction, SugenoResult, sugeno_integral
 
 __all__ = ["build_parser", "main", "app"]
 
@@ -123,9 +126,10 @@ def _add_flags(parser: argparse.ArgumentParser, reads: tuple[str, ...]) -> None:
     add("--method", choices=("supmin",), default=None,
         help="force the integration route: supmin sweeps --grid "
              "thresholds (the assumption-free oracle)")
-    add("--grid", type=int, default=1_000_000,
-        help="grid size for sampled distributions (default 1e6)")
-    add("--samples", type=int, default=100_000, help="draws when no proof is found (default 1e5)")
+    add("--grid", type=int, default=DEFAULT_GRID,
+        help="grid size for sampled distributions (default %(default)d)")
+    add("--samples", type=int, default=DEFAULT_SAMPLES,
+        help="draws when no proof is found (default %(default)d)")
     add("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", type=str, default=None, metavar="PATH",
@@ -172,6 +176,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # -- report plumbing ---------------------------------------------------------
+
+#: What a reporting subcommand returns; ``main`` times it and builds the report.
+_Outcome = tuple[dict[str, Any], dict[str, Any], str, int]  # result, provenance, verdict, exit
 
 
 def _inputs_dict(ns: argparse.Namespace) -> dict[str, Any]:
@@ -234,18 +241,6 @@ def _deliver(report: dict[str, Any], ns: argparse.Namespace) -> None:
             fh.write(payload + "\n")
 
 
-def _report(command: str, ns: argparse.Namespace, result: dict[str, Any],
-            provenance: dict[str, Any], verdict: str, t0: float) -> dict[str, Any]:
-    return {
-        "command": command,
-        "inputs": _inputs_dict(ns),
-        "result": result,
-        "provenance": provenance,
-        "verdict": verdict,
-        "elapsed_s": time.monotonic() - t0,
-    }
-
-
 def _build_function(ns: argparse.Namespace, default_domain: RealInterval):
     domain = _parse_fdomain(ns.fdomain) if ns.fdomain else default_domain
     return function_from_expression(ns.function, domain)
@@ -262,27 +257,24 @@ def _eta_len(ns: argparse.Namespace) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
-def _run_integrate(ns: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _integral_provenance(res: SugenoResult, grid: int,
+                         residuals: dict[str, float]) -> dict[str, Any]:
+    """How the integral was obtained; ``residuals`` leads with the report's own residual."""
+    return {"method": res.method.value, **residuals,
+            "residual_is_bound": res.method is IntegralMethod.FIXED_POINT,
+            "hint": res.hint, "pieces": res.pieces, "grid": grid, "seed": None}
+
+
+def _run_integrate(ns: argparse.Namespace) -> _Outcome:
     A = _interval(ns)
     f = _build_function(ns, A)
     method = ns.method or "auto"
     res = sugeno_integral(f, A, grid=ns.grid, method=method)
-    report = _report(
-        "integrate", ns,
-        result={"integral": res.value},
-        provenance={"method": res.method.value, "residual": res.residual,
-                    "residual_is_bound": res.method is IntegralMethod.FIXED_POINT,
-                    "hint": res.hint, "pieces": res.pieces, "grid": ns.grid, "seed": None},
-        verdict="ok",
-        t0=t0,
-    )
-    _deliver(report, ns)
-    return EXIT_OK
+    return ({"integral": res.value},
+            _integral_provenance(res, ns.grid, {"residual": res.residual}), "ok", EXIT_OK)
 
 
-def _run_check(ns: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _run_check(ns: argparse.Namespace) -> _Outcome:
     K = _interval(ns)
     f = _build_function(ns, K)
     eta = _parse_eta(ns.eta)
@@ -309,21 +301,14 @@ def _run_check(ns: argparse.Namespace) -> int:
                                        1.0 if ns.m is None else ns.m)
     rep = proof or sample(samples=ns.samples, seed=ns.seed)
     witness = dataclasses.asdict(rep.witness) if rep.witness is not None else None
-    report = _report(
-        "check", ns,
-        result={"holds": rep.holds, "witness": witness},
-        provenance={"method": hypothesis, "residual": rep.max_violation,
-                    "hypothesis": "certified" if proof else "sampled",
-                    "grid": None, "seed": ns.seed},
-        verdict="holds" if rep.holds else "violated",
-        t0=t0,
-    )
-    _deliver(report, ns)
-    return EXIT_OK if rep.holds else EXIT_CHECK_FAILED
+    return ({"holds": rep.holds, "witness": witness},
+            {"method": hypothesis, "residual": rep.max_violation,
+             "hypothesis": "certified" if proof else "sampled", "grid": None, "seed": ns.seed},
+            "holds" if rep.holds else "violated",
+            EXIT_OK if rep.holds else EXIT_CHECK_FAILED)
 
 
-def _run_bound(ns: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _run_bound(ns: argparse.Namespace) -> _Outcome:
     eta_len = _eta_len(ns)
     iv = InvexInterval(ns.a, eta_len)
     f = _build_function(ns, iv.domain)
@@ -339,19 +324,9 @@ def _run_bound(ns: argparse.Namespace) -> int:
         if rep.passed
         else f"fail: integral exceeds bound by {_fmt(-rep.margin)}"
     )
-    report = _report(
-        "bound", ns,
-        result=result,
-        provenance={"method": rep.integral.method.value, "residual": rep.bound.residual,
-                    "integral_residual": rep.integral.residual,
-                    "residual_is_bound": rep.integral.method is IntegralMethod.FIXED_POINT,
-                    "hint": rep.integral.hint, "pieces": rep.integral.pieces,
-                    "grid": ns.grid, "seed": None},
-        verdict=verdict,
-        t0=t0,
-    )
-    _deliver(report, ns)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    residuals = {"residual": rep.bound.residual, "integral_residual": rep.integral.residual}
+    return (result, _integral_provenance(rep.integral, ns.grid, residuals), verdict,
+            EXIT_OK if rep.passed else EXIT_CHECK_FAILED)
 
 
 def _entry_dict(res: golden.ReproResult) -> dict[str, Any]:
@@ -374,22 +349,16 @@ def _entry_dict(res: golden.ReproResult) -> dict[str, Any]:
     }
 
 
-def _run_reproduce(ns: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _run_reproduce(ns: argparse.Namespace) -> _Outcome:
     if ns.entry == "all":
         results = golden.run_all()
     else:
         results = [golden.run_entry(ns.entry)]
     all_ok = all(r.ok for r in results)
-    report = _report(
-        "reproduce", ns,
-        result={"holds": all_ok, "entries": [_entry_dict(r) for r in results]},
-        provenance={"method": "golden-table", "residual": 0.0, "grid": None, "seed": None},
-        verdict="all golden entries match" if all_ok else "golden-table mismatch",
-        t0=t0,
-    )
-    _deliver(report, ns)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return ({"holds": all_ok, "entries": [_entry_dict(r) for r in results]},
+            {"method": "golden-table", "residual": 0.0, "grid": None, "seed": None},
+            "all golden entries match" if all_ok else "golden-table mismatch",
+            EXIT_OK if all_ok else EXIT_CHECK_FAILED)
 
 
 def _sweep_integral(ns: argparse.Namespace, iv: InvexInterval) -> tuple[Any, float]:
@@ -457,7 +426,6 @@ _HANDLERS = {
     "check": _run_check,
     "bound": _run_bound,
     "reproduce": _run_reproduce,
-    "sweep": _run_sweep,
 }
 
 
@@ -466,8 +434,15 @@ def main(argv: list[str] | None = None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    t0 = time.monotonic()
     try:
-        return _HANDLERS[ns.cmd](ns)
+        if ns.cmd == "sweep":
+            return _run_sweep(ns)
+        result, provenance, verdict, code = _HANDLERS[ns.cmd](ns)
+        _deliver({"command": ns.cmd, "inputs": _inputs_dict(ns), "result": result,
+                  "provenance": provenance, "verdict": verdict,
+                  "elapsed_s": time.monotonic() - t0}, ns)
+        return code
     except ExprSyntaxError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE

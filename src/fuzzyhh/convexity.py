@@ -55,6 +55,9 @@ __all__ = [
 
 INEQ_SLACK = 1e-9
 
+#: Draws of every sampling checker unless the caller asks for another count.
+DEFAULT_SAMPLES = 100_000
+
 #: Below this |r| the r-th power mean is taken in a stable form
 #: (``_small_r_power_mean``): the direct form rounds f**r near 1 and loses
 #: about 2**-53/|r| of relative precision, 1e-13 at this r and all of it by
@@ -224,7 +227,7 @@ def _inequality_report(K: RealInterval, samples: int, seed: int, sides, kind: st
 
 
 def check_invex(
-    K: RealInterval, eta: EtaMap, samples: int = 100_000, seed: int = 0
+    K: RealInterval, eta: EtaMap, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> HypothesisReport:
     """Certify u + t*eta(v, u) in K for sampled (u, v, t).
 
@@ -241,7 +244,7 @@ def check_invex(
 
 
 def check_condition_c(
-    K: RealInterval, eta: EtaMap, samples: int = 100_000, seed: int = 0
+    K: RealInterval, eta: EtaMap, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> HypothesisReport:
     """Check the three path-consistency identities of the map eta.
 
@@ -251,7 +254,8 @@ def check_condition_c(
         eta(x, y + t*e) = (1 - t)*e
         eta(y + t2*e, y + t1*e) = (t2 - t1)*e
 
-    each to 1e-9.  These identities are what make a path map behave affinely
+    each to 1e-9; a NaN deviation is a violation, and the first one is the
+    witness.  These identities are what make a path map behave affinely
     along its own paths; the affine map satisfies them identically.  Raises
     ``DomainEscape`` only if an intermediate point leaves eta's own declared
     domain (the identities are otherwise still evaluable formulas).
@@ -282,8 +286,8 @@ def check_condition_c(
     where = (0, 0)
     for k, (lhs, rhs) in enumerate(identities):
         dev = np.abs(lhs - rhs)
-        i = int(np.argmax(dev))
-        if float(dev[i]) > worst:
+        i = int(np.argmax(dev))  # a NaN first, and it stays the worst
+        if not math.isnan(worst) and not float(dev[i]) <= worst:
             worst = float(dev[i])
             where = (k, i)
     if worst <= INEQ_SLACK:
@@ -300,7 +304,7 @@ def check_condition_c(
     return HypothesisReport(False, samples, witness, worst)
 
 
-def check_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, samples: int = 100_000,
+def check_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, samples: int = DEFAULT_SAMPLES,
                    seed: int = 0) -> HypothesisReport:
     """f(u + t*eta(v, u)) <= (1 - t)*f(u) + t*f(v): the (alpha, m) = (1, 1)
     case of ``check_alpha_m_preinvex``, its witnesses and errors named
@@ -313,7 +317,7 @@ def check_r_preinvex(
     K: RealInterval,
     eta: EtaMap,
     r: float,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> HypothesisReport:
     """Power-mean form: the arithmetic mean is replaced by the r-th power mean.
@@ -402,7 +406,8 @@ def _scaled_argument(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: flo
 
 
 def check_alpha_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, alpha: float,
-                           m: float, samples: int = 100_000, seed: int = 0) -> HypothesisReport:
+                           m: float, samples: int = DEFAULT_SAMPLES,
+                           seed: int = 0) -> HypothesisReport:
     """f(u + t*eta(v, u)) <= (1 - t**alpha)*f(u) + m * t**alpha * f(v/m).
 
     alpha and m must lie in (0, 1].  f's declared domain must contain v/m for
@@ -415,7 +420,7 @@ def check_alpha_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, alph
 
 
 def check_m_preinvex(f: ScalarFunction, K: RealInterval, eta: EtaMap, m: float,
-                     samples: int = 100_000, seed: int = 0) -> HypothesisReport:
+                     samples: int = DEFAULT_SAMPLES, seed: int = 0) -> HypothesisReport:
     """The alpha = 1 case of ``check_alpha_m_preinvex``, named as it is."""
     return _scaled_argument(f, K, eta, 1.0, m, samples, seed, "alpha-m-preinvex")
 

@@ -119,6 +119,11 @@ __all__ = [
     "sugeno_integral",
 ]
 
+#: The default grid of ``sugeno_integral``, ``sugeno_supmin_exact`` and the
+#: bounds' ``verify_fuzzy_hh``: the cells of a sampled distribution, or the
+#: thresholds of the "supmin" method.
+DEFAULT_GRID = 1_000_000
+
 #: Points of the guard sample, the first round of every form and the sample
 #: of every route's sign checks, and of the monotone form's uniform re-grids.
 CROSSING_POINTS = 4097
@@ -224,7 +229,7 @@ def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     return SugenoResult(value, IntegralMethod.SUPMIN_GRID, top / n)
 
 
-def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = 1_000_000) -> SugenoResult:
+def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRID) -> SugenoResult:
     """Exact sup-min of the grid-sampled function.
 
     For the empirical step distribution of an n-point midpoint sample the sup
@@ -721,7 +726,7 @@ def sugeno_integral(
     f: ScalarFunction,
     A: RealInterval,
     tol: float = 1e-9,
-    grid: int = 1_000_000,
+    grid: int = DEFAULT_GRID,
     method: str = "auto",
 ) -> SugenoResult:
     """Integrate f over A, reporting which route produced the value.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from fuzzyhh import RealInterval, bounds, cli, function_from_expression, sugeno_integral
+from fuzzyhh import RealInterval, bounds, cli, function_from_expression, golden, sugeno_integral
 from fuzzyhh.cli import main
 from fuzzyhh.convexity import InvexInterval
 
@@ -518,6 +518,38 @@ class TestReproduce:
         code, _, err = run(capsys, "reproduce", "nope")
         assert code == 1
         assert "unknown entry" in err
+
+    def test_text_lists_each_check_and_the_verdict(self, capsys):
+        code, out, err = run(capsys, "reproduce", "s3-x3")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        start = lines.index("[s3-x3] x^3/3 on [0,1]: power-mean route bound, r = 1/2")
+        assert lines[start + 1:start + 6] == [
+            "  bound: 0.208712 (expected 0.2087 +/- 0.0005) ok",
+            "  bound-derived: 0.208712 (expected 0.208712 +/- 1e-09) ok",
+            "  integral-derived: 0.182268 (expected 0.182268 +/- 1e-06) ok",
+            "  integral-reported: 0.182268 (expected 0.1847 +/- 0.003) ok",
+            "  verdict: upper bound holds (integral <= min(beta, L)) [ok]",
+        ]
+        assert "verdict: all golden entries match" in lines
+
+    def test_text_marks_a_mismatch(self, capsys, monkeypatch):
+        real = golden.run_entry
+
+        def skewed(entry_id):
+            res = real(entry_id)
+            first = dataclasses.replace(res.checks[0], expected=res.checks[0].expected + 1.0)
+            return dataclasses.replace(res, checks=(first, *res.checks[1:]))
+
+        monkeypatch.setattr(golden, "run_entry", skewed)
+        code, out, _ = run(capsys, "reproduce", "s4-x2")
+        assert code == 2
+        lines = out.splitlines()
+        assert "  integral: 0.267949 (expected 1.2679 +/- 0.0005) FAIL" in lines
+        assert "  classical-mean: 0.25 (expected 0.25 +/- 1e-12) ok" in lines
+        assert ("  verdict: endpoint-mean side violated (integral exceeds (f(a) + f(b))/2)"
+                " [MISMATCH]") in lines
+        assert "verdict: golden-table mismatch" in lines
 
 
 class TestSweep:

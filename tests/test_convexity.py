@@ -87,6 +87,20 @@ class TestConditionC:
             rhs = (w.t2 - w.t) * eta(x, y)
         assert abs(lhs - rhs) > 1e-9
 
+    @pytest.mark.parametrize("apply", [
+        lambda v, u: np.full(np.shape(u), np.nan),
+        lambda v, u: np.where(u > 0.5, np.nan, v - u),
+    ], ids=["all-nan", "nan-past-half"])
+    def test_a_nan_deviation_is_a_violation(self, apply):
+        # a NaN deviation used to be skipped: holds=True, max_violation=-inf
+        report = check_condition_c(UNIT, EtaMap(apply=apply), samples=1000, seed=0)
+        assert not report.holds and math.isnan(report.max_violation)
+        w = report.witness
+        assert w.kind == "eta-consistency-1" and math.isnan(w.lhs)
+        y, x, t = next(_blocks(UNIT, 1000, 0, 1000))
+        first = int(np.argmax(np.isnan(apply(y, y + t * apply(x, y)))))
+        assert (w.u, w.v, w.t) == (y[first], x[first], t[first])
+
     def test_restricted_eta_domain_raises(self):
         tight = EtaMap(apply=lambda v, u: 3.0 * (v - u), name="wild", domain=UNIT)
         with pytest.raises(DomainEscape):

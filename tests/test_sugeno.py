@@ -1280,3 +1280,17 @@ def test_end_cells_first_keeps_the_cells_of_plain_halving():
         calls_now, calls_then = calls_now + now_calls, calls_then + then_calls
         fewer += now_calls < then_calls
     assert fewer > 40 and calls_now < 0.9 * calls_then
+
+
+def test_overlapping_turning_ranges_merge():
+    """A dip narrower than a guard cell turns the guard sample at indices 2047
+    and 2048, whose turning ranges overlap and merge into one.  The crossing
+    lies on the dip's rising arm, where F(b) = 1 - (5.001 + b)/11, so the
+    integral is 5.999/12."""
+    f = function_from_expression(
+        "x - 5*(0.0001 - abs(x - 0.5) + abs(0.0001 - abs(x - 0.5)))", UNIT)
+    ys = f.evaluate(UNIT.grid(sugeno.CROSSING_POINTS))
+    assert sugeno._proposals(ys) == [(0, 2046, False), (2046, 2049, True), (2049, 4096, False)]
+    res = sugeno_integral(f, UNIT)
+    assert (res.method, res.hint, res.pieces) == (IntegralMethod.FIXED_POINT, "certified", 2)
+    assert abs(res.value - 5.999 / 12) <= res.residual
