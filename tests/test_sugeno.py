@@ -1294,3 +1294,72 @@ def test_overlapping_turning_ranges_merge():
     res = sugeno_integral(f, UNIT)
     assert (res.method, res.hint, res.pieces) == (IntegralMethod.FIXED_POINT, "certified", 2)
     assert abs(res.value - 5.999 / 12) <= res.residual
+
+
+# -- the calls and digits the piecewise rounds may not exceed -------------------------
+
+#: The ``evaluate`` calls (one digit a draw) and extension calls of the piecewise
+#: form on 40 draws of ``_closed_families(np.random.default_rng(2021))``, family
+#: by family, when the first round still sorted every guard cell.
+FAMILY_CALLS = {
+    "tent": ("2222222222222222222222222222222222222222",
+             "3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3"),
+    "quad": ("2222222222222222222222222222222222222222",
+             "3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3"),
+    "step-jump": ("1111111111111111111111111111111111111111",
+                  "18 12 16 18 20 16 18 14 14 12 20 12 18 18 20 18 10 18 14 18 "
+                  "20 20 18 16 14 14 14 18 20 16 18 10 18 18 16 12 14 10 18 18"),
+    "step-slope": ("2222222222222222222222222222222222222222",
+                   "12 18 14 14 16 14 12 16 16 14 16 18 18 16 18 18 16 16 8 18 "
+                   "16 16 10 8 18 16 16 16 12 14 14 16 16 14 12 16 18 16 18 16"),
+    "bump": ("2322322322323233322332233322232233323333",
+             "6 22 10 6 18 14 10 14 14 10 26 6 26 10 26 22 22 18 6 14 "
+             "26 10 18 26 26 22 6 6 10 14 14 6 22 14 22 10 14 14 14 22"),
+}
+
+#: The bisection tolerance of ``bisect_root``, the closed forms' own error.
+ORACLE_TOL = 1e-13
+
+
+def test_seeded_families_take_no_more_calls_than_pinned():
+    """Each draw within its residual of the closed form, and at most the
+    pinned ``evaluate`` and extension calls."""
+    rng = np.random.default_rng(2021)
+    pinned = {name: (list(map(int, points)), list(map(int, boxes.split())))
+              for name, (points, boxes) in FAMILY_CALLS.items()}
+    for draw in range(40):
+        for name, (src, pieces, want) in zip(FAMILIES, _closed_families(rng)):
+            f, points, boxes = _calls(function_from_expression(src, UNIT))
+            res = sugeno_integral(f, UNIT)
+            assert (res.method, res.hint) == (IntegralMethod.FIXED_POINT, "certified"), src
+            assert res.residual <= 1e-9 and abs(res.value - want) <= res.residual + ORACLE_TOL, src
+            assert len(points) <= pinned[name][0][draw], src
+            assert len(boxes) <= pinned[name][1][draw], src
+
+
+PLATEAU = "0.3 + 0.5*(0.1 - x + abs(0.1 - x)) + 0.5*(x - 0.8 + abs(x - 0.8))"
+
+
+#: (source, closed form, pieces, most ``evaluate`` calls, most extension calls)
+#: on [0, 1] at the default tol: a plateau at the crossing level, a narrow spike
+#: and a narrow bump whose crossings lie in cells no estimate resolves, and
+#: nearly flat runs whose guard values step by rounding alone.
+HARD_CASES = [
+    (PLATEAU, 0.3, 2, 8, 3),
+    ("(x + 0.3) - x + 0.5*(0.1 - x + abs(0.1 - x)) + 0.5*(x - 0.8 + abs(x - 0.8))", 0.3, 2, 8, 3),
+    ("0.5*(3e-05 - abs(x - 0.9001) + abs(abs(x - 0.9001) - 3e-05))/6e-05", 6e-5 / (1 + 1.2e-4), 5, 16, 34),
+    ("exp(-400000000*(x - 0.5)^2)", _narrow_bump_value(4e8), 2, 8, 5),
+    ("0.3 + 1e-17*x", 0.3, 1, 2, 0),
+    ("0.3 + 1e-12*abs(x - 0.5)", (1 + 0.6e12) / (1 + 2e12), 2, 1, 6),
+    ("0.3 + 1e-17*x + 0.5*(0.1 - x + abs(0.1 - x))", 0.3, 2, 1, 28),
+    ("(x + 0.1) - x + abs(x - 0.37)", 0.4, 2, 2, 3),
+]
+
+
+@pytest.mark.parametrize("src, want, pieces, most_points, most_boxes", HARD_CASES)
+def test_hard_cases_take_no_more_calls_than_pinned(src, want, pieces, most_points, most_boxes):
+    f, points, boxes = _calls(function_from_expression(src, UNIT))
+    res = sugeno_integral(f, UNIT)
+    assert (res.method, res.hint, res.pieces) == (IntegralMethod.FIXED_POINT, "certified", pieces)
+    assert res.residual <= 1e-9 and abs(res.value - want) <= res.residual + ORACLE_TOL
+    assert len(points) <= most_points and len(boxes) <= most_boxes
