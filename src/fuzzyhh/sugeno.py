@@ -27,35 +27,33 @@ it, "unknown" when the value rests on none.
   expression) but no direction on its whole domain.  The turning cells of
   the guard sample propose monotone pieces and the extension proves each one
   with one interval evaluation; a piece that fails is bisected down to
-  single guard cells, which are kept as gaps.  A single piece covering
-  [lo, hi] takes the monotone form.  Otherwise f is held as one set of cells
-  with bounds on f: a piece's cells are bounded by their end values, a gap
-  by its enclosure.  One bisection serves the sign guard and the rounds: it
-  splits gaps at their midpoints into cells, monotone where the extension
-  proves it and gaps elsewhere.  The sign guard bisects every gap whose
-  enclosure reaches below the sign threshold until a point value proves f
-  negative or the enclosures clear it.  Each round brackets the sup-level
-  between those of a lower and an upper step bound of F built from the
-  cells' bounds; cells above the bracket settle and cells below drop out.
-  Only the first round, the guard sample, is uniform.  Each later round
-  solves the piecewise-linear interpolant of F on the live cells for its
-  crossing level b^, corrects b^ by one Newton step on the inverse-quadratic
-  interpolant of F and, in one array call, splits every live monotone cell
-  whose range holds b^ at a geometric ladder around its inverse-quadratic
-  crossing (``LADDER``), keeping the other live monotone cells as they are
-  and bisecting the live gaps.  A cell's inverse quadratic passes through
-  the far end of an adjacent monotone cell that shares an end and runs the
-  same way, else it is the chord.  It stops once the bracket is at most
-  ``tol`` (one round after the guard sample for quadratic and linear pieces,
-  one or two for a few periods of abs(sin)), or when a round can place no
-  new point in a live cell and has no gap to bisect, reports the bracket's
-  lower end as ``FIXED_POINT`` with its width as ``residual``, and
-  ``pieces`` is the number of certified pieces.  An integrand whose guard
-  sample turns ``MAX_PIECES`` times or more is refused before any interval
-  evaluation; more than ``MAX_PIECES`` pieces, ``INTERVAL_BUDGET`` interval
-  evaluations spent, an enclosure that cannot be had, a midpoint that cannot
-  be evaluated or a gap at float resolution hand the call over to the grid
-  form.
+  single guard cells, kept as gaps.  A single piece covering [lo, hi] takes
+  the monotone form.  Otherwise f is held as cells with bounds on f: a
+  monotone cell's are its end values, a gap's its enclosure, and adjacent
+  flat cells of one level merge.  One bisection, into monotone cells and
+  gaps, serves the sign guard (every gap whose enclosure reaches below the
+  sign threshold, until a point value proves f negative or the enclosures
+  clear it) and the rounds.  Each round brackets the sup-level between those
+  of a lower and an upper step bound of F built from the cell bounds; cells
+  above the bracket settle, cells below drop out.  The first round reads it
+  from the pieces' runs of guard samples (a searchsorted position and the
+  run's x-ends give each run's measure above a level), so only the cells that
+  can hold the crossing become cells.  Each later round sorts its cells'
+  range ends once for both step bounds and the piecewise-linear interpolant
+  of F, whose crossing level b^ one Newton step on the inverse-quadratic
+  interpolant corrects, and in one array call splits every live monotone cell
+  whose range holds b^ at a geometric ladder (``LADDER``) around its
+  inverse-quadratic crossing (through the far end of an adjacent monotone cell
+  that runs the same way, else the chord), keeping the other live monotone
+  cells and bisecting the live gaps.  It stops once the bracket is at most
+  ``tol`` (one ladder round for quadratic and linear pieces, one or two for a
+  few periods of abs(sin)), or when a round can place no new point and has no
+  gap to bisect, and reports the bracket's lower end as ``FIXED_POINT`` with
+  its width as ``residual``; ``pieces`` counts the certified pieces.  A guard
+  sample that turns ``MAX_PIECES`` times or more is refused before any
+  interval evaluation; more pieces, ``INTERVAL_BUDGET`` interval evaluations
+  spent, an enclosure or a midpoint value that cannot be had, or a gap at
+  float resolution hand the call over to the grid form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
   midpoint-sampled function, ``sugeno_supmin_exact``.  The n-point sample
@@ -414,8 +412,9 @@ def _monotone_crossing(
 
 # -- the piecewise form --------------------------------------------------------
 #
-# The piecewise form holds f on A as one set of cells, seven arrays: x_l, x_r,
-# f(x_l), f(x_r), lo, hi and monotone (bool); a cell row is one entry of each.
+# The piecewise form holds f on A as one set of cells, a 7 x n array whose rows
+# are x_l, x_r, f(x_l), f(x_r), lo, hi and monotone (1.0 or 0.0); a cell row is
+# one column.
 # On a cell the interval extension proved monotone, f lies between its end
 # values, and lo, hi are those; any other cell (a gap) has the bounds
 # lo <= f <= hi of its enclosure.  Every cell of width w then bounds the
@@ -469,17 +468,19 @@ class _Certifier:
         return halves
 
 
-def _cells(rows: list) -> tuple:
-    """The seven arrays of a list of cell rows."""
-    *bounds, mono = np.array(rows, dtype=float).reshape(-1, 7).T
-    return (*bounds, mono > 0.0)
+def _cells(rows: list) -> np.ndarray:
+    """The cell array of a list of cell rows."""
+    return np.array(rows, dtype=float).reshape(-1, 7).T
 
 
-def _monotone_cells(xs: np.ndarray, ys: np.ndarray) -> tuple:
-    """Monotone cells between consecutive points (xs, ys) along the last axis."""
-    y0, y1 = ys[..., :-1].ravel(), ys[..., 1:].ravel()
-    return (xs[..., :-1].ravel(), xs[..., 1:].ravel(), y0, y1,
-            np.minimum(y0, y1), np.maximum(y0, y1), np.ones(y0.size, dtype=bool))
+def _monotone_cells(x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Cells [x0, x1], monotone between end values y0, y1; flat runs of one level merge."""
+    flat = np.flatnonzero((y0 == y1) & (x0 < x1))
+    if flat.size > 1:  # each merged stretch ends before the first cell of the next
+        c = flat[1:][flat[1:] - flat[:-1] == 1]
+        first = np.delete(np.arange(y0.size), c[(y0[c] == y0[c - 1]) & (x0[c] == x1[c - 1])])
+        x0, x1, y0, y1 = x0[first], x1[np.append(first[1:], y0.size) - 1], y0[first], y1[first]
+    return np.array((x0, x1, y0, y1, np.minimum(y0, y1), np.maximum(y0, y1), np.ones(y0.size)))
 
 
 def _proposals(ys: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -548,55 +549,51 @@ def _certify(cert: _Certifier, xs: np.ndarray, ys: np.ndarray) -> tuple[list, li
     return pieces, gaps
 
 
-def _sup_level(levels: np.ndarray, weights: np.ndarray, settled: float) -> float:
-    """The largest beta with settled + (the weights of the levels >= beta) >= beta:
-    the sup-level of that step function.  The stable sort merges the
-    monotone runs that the cells of each piece form."""
-    if levels.size == 0:
-        return settled
-    order = np.argsort(levels, kind="stable")[::-1]
-    reach = np.cumsum(weights[order])
-    reach += settled
-    return max(settled, float(np.max(np.minimum(levels[order], reach))))
-
-
 def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settled: float,
-                        s_lo: float, s_hi: float) -> tuple[float, tuple | None]:
-    """The crossing b in [s_lo, s_hi] of the diagonal with the interpolant of F
-    in which a cell of width w and value range [low, high] adds
-    w * clip((high - b) / (high - low), 0, 1) to the settled measure, and the
-    stretch (e0, e1, slope) of that linear interpolant holding it, or None
-    where b is not a root of it (a jump of F or an end of the bracket).
-
-    The interpolant is linear between the range ends, so it is evaluated at
-    every end and solved on the stretch that holds the crossing.  At each
-    end the cells whose low end is at or above it count in full, and each
-    cell whose range holds it strictly (at most one per monotone piece) adds
-    its fraction."""
+                        s_lo: float, s_hi: float, tol: float) -> tuple:
+    """The bracket narrowed to the sup-levels of the lower and the upper step
+    bound of F, and in it the crossing b of the diagonal with the interpolant
+    of F in which a cell of width w and range [low, high] adds
+    w * clip((high - b) / (high - low), 0, 1) to the settled measure, with the
+    linear stretch (e0, e1, slope) holding b, or None where b is not its root
+    (a jump of F, an end of the bracket, or a bracket within tol).  One sort
+    of the range ends serves all three: at each end the cells whose low (high)
+    end is at or above it count in the lower (upper) step bound, and at the
+    ends around the bracket each cell whose range holds one strictly adds its
+    fraction to the interpolant, which is linear between them."""
     ends = np.sort(np.concatenate(([s_lo, s_hi], low, high)))
-    first = np.searchsorted(ends, low, side="right")  # a cell counts in full at ends[:first]
-    measure = np.cumsum(np.bincount(first, w, ends.size + 1)[::-1])[::-1][1:]
-    # the (cell, end) pairs with the end strictly inside the cell's range, cell by cell
-    inner = np.maximum(np.searchsorted(ends, high) - first, 0)
+    first = ends.searchsorted(low, "right")  # a cell counts in full at ends[:first] ...
+    last = ends.searchsorted(high, "right")  # ... and in the upper step bound at ends[:last]
+    full, upper = (np.bincount(k, w, ends.size + 1)[::-1].cumsum()[::-1][1:] for k in (first, last))
+    lower, upper = np.minimum(ends, np.array((full, upper)) + settled).max(axis=1).tolist()
+    s_lo = max(s_lo, min(max(settled, lower), s_hi))
+    s_hi = min(s_hi, max(max(settled, upper), s_lo))
+    if s_hi - s_lo <= tol:
+        return s_lo, s_hi, s_lo, None
+    i = int(ends.searchsorted(s_lo, "right")) - 1
+    j = max(int(ends.searchsorted(s_hi)), i) + 1
+    # the (cell, end) pairs with low < end <= high and i <= end < j, cell by cell
+    first = np.maximum(first, i)
+    inner = np.maximum(np.minimum(last, j) - first, 0)
     cell = np.repeat(np.arange(low.size), inner)
-    at = np.arange(cell.size) + np.repeat(first + inner - np.cumsum(inner), inner)
+    at = np.arange(cell.size) + np.repeat(first + inner - inner.cumsum(), inner)
     part = w[cell] * (high[cell] - ends[at]) / (high[cell] - low[cell])
-    measure += np.bincount(at, part, ends.size)
-    excess = measure + settled - ends  # falls as the level rises
+    ends = ends[i:j]
+    excess = full[i:j] + np.bincount(at - i, part, ends.size) + settled - ends  # falls as b rises
     k = int(np.argmax(excess < 0.0))  # the first end past the crossing
     if k == 0:
-        return (s_hi if excess[0] >= 0.0 else s_lo), None
+        return s_lo, s_hi, (s_hi if excess[0] >= 0.0 else s_lo), None
     # just above ends[k - 1] the cells flat at that level no longer count
     e0, e1 = float(ends[k - 1]), float(ends[k])
     ga = float(excess[k - 1] - np.sum(w[(low == high) & (low == e0)]))
     if ga < 0.0:
-        return min(max(e0, s_lo), s_hi), None
+        return s_lo, s_hi, min(max(e0, s_lo), s_hi), None
     gb = float(excess[k])
     b = min(max(e0 + (e1 - e0) * (ga / (ga - gb)), s_lo), s_hi)
-    return b, (e0, e1, (gb - ga) / (e1 - e0))
+    return s_lo, s_hi, b, (e0, e1, (gb - ga) / (e1 - e0))
 
 
-def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
+def _crossings(cells: np.ndarray, hold: np.ndarray, b: float, stretch: tuple | None,
                s_lo: float, s_hi: float) -> tuple[float, list]:
     """The level b after one Newton step on the inverse-quadratic interpolant
     of F, kept only inside the linear ``stretch`` that holds b, and where
@@ -608,7 +605,7 @@ def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
     leaves the cell."""
     m = hold.size
     near = np.concatenate((hold, hold + 1, hold - 1))
-    xl, xr, yl, yr, mono = (np.take(a, near, mode="clip").tolist() for a in (*cells[:4], cells[6]))
+    xl, xr, yl, yr, _, _, mono = cells.take(near, axis=1, mode="clip").tolist()
     bends, num, den = [], 0.0, 0.0
     for j, (x0, x1, y0, y1) in enumerate(zip(xl[:m], xr, yl, yr)):
         r, l, up, c = j + m, j + 2 * m, y1 > y0, 0.0
@@ -634,41 +631,37 @@ def _crossings(cells: tuple, hold: np.ndarray, b: float, stretch: tuple | None,
     return b, at
 
 
-def _piecewise_crossing(cert: _Certifier, mu: float, cells: tuple, count: int,
-                        tol: float) -> SugenoResult:
-    """The sup-level of f from its cells.
+def _piecewise_crossing(cert: _Certifier, cells: np.ndarray, settled: float, s_lo: float,
+                        s_hi: float, count: int, tol: float) -> SugenoResult:
+    """The sup-level of f from its cells and the bracket [s_lo, s_hi] that
+    holds it, ``settled`` the measure of the cells above it left out.
 
-    Each round brackets the integral between the sup-levels of the lower and
-    the upper step bound of F, in which a cell's width counts at its lo and
-    at its hi.  Cells entirely above the bracket count in full from then on,
-    those below drop out.  The live cells give the interpolated crossing
-    level b (``_interpolated_level``), which one Newton step on the
-    inverse-quadratic interpolant of F corrects (``_crossings``; within the
-    linear stretch that holds b).  Each live monotone cell whose range holds
-    b is split at its inverse-quadratic crossing x^ (its chord's, when that
-    leaves the cell) plus ``LADDER`` times its width, all in one array call;
-    the other live monotone cells stay as they are, and the live gaps are
+    Each round narrows the bracket to the sup-levels of the lower and the
+    upper step bound of F, in which a cell's width counts at its lo and at its
+    hi, and finds the interpolated crossing level b, from one sort of the
+    cells' range ends (``_interpolated_level``).  Cells entirely above the
+    bracket count in full from then on, those below drop out.  One Newton step
+    on the inverse-quadratic interpolant of F corrects b (``_crossings``).
+    Each live monotone cell whose range holds b is split at its
+    inverse-quadratic crossing x^ plus ``LADDER`` times its width, all in one
+    array call; the other live monotone cells stay, the live gaps are
     bisected.  The search stops once the bracket is at most ``tol``, or when
     a round can place no new point inside a live cell and has no gap to
     bisect, and reports its lower end with its width as residual.
     """
-    s_lo, s_hi, settled = 0.0, mu, 0.0
     while True:
         xl, xr, _, _, low, high, mono = cells
         w = xr - xl
-        lo = _sup_level(low, w, settled)
-        hi = _sup_level(high, w, settled)
-        s_lo, s_hi = max(s_lo, min(lo, s_hi)), min(s_hi, max(hi, s_lo))
+        s_lo, s_hi, b, stretch = _interpolated_level(low, high, w, settled, s_lo, s_hi, tol)
         if s_hi - s_lo <= tol:
             break
-        settled += float(np.sum(w[low > s_hi]))
+        settled += float(w[low > s_hi].sum())
         live = np.flatnonzero((high >= s_lo) & (low <= s_hi) & (w > 0.0))
-        low, high, w, ladders = low[live], high[live], w[live], mono[live]
-        b, stretch = _interpolated_level(low, high, w, settled, s_lo, s_hi)
+        low, high, ladders = low[live], high[live], mono[live] > 0.0
         on = ladders & (low < high) & (low <= b) & (b <= high)
         hold, rest, gaps = live[on], live[ladders & ~on], live[~ladders]
         b, at = _crossings(cells, hold, b, stretch, s_lo, s_hi)
-        x0, x1, y0, y1 = (a[hold, None] for a in cells[:4])
+        x0, x1, y0, y1 = cells[:4, hold, None]
         ladder = x0 + (x1 - x0) * (np.array(at).reshape(-1, 1) + LADDER)
         if not np.any((ladder > x0) & (ladder < x1)) and not gaps.size:
             break
@@ -678,26 +671,26 @@ def _piecewise_crossing(cert: _Certifier, mu: float, cells: tuple, count: int,
                         if ladder.size else ladder)
         except EvalError as exc:
             raise _GiveUp("not evaluable") from exc
-        sub = _monotone_cells(np.concatenate((x0, ladder, x1), axis=1),
-                              np.concatenate((y0, f_ladder, y1), axis=1))
-        parts = [tuple(a[rest] for a in cells), sub]
+        xs, ys = np.concatenate((x0, ladder, x1), axis=1), np.concatenate((y0, f_ladder, y1), axis=1)
+        parts = [cells[:, rest], _monotone_cells(xs[:, :-1].ravel(), xs[:, 1:].ravel(),
+                                                 ys[:, :-1].ravel(), ys[:, 1:].ravel())]
         if gaps.size:
-            parts.append(_cells(cert.bisect(zip(*(a[gaps].tolist() for a in cells)))))
-        cells = tuple(map(np.concatenate, zip(*parts)))
+            parts.append(_cells(cert.bisect(cells[:, gaps].T.tolist())))
+        cells = np.concatenate(parts, axis=1)
     return SugenoResult(max(s_lo, 0.0), IntegralMethod.FIXED_POINT, s_hi - s_lo, "certified", count)
 
 
 def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray,
                tol: float) -> SugenoResult:
     """Piecewise form: certify monotone pieces of f on A from the guard
-    sample (xs, ys), clear the sign guard on the gaps, then search the
-    crossing over the cells.  A single piece covering A goes through
-    ``_monotone_crossing``.  Raises ``_GiveUp`` for the grid form.
+    sample (xs, ys), clear the sign guard on the gaps, bracket the crossing
+    from the pieces' runs of guard samples, then search it over the cells that
+    can hold it.  A single piece covering A goes through ``_monotone_crossing``.
+    Raises ``_GiveUp`` for the grid form.
 
-    A monotone cell's minimum is at its ends, which are guard samples or
-    bisection points.  A gap whose enclosure reaches below NEGATIVE_BELOW is
-    bisected until a point value proves f negative (``NegativeFunction``) or
-    the enclosures of its parts clear the threshold.
+    A monotone cell's minimum is at its ends.  A gap whose enclosure reaches
+    below NEGATIVE_BELOW is bisected until a point value proves f negative
+    (``NegativeFunction``) or the enclosures of its parts clear the threshold.
     """
     cert = _Certifier(f)
     pieces, gaps = _certify(cert, xs, ys)
@@ -711,10 +704,37 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
         raise _GiveUp("too many pieces")
     while below := [g for g in gaps if not g[4] >= NEGATIVE_BELOW]:  # the sign guard; NaN is below
         gaps = [g for g in gaps if g[4] >= NEGATIVE_BELOW] + cert.bisect(below)
-    # the guard cells the pieces cover, then the gaps and the halves of bisected ones
-    cells = tuple(np.concatenate([a[i:j] for i, j, _, _ in pieces] + [g])
-                  for a, g in zip(_monotone_cells(xs, ys), _cells(gaps)))
-    return _piecewise_crossing(cert, A.length(), cells, len(pieces) + sum(g[6] for g in gaps), tol)
+    # The first round reads each piece's guard samples in ascending order, a run
+    # whose samples step back by rounding alone, within step_slack: its cells
+    # with lo >= b (hi > b) begin at a searchsorted position of b +- the slack,
+    # and measure the distance in x from there to the run's far end.  Bounds on
+    # F at every isqrt(n)-th guard value (about as many guard values apart;
+    # the gaps count in the upper one only) give the last of these levels at or
+    # below both sup-levels and the first at or above them.
+    runs = [ys[i : j + 1] if up else ys[i : j + 1][::-1] for i, j, up, _ in pieces]
+    ends = [(i, 1, j - i) if up else (j, -1, j - i) for i, j, up, _ in pieces]
+    base, step, size = np.array(ends + ends, dtype=int).reshape(-1, 3).T[:, :, None]
+    levels, slack, gap = np.sort(ys[:: math.isqrt(ys.size)]), step_slack(ys), _cells(gaps)
+    raised, lowered = levels + slack, levels - slack
+    pos = np.array([v[:-1].searchsorted(raised) for v in runs]
+                   + [v[1:].searchsorted(lowered, "right") for v in runs], dtype=int)
+    bound = (step * (xs[base + step * size] - xs[base + step * pos])).reshape(2, -1, levels.size)
+    lower, upper = bound.sum(axis=1)
+    i = np.count_nonzero(lower >= levels) - 1
+    j = levels.size - np.count_nonzero(upper + (gap[1] - gap[0]).sum() <= levels)
+    s_lo = max(float(levels[i]), 0.0) if i >= 0 else 0.0
+    s_hi = max(min(float(levels[j]), A.length()) if j < levels.size else A.length(), s_lo)
+    # each run's cells that may reach [s_lo, s_hi], and one either side, become
+    # cells; those above it settle
+    r, (base, step, size) = len(runs), (a[: len(runs), 0] for a in (base, step, size))
+    c0 = np.maximum(pos[r:, i] - 1, 0) if i >= 0 else np.zeros(r, dtype=int)
+    c1 = np.minimum(pos[:r, j] + 1, size) if j < levels.size else size
+    settled = float((step * (xs[base + step * size] - xs[base + step * c1])).sum())
+    window = list(zip(np.where(step > 0, base + c0, base - c1).tolist(), (c1 - c0).tolist()))
+    cells = _monotone_cells(*(np.concatenate([a[k + s : k + s + n] for k, n in window] or [a[:0]])
+                              for a, s in ((xs, 0), (xs, 1), (ys, 0), (ys, 1))))
+    return _piecewise_crossing(cert, np.concatenate((cells, gap), axis=1), settled, s_lo, s_hi,
+                               len(pieces) + sum(g[6] for g in gaps), tol)
 
 
 def _require_non_negative(low: float, A: RealInterval) -> None:

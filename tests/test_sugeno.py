@@ -1113,11 +1113,22 @@ def test_midpoint_that_cannot_be_evaluated_hands_over_to_the_grid(monkeypatch):
 
 # -- the interpolant of F that each piecewise round solves ----------------------------
 
-def _interpolant_reference(low, high, w, settled, s_lo, s_hi):
-    """``_interpolated_level`` in plain loops, with the exit it takes: at each
-    sorted end e a cell adds w if low >= e, w (high - e) / (high - low) if
-    low < e < high, else nothing."""
+def _interpolant_reference(low, high, w, settled, s_lo, s_hi, tol):
+    """``_interpolated_level`` in plain loops, with the exit it takes: the
+    bracket narrowed to the sup-levels of the step bounds, the largest
+    min(e, settled + the widths of the cells with low >= e, or with high >= e)
+    over the sorted ends e; unless that leaves it within tol, at the ends from
+    the last at or below s_lo to the first at or above s_hi a cell adds w if
+    low >= e, w (high - e) / (high - low) if low < e < high, else nothing."""
     ends = sorted([s_lo, s_hi, *low, *high])
+    lower, upper = (max([settled] + [min(e, settled + sum(wi for v, wi in zip(levels, w) if v >= e))
+                                     for e in ends]) for levels in (low, high))
+    s_lo = max(s_lo, min(lower, s_hi))
+    s_hi = min(s_hi, max(upper, s_lo))
+    if s_hi - s_lo <= tol:
+        return s_lo, s_hi, s_lo, None, "closed"
+    first = max(i for i, e in enumerate(ends) if e <= s_lo)
+    ends = ends[first : max([first] + [i for i, e in enumerate(ends) if e < s_hi]) + 2]
     excess = []
     for e in ends:
         measure = 0.0
@@ -1129,20 +1140,20 @@ def _interpolant_reference(low, high, w, settled, s_lo, s_hi):
         excess.append(measure + settled - e)
     k = next((i for i, g in enumerate(excess) if g < 0.0), 0)
     if k == 0:
-        return (s_hi if excess[0] >= 0.0 else s_lo), None, "bracket end"
+        return s_lo, s_hi, (s_hi if excess[0] >= 0.0 else s_lo), None, "bracket end"
     e0, e1 = ends[k - 1], ends[k]
     ga = excess[k - 1] - sum(wi for lo, hi, wi in zip(low, high, w) if lo == hi == e0)
     if ga < 0.0:
-        return min(max(e0, s_lo), s_hi), None, "jump"
+        return s_lo, s_hi, min(max(e0, s_lo), s_hi), None, "jump"
     gb = excess[k]
     b = min(max(e0 + (e1 - e0) * ga / (ga - gb), s_lo), s_hi)
-    return b, (e0, e1, (gb - ga) / (e1 - e0)), "stretch"
+    return s_lo, s_hi, b, (e0, e1, (gb - ga) / (e1 - e0)), "stretch"
 
 
 def _interpolant_cells(rng):
     """Seeded live cells (low, high, w, settled, s_lo, s_hi): monotone runs up
     and down whose cells share their ends, flat cells tied at one level,
-    overlapping gaps, settled > 0 and a bracket inside the range of the ends.
+    overlapping gaps, settled > 0 and a bracket that holds the sup-levels.
     A tenth of the draws lift every level past the measure and a tenth settle
     more than every level, so that both ends of the bracket are reached."""
     low, high, w = [], [], []
@@ -1170,8 +1181,12 @@ def _interpolant_cells(rng):
         low, high = low + 5.0, high + 5.0
     elif kind < 0.2:
         settled += 5.0
+    # a bracket that holds both sup-levels, as the previous round's does
     ends = np.sort(np.concatenate((low, high)))
-    s_lo, s_hi = sorted(rng.uniform(ends[0], ends[-1], 2).tolist())
+    lower, upper = (max([settled] + [min(e, settled + w[levels >= e].sum()) for e in ends])
+                    for levels in (low, high))
+    s_lo = float(rng.uniform(min(ends[0], lower), lower))
+    s_hi = float(rng.uniform(upper, max(ends[-1], upper)))
     return low, high, w, settled, s_lo, s_hi
 
 
@@ -1180,40 +1195,47 @@ def _close(a, b):
 
 
 def test_interpolated_level_matches_the_reference():
-    """The crossing level and its linear stretch on seeded cell sets, through
-    each of the three exits: an end of the bracket, the jump of a flat cell,
-    and a root of the linear stretch."""
+    """The narrowed bracket, the crossing level and its linear stretch on
+    seeded cell sets, through each of the four exits: a closed bracket, an end
+    of the bracket, the jump of a flat cell, and a root of the linear
+    stretch."""
     exits = []
-    for seed in range(400):
+    for seed in range(1600):
         low, high, w, settled, s_lo, s_hi = _interpolant_cells(np.random.default_rng(seed))
-        b, stretch = sugeno._interpolated_level(low, high, w, settled, s_lo, s_hi)
-        want, want_stretch, taken = _interpolant_reference(
-            low.tolist(), high.tolist(), w.tolist(), settled, s_lo, s_hi)
-        assert _close(b, want), seed
+        *got, stretch = sugeno._interpolated_level(low, high, w, settled, s_lo, s_hi, 1e-12)
+        *want, want_stretch, taken = _interpolant_reference(
+            low.tolist(), high.tolist(), w.tolist(), settled, s_lo, s_hi, 1e-12)
+        assert all(map(_close, got, want)), seed
         assert (stretch is None) == (want_stretch is None), seed
         if stretch is not None:
             assert all(map(_close, stretch, want_stretch)), seed
         exits.append(taken)
-    assert all(exits.count(taken) >= 20 for taken in ("bracket end", "jump", "stretch"))
+    assert all(exits.count(taken) >= 20 for taken in ("closed", "bracket end", "jump", "stretch"))
 
 
 def test_plateau_keeps_its_digits_and_calls(monkeypatch):
-    """A plateau at the crossing level: every round holds thousands of flat
-    live cells, ``_interpolated_level``'s many-cell case."""
-    src = "0.3 + 0.5*(0.1 - x + abs(0.1 - x)) + 0.5*(x - 0.8 + abs(x - 0.8))"
-    f = function_from_expression(src, UNIT)
-    points, boxes, live = [], [], []
+    """A plateau at the crossing level: its thousands of flat guard cells merge
+    into one cell per run, so no round sorts more than 63 cells or keeps more
+    than 33 live, where each round used to hold 2 869 to 3 021 live cells; the
+    digits and the calls are those of every cell kept apart."""
+    f = function_from_expression(PLATEAU, UNIT)
+    points, boxes, seen = [], [], []
     ev, ext = f.evaluate, f.extension
     f = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or ev(x),
                             extension=lambda a, b: boxes.append(1) or ext(a, b))
     solve = sugeno._interpolated_level
-    monkeypatch.setattr(sugeno, "_interpolated_level",
-                        lambda low, *rest: live.append(low.size) or solve(low, *rest))
+
+    def recording(low, high, w, *rest):
+        s_lo, s_hi, *out = solve(low, high, w, *rest)
+        seen.append((low.size, int(np.count_nonzero((high >= s_lo) & (low <= s_hi) & (w > 0.0)))))
+        return s_lo, s_hi, *out
+
+    monkeypatch.setattr(sugeno, "_interpolated_level", recording)
     res = sugeno_integral(f, UNIT)
     assert (res.value, res.residual, res.method, res.hint, res.pieces) == (
         0.3, 6.487583803505004e-10, IntegralMethod.FIXED_POINT, "certified", 2)
     assert points == [sugeno.CROSSING_POINTS] + [46] * 7 and len(boxes) == 3
-    assert max(live) > 2000
+    assert seen == [(57, 4), (11, 6), (35, 8), (34, 25), (53, 12), (40, 14), (45, 29), (63, 33)]
 
 
 # -- end cells first against plain halving of a failing proposal ---------------------
@@ -1246,23 +1268,21 @@ def _certify_by_halving(cert, xs, ys):
 
 
 def _certified_cells(certify, f, A):
-    """The cell arrays of the piecewise form from ``certify``, and its extension calls."""
+    """The pieces and gap rows of the piecewise form from ``certify`` (they
+    make its cells), and its extension calls."""
     xs = A.grid(sugeno.CROSSING_POINTS)
     ys = f.evaluate(xs)
     cert = sugeno._Certifier(f)
     try:
-        pieces, gaps = certify(cert, xs, ys)
+        return certify(cert, xs, ys), sugeno.INTERVAL_BUDGET - cert.left
     except sugeno._GiveUp as exc:
         return str(exc), sugeno.INTERVAL_BUDGET - cert.left
-    cells = [np.concatenate([a[i:j] for i, j, _, _ in pieces] + [g])
-             for a, g in zip(sugeno._monotone_cells(xs, ys), sugeno._cells(gaps))]
-    return (pieces, [c.tobytes() for c in cells]), sugeno.INTERVAL_BUDGET - cert.left
 
 
 def test_end_cells_first_keeps_the_cells_of_plain_halving():
     """On seeded bumps c*|sin(k*pi*x)| and tents, trying the end cells of a
-    failing proposal first gives the pieces and cell arrays of plain
-    halving, in fewer extension calls over all."""
+    failing proposal first gives the pieces and gap rows of plain halving,
+    in fewer extension calls over all."""
     rng = np.random.default_rng(2112)
     fewer = calls_now = calls_then = 0
     for n in range(300):
