@@ -230,6 +230,16 @@ def _render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _write_out(path: str, payload: str, newline: str | None = None) -> None:
+    """Write ``payload`` to the ``--out`` file; a path that cannot be written
+    is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _deliver(report: dict[str, Any], ns: argparse.Namespace) -> None:
     if ns.format == "json":
         payload = json.dumps(report, indent=2)
@@ -237,8 +247,7 @@ def _deliver(report: dict[str, Any], ns: argparse.Namespace) -> None:
         payload = _render_text(report)
     print(payload)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_out(ns.out, payload + "\n")
 
 
 def _build_function(ns: argparse.Namespace, default_domain: RealInterval):
@@ -414,8 +423,7 @@ def _run_sweep(ns: argparse.Namespace) -> int:
         writer.writerow(row)
     payload = buf.getvalue()
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        _write_out(ns.out, payload, newline="")
     else:
         sys.stdout.write(payload)
     return EXIT_OK

@@ -703,6 +703,27 @@ class TestUsage:
         on_disk = json.loads(path.read_text())
         assert on_disk["result"]["integral"] == pytest.approx(0.5, abs=1e-6)
 
+    OUT_COMMANDS = [
+        ("integrate", "-f", "x", "-a", "0", "-b", "1"),
+        ("bound", "-f", "x^2", "-a", "0", "-b", "1", "--r", "1", "--format", "json"),
+        ("sweep", "-f", "x^2", "-a", "0", "-b", "1", "--param", "r", "--values", "0.5,1"),
+    ]
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS)
+    def test_out_into_a_missing_directory_exits_one(self, capsys, tmp_path, argv):
+        """The error is reported on stderr and returned, not raised."""
+        path = tmp_path / "missing" / "report"
+        code, _, err = run(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert err == f"fuzzyhh: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+    @pytest.mark.parametrize("argv", OUT_COMMANDS)
+    def test_out_onto_a_full_device_exits_one(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--out", "/dev/full")
+        assert code == 1
+        assert err == "fuzzyhh: cannot write /dev/full: No space left on device\n"
+
     @pytest.mark.parametrize("argv", [
         ("check", "-f", "1", "-a=-1e308", "-b", "1e308", "--samples", "10"),
         ("integrate", "-f", "x", "-a=-1e308", "-b", "1e308"),
