@@ -580,12 +580,12 @@ def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settle
     part = w[cell] * (high[cell] - ends[at]) / (high[cell] - low[cell])
     ends = ends[i:j]
     excess = full[i:j] + np.bincount(at - i, part, ends.size) + settled - ends  # falls as b rises
-    k = int(np.argmax(excess < 0.0))  # the first end past the crossing
+    k = int((excess < 0.0).argmax())  # the first end past the crossing
     if k == 0:
         return s_lo, s_hi, (s_hi if excess[0] >= 0.0 else s_lo), None
     # just above ends[k - 1] the cells flat at that level no longer count
     e0, e1 = float(ends[k - 1]), float(ends[k])
-    ga = float(excess[k - 1] - np.sum(w[(low == high) & (low == e0)]))
+    ga = float(excess[k - 1] - w[(low == high) & (low == e0)].sum())
     if ga < 0.0:
         return s_lo, s_hi, min(max(e0, s_lo), s_hi), None
     gb = float(excess[k])
@@ -663,7 +663,7 @@ def _piecewise_crossing(cert: _Certifier, cells: np.ndarray, settled: float, s_l
         b, at = _crossings(cells, hold, b, stretch, s_lo, s_hi)
         x0, x1, y0, y1 = cells[:4, hold, None]
         ladder = x0 + (x1 - x0) * (np.array(at).reshape(-1, 1) + LADDER)
-        if not np.any((ladder > x0) & (ladder < x1)) and not gaps.size:
+        if not gaps.size and not ((ladder > x0) & (ladder < x1)).any():
             break
         ladder = np.minimum(np.maximum(ladder, x0), x1)  # points outside a cell make empty ones
         try:
@@ -671,9 +671,8 @@ def _piecewise_crossing(cert: _Certifier, cells: np.ndarray, settled: float, s_l
                         if ladder.size else ladder)
         except EvalError as exc:
             raise _GiveUp("not evaluable") from exc
-        xs, ys = np.concatenate((x0, ladder, x1), axis=1), np.concatenate((y0, f_ladder, y1), axis=1)
-        parts = [cells[:, rest], _monotone_cells(xs[:, :-1].ravel(), xs[:, 1:].ravel(),
-                                                 ys[:, :-1].ravel(), ys[:, 1:].ravel())]
+        parts = [cells[:, rest], _monotone_cells(*(np.concatenate(p, axis=1).ravel() for p in (
+            (x0, ladder), (ladder, x1), (y0, f_ladder), (f_ladder, y1))))]
         if gaps.size:
             parts.append(_cells(cert.bisect(cells[:, gaps].T.tolist())))
         cells = np.concatenate(parts, axis=1)
@@ -708,31 +707,32 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     # whose samples step back by rounding alone, within step_slack: its cells
     # with lo >= b (hi > b) begin at a searchsorted position of b +- the slack,
     # and measure the distance in x from there to the run's far end.  Bounds on
-    # F at every isqrt(n)-th guard value (about as many guard values apart;
-    # the gaps count in the upper one only) give the last of these levels at or
-    # below both sup-levels and the first at or above them.
+    # F at every isqrt(n)-th guard value (about as many guard values apart)
+    # give the last of these levels at or below both sup-levels and the first
+    # at or above them.
     runs = [ys[i : j + 1] if up else ys[i : j + 1][::-1] for i, j, up, _ in pieces]
     ends = [(i, 1, j - i) if up else (j, -1, j - i) for i, j, up, _ in pieces]
     base, step, size = np.array(ends + ends, dtype=int).reshape(-1, 3).T[:, :, None]
-    levels, slack, gap = np.sort(ys[:: math.isqrt(ys.size)]), step_slack(ys), _cells(gaps)
+    levels = np.sort(np.concatenate((ys[:: math.isqrt(ys.size)], [-np.inf, np.inf])))
+    slack, gap, r = step_slack(ys), _cells(gaps), len(runs)
     raised, lowered = levels + slack, levels - slack
     pos = np.array([v[:-1].searchsorted(raised) for v in runs]
                    + [v[1:].searchsorted(lowered, "right") for v in runs], dtype=int)
     bound = (step * (xs[base + step * size] - xs[base + step * pos])).reshape(2, -1, levels.size)
-    lower, upper = bound.sum(axis=1)
-    i = np.count_nonzero(lower >= levels) - 1
-    j = levels.size - np.count_nonzero(upper + (gap[1] - gap[0]).sum() <= levels)
-    s_lo = max(float(levels[i]), 0.0) if i >= 0 else 0.0
-    s_hi = max(min(float(levels[j]), A.length()) if j < levels.size else A.length(), s_lo)
+    w, lo, hi = gap[1] - gap[0], gap[4, :, None], gap[5, :, None]  # the gaps count cell by cell
+    lower, upper = bound.sum(axis=1) + (w @ (lo >= levels), w @ (hi > levels))
+    i, j = np.count_nonzero(lower >= levels) - 1, levels.size - np.count_nonzero(upper <= levels)
+    s_lo = max(float(levels[i]), 0.0)
+    s_hi = max(min(float(levels[j]), A.length()), s_lo)
     # each run's cells that may reach [s_lo, s_hi], and one either side, become
     # cells; those above it settle
-    r, (base, step, size) = len(runs), (a[: len(runs), 0] for a in (base, step, size))
-    c0 = np.maximum(pos[r:, i] - 1, 0) if i >= 0 else np.zeros(r, dtype=int)
-    c1 = np.minimum(pos[:r, j] + 1, size) if j < levels.size else size
-    settled = float((step * (xs[base + step * size] - xs[base + step * c1])).sum())
-    window = list(zip(np.where(step > 0, base + c0, base - c1).tolist(), (c1 - c0).tolist()))
-    cells = _monotone_cells(*(np.concatenate([a[k + s : k + s + n] for k, n in window] or [a[:0]])
-                              for a, s in ((xs, 0), (xs, 1), (ys, 0), (ys, 1))))
+    settled, window = 0.0, []
+    for (b, d, m), q, p in zip(ends, pos[r:, i].tolist(), pos[:r, j].tolist()):
+        c0, c1 = max(q - 1, 0), min(p + 1, m)
+        settled += abs(float(xs[b + d * m] - xs[b + d * c1]))
+        window.append(slice(b + c0, b + c1) if d > 0 else slice(b - c1, b - c0))
+    cells = _monotone_cells(*(np.concatenate([a[k] for k in window] or [a[:0]]) for a in (
+        xs[:-1], xs[1:], ys[:-1], ys[1:])))
     return _piecewise_crossing(cert, np.concatenate((cells, gap), axis=1), settled, s_lo, s_hi,
                                len(pieces) + sum(g[6] for g in gaps), tol)
 
