@@ -707,13 +707,14 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     # whose samples step back by rounding alone, within step_slack: its cells
     # with lo >= b (hi > b) begin at a searchsorted position of b +- the slack,
     # and measure the distance in x from there to the run's far end.  Bounds on
-    # F at every isqrt(n)-th guard value (about as many guard values apart)
-    # give the last of these levels at or below both sup-levels and the first
-    # at or above them.
+    # F at isqrt(n) levels evenly spaced below the integral's ceiling
+    # min(mu, max f) give the last level at or below both sup-levels and the
+    # first at or above them (sentinels at -inf and inf stand for none).
     runs = [ys[i : j + 1] if up else ys[i : j + 1][::-1] for i, j, up, _ in pieces]
     ends = [(i, 1, j - i) if up else (j, -1, j - i) for i, j, up, _ in pieces]
     base, step, size = np.array(ends + ends, dtype=int).reshape(-1, 3).T[:, :, None]
-    levels = np.sort(np.concatenate((ys[:: math.isqrt(ys.size)], [-np.inf, np.inf])))
+    count, top = math.isqrt(ys.size), min(A.length(), float(ys.max()))
+    levels = np.concatenate(([-np.inf], np.arange(count) * (top / count), [np.inf]))
     slack, gap, r = step_slack(ys), _cells(gaps), len(runs)
     raised, lowered = levels + slack, levels - slack
     pos = np.array([v[:-1].searchsorted(raised) for v in runs]

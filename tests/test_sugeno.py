@@ -1235,7 +1235,7 @@ def test_plateau_keeps_its_digits_and_calls(monkeypatch):
     assert (res.value, res.residual, res.method, res.hint, res.pieces) == (
         0.3, 6.487583803505004e-10, IntegralMethod.FIXED_POINT, "certified", 2)
     assert points == [sugeno.CROSSING_POINTS] + [46] * 7 and len(boxes) == 3
-    assert seen == [(57, 4), (11, 6), (35, 8), (34, 25), (53, 12), (40, 14), (45, 29), (63, 33)]
+    assert seen == [(44, 4), (11, 6), (35, 8), (34, 25), (53, 12), (40, 14), (45, 29), (63, 33)]
 
 
 # -- end cells first against plain halving of a failing proposal ---------------------
