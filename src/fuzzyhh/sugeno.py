@@ -706,22 +706,23 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     # The first round reads each piece's guard samples in ascending order, a run
     # whose samples step back by rounding alone, within step_slack: its cells
     # with lo >= b (hi > b) begin at a searchsorted position of b +- the slack,
-    # and measure the distance in x from there to the run's far end.  Bounds on
-    # F at isqrt(n) levels evenly spaced below the integral's ceiling
-    # min(mu, max f) give the last level at or below both sup-levels and the
-    # first at or above them (sentinels at -inf and inf stand for none).
+    # and measure the distance in x from there to the run's far end; the gaps
+    # count in the upper bound only.  Those bounds on F at isqrt(n) levels
+    # evenly spaced below the integral's ceiling (mu, or the largest guard
+    # value or gap bound if lower) give the last level at or below both
+    # sup-levels and the first at or above them (sentinels at -inf and inf
+    # stand for none).
     runs = [ys[i : j + 1] if up else ys[i : j + 1][::-1] for i, j, up, _ in pieces]
     ends = [(i, 1, j - i) if up else (j, -1, j - i) for i, j, up, _ in pieces]
     base, step, size = np.array(ends + ends, dtype=int).reshape(-1, 3).T[:, :, None]
-    count, top = math.isqrt(ys.size), min(A.length(), float(ys.max()))
-    levels = np.concatenate(([-np.inf], np.arange(count) * (top / count), [np.inf]))
     slack, gap, r = step_slack(ys), _cells(gaps), len(runs)
+    count, top = math.isqrt(ys.size), min(A.length(), float(gap[5].max(initial=ys.max())))
+    levels = np.concatenate(([-np.inf], np.arange(count) * (top / count), [np.inf]))
     raised, lowered = levels + slack, levels - slack
     pos = np.array([v[:-1].searchsorted(raised) for v in runs]
                    + [v[1:].searchsorted(lowered, "right") for v in runs], dtype=int)
     bound = (step * (xs[base + step * size] - xs[base + step * pos])).reshape(2, -1, levels.size)
-    w, lo, hi = gap[1] - gap[0], gap[4, :, None], gap[5, :, None]  # the gaps count cell by cell
-    lower, upper = bound.sum(axis=1) + (w @ (lo >= levels), w @ (hi > levels))
+    lower, upper = bound.sum(axis=1) + [[0.0], [(gap[1] - gap[0]).sum()]]
     i, j = np.count_nonzero(lower >= levels) - 1, levels.size - np.count_nonzero(upper <= levels)
     s_lo = max(float(levels[i]), 0.0)
     s_hi = max(min(float(levels[j]), A.length()), s_lo)
