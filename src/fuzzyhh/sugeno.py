@@ -572,7 +572,7 @@ def _interpolated_level(low: np.ndarray, high: np.ndarray, w: np.ndarray, settle
         return s_lo, s_hi, s_lo, None
     i = int(ends.searchsorted(s_lo, "right")) - 1
     j = max(int(ends.searchsorted(s_hi)), i) + 1
-    # the (cell, end) pairs with low < end <= high and i <= end < j, cell by cell
+    # the (cell, end) pairs with low < end <= high among ends[i:j], cell by cell
     first = np.maximum(first, i)
     inner = np.maximum(np.minimum(last, j) - first, 0)
     cell = np.repeat(np.arange(low.size), inner)
@@ -729,10 +729,10 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     # each run's cells that may reach [s_lo, s_hi], and one either side, become
     # cells; those above it settle
     settled, window = 0.0, []
-    for (b, d, m), q, p in zip(ends, pos[r:, i].tolist(), pos[:r, j].tolist()):
+    for (start, d, m), q, p in zip(ends, pos[r:, i].tolist(), pos[:r, j].tolist()):
         c0, c1 = max(q - 1, 0), min(p + 1, m)
-        settled += abs(float(xs[b + d * m] - xs[b + d * c1]))
-        window.append(slice(b + c0, b + c1) if d > 0 else slice(b - c1, b - c0))
+        settled += abs(float(xs[start + d * m] - xs[start + d * c1]))
+        window.append(slice(start + c0, start + c1) if d > 0 else slice(start - c1, start - c0))
     cells = _monotone_cells(*(np.concatenate([a[k] for k in window] or [a[:0]]) for a in (
         xs[:-1], xs[1:], ys[:-1], ys[1:])))
     return _piecewise_crossing(cert, np.concatenate((cells, gap), axis=1), settled, s_lo, s_hi,
