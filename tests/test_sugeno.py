@@ -1217,7 +1217,7 @@ def test_plateau_keeps_its_digits_and_calls(monkeypatch):
     """A plateau at the crossing level: its thousands of flat guard cells merge
     into one cell per run, so no round sorts more than 63 cells or keeps more
     than 33 live, where each round used to hold 2 869 to 3 021 live cells; the
-    digits and the calls are those of every cell kept apart."""
+    digits and the calls are those it had when every flat cell stayed apart."""
     f = function_from_expression(PLATEAU, UNIT)
     points, boxes, seen = [], [], []
     ev, ext = f.evaluate, f.extension
