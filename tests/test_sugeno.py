@@ -260,6 +260,15 @@ class TestDispatcher:
         sweep = sugeno_integral(f, UNIT, method="supmin")
         assert abs(sweep.value - exact.value) <= sweep.residual
 
+    def test_hint_broken_by_a_ladder_round_gives_the_exact_grid_value(self):
+        """x^2 declared increasing, honest on the guard sample but reversed on
+        every shorter array: the first ladder round breaks the hint, so "auto"
+        hands the call to the grid form."""
+        ev, sizes = _reversed_when_short(lambda x: np.asarray(x, dtype=float) ** 2)
+        f = from_callable(ev, UNIT, Monotonicity.INCREASING)
+        assert sugeno_integral(f, UNIT) == sugeno_supmin_exact(f, UNIT)
+        assert sizes[0] == sugeno.CROSSING_POINTS and 1 < sizes[1] < sugeno.CROSSING_POINTS
+
     def test_forced_supmin_path(self):
         f = function_from_expression("x^2/2", UNIT)
         res = sugeno_integral(f, UNIT, grid=10**5, method="supmin")
@@ -1057,6 +1066,20 @@ def test_bisected_gaps_keep_their_digits_and_calls(src, value, residual, pieces,
     assert (len(seen_points), len(seen_boxes)) == (points, boxes)
 
 
+def _reversed_when_short(ev):
+    """``ev`` with the values of every array shorter than the guard sample
+    reversed, which breaks an increasing function's direction on the ladder
+    rounds alone, and the sizes of its calls."""
+    sizes = []
+
+    def reversed_when_short(x):
+        sizes.append(np.size(x))
+        ys = np.asarray(ev(x), dtype=float)
+        return ys[::-1].copy() if np.size(x) < sugeno.CROSSING_POINTS else ys
+
+    return reversed_when_short, sizes
+
+
 def _give_ups(monkeypatch):
     """The reasons of every ``_GiveUp`` the piecewise form raises."""
     reasons = []
@@ -1109,6 +1132,23 @@ def test_midpoint_that_cannot_be_evaluated_hands_over_to_the_grid(monkeypatch):
     g = dataclasses.replace(f, evaluate=arrays_only)
     assert sugeno_integral(g, UNIT) == sugeno_supmin_exact(f, UNIT)
     assert reasons == ["not evaluable"]
+
+
+def test_one_piece_broken_by_a_ladder_round_hands_over_to_the_grid(monkeypatch):
+    """x^2 on [-1, 1] has no direction on its domain, so on [0, 1] it takes
+    the monotone form as the piecewise form's one certified piece.  Reversed
+    on the ladder rounds' short arrays, it breaks that piece's direction, and
+    the call hands over to the grid form once."""
+    f = function_from_expression("x^2", RealInterval(-1.0, 1.0))
+    assert f.monotonicity is Monotonicity.UNKNOWN
+    res = sugeno_integral(f, UNIT)
+    assert (res.method, res.hint, res.pieces) == (IntegralMethod.FIXED_POINT, "certified", 1)
+    reasons = _give_ups(monkeypatch)
+    ev, sizes = _reversed_when_short(f.evaluate)
+    g = dataclasses.replace(f, evaluate=ev)
+    assert sugeno_integral(g, UNIT) == sugeno_supmin_exact(g, UNIT)
+    assert len(reasons) == 1
+    assert sizes[0] == sugeno.CROSSING_POINTS and 1 < sizes[1] < sugeno.CROSSING_POINTS
 
 
 # -- the interpolant of F that each piecewise round solves ----------------------------
