@@ -79,7 +79,7 @@ class NonPositiveFunction(ConvexityError):
 
 @dataclass(frozen=True)
 class EtaMap:
-    """Path map eta(v, u); paths run u + t * eta(v, u) for t in [0, 1].
+    """Path map eta(v, u), with no name; paths run u + t * eta(v, u) for t in [0, 1].
 
     ``apply`` must broadcast over numpy arrays.  ``domain`` restricts where
     eta itself can be evaluated (None means everywhere); a path point outside
@@ -87,16 +87,15 @@ class EtaMap:
     """
 
     apply: Callable
-    name: str = "custom"
     domain: RealInterval | None = None
 
 
-AFFINE_ETA = EtaMap(apply=lambda v, u: v - u, name="affine")
+AFFINE_ETA = EtaMap(apply=lambda v, u: v - u)
 
 
 def scaled_eta(factor: float) -> EtaMap:
     """eta(v, u) = factor * (v - u); fails the consistency identities for factor != 1."""
-    return EtaMap(apply=lambda v, u: factor * (v - u), name=f"scaled[{factor:g}]")
+    return EtaMap(apply=lambda v, u: factor * (v - u))
 
 
 @dataclass(frozen=True)

@@ -836,9 +836,7 @@ def derivative(node: Node) -> Node | None:
 CHECK_POINTS = 2049
 
 
-def function_from_expression(
-    src: str, domain: RealInterval, name: str | None = None
-) -> ScalarFunction:
+def function_from_expression(src: str, domain: RealInterval) -> ScalarFunction:
     """Parse source into a ScalarFunction with a certified monotonicity hint.
 
     One call of the interval extension over the domain gives the hint: the
@@ -847,9 +845,9 @@ def function_from_expression(
     pieces of it.  Where the extension bounds the expression on the whole
     domain, every point of it is evaluable; elsewhere the expression is
     evaluated on a ``CHECK_POINTS``-point grid of the domain.  A degenerate
-    domain counts as increasing and is not checked.  Raises
-    ``ExprSyntaxError`` for bad source and ``EvalError`` if that grid
-    evaluation fails.
+    domain counts as increasing and is not checked.  The tree is compiled, never
+    printed (``to_source``).  Raises ``ExprSyntaxError`` for bad source and
+    ``EvalError`` if that grid evaluation fails.
     """
     ast = parse_expression(src)
     code = _compile_tree(ast)
@@ -862,5 +860,4 @@ def function_from_expression(
             hint = Monotonicity.UNKNOWN
         else:
             hint = enclosure.direction()
-    return ScalarFunction(domain=domain, evaluate=ev, monotonicity=hint,
-                          name=name or to_source(ast), extension=ext)
+    return ScalarFunction(domain=domain, evaluate=ev, monotonicity=hint, extension=ext)

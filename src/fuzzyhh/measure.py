@@ -154,7 +154,7 @@ def follows(ys: np.ndarray, monotonicity: Monotonicity) -> bool:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """An evaluable real function on a stated closed domain.
+    """An evaluable real function on a stated closed domain; it carries no name.
 
     ``evaluate`` must accept a float and a 1-d numpy array alike, and act
     elementwise: each value depends only on its own point, so a sample
@@ -174,7 +174,6 @@ class ScalarFunction:
     domain: RealInterval
     evaluate: Callable
     monotonicity: Monotonicity = Monotonicity.UNKNOWN
-    name: str = "f"
     extension: Callable | None = None
 
     def __call__(self, x):
@@ -192,11 +191,10 @@ def from_callable(
     fn: Callable,
     domain: RealInterval,
     monotonicity: Monotonicity = Monotonicity.UNKNOWN,
-    name: str = "f",
 ) -> ScalarFunction:
-    """Wrap a plain callable.  ``fn`` must accept a float and a numpy array
-    alike and act elementwise on arrays, as ``ScalarFunction.evaluate`` does."""
-    return ScalarFunction(domain=domain, evaluate=fn, monotonicity=monotonicity, name=name)
+    """Wrap a plain callable with a declared hint and no extension.  ``fn`` must
+    accept a float and a numpy array alike and act elementwise, as ``evaluate`` does."""
+    return ScalarFunction(domain=domain, evaluate=fn, monotonicity=monotonicity)
 
 
 @dataclass(frozen=True)

@@ -360,22 +360,26 @@ def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
     return _window_supmin(np.sort(values[inside])[::-1], a, mu, n)
 
 
+class _GiveUp(Exception):
+    """A crossing form cannot go on: the call takes the grid form."""
+
+
 def _monotone_crossing(
     f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarray, tol: float,
     direction: Monotonicity, hint: str,
-) -> SugenoResult | None:
+) -> SugenoResult:
     """Monotone form of the integral of f, which runs in ``direction`` on A,
     from the first round's sample (xs, ys): ``LADDER`` rounds around the
-    gap's interpolated root, uniform ones once a round falls short.  Returns
-    None when a round's sample breaks the direction; the result carries
-    ``hint``.
+    gap's interpolated root, uniform ones once a round falls short.  Raises
+    ``_GiveUp`` for the grid form when a round's sample breaks the
+    direction; the result carries ``hint``.
     """
     increasing = direction is Monotonicity.INCREASING
     lo, hi = A.lo, A.hi
     width, ladder = np.inf, True
     while True:
         if not follows(ys, direction):
-            return None
+            raise _GiveUp("sample breaks the direction")
         # the gap g = f - (hi - x) (f - (x - lo) for decreasing f) changes
         # sign at the crossing; k is the first sample past it
         gap = ys - (hi - xs if increasing else xs - lo)
@@ -423,10 +427,6 @@ def _monotone_crossing(
 #     sum of w over lo >= beta  <=  F(beta)  <=  sum of w over hi >= beta,
 #
 # and the sup-level of each step bound brackets the integral.
-
-
-class _GiveUp(Exception):
-    """The piecewise form cannot go on: the call takes the grid form."""
 
 
 class _Certifier:
@@ -695,10 +695,7 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     pieces, gaps = _certify(cert, xs, ys)
     if len(pieces) == 1 and not gaps:
         direction = Monotonicity.INCREASING if pieces[0][2] else Monotonicity.DECREASING
-        res = _monotone_crossing(f, A, xs, ys, tol, direction, "certified")
-        if res is None:
-            raise _GiveUp("sample breaks the certified direction")
-        return res
+        return _monotone_crossing(f, A, xs, ys, tol, direction, "certified")
     if len(pieces) > MAX_PIECES:
         raise _GiveUp("too many pieces")
     while below := [g for g in gaps if not g[4] >= NEGATIVE_BELOW]:  # the sign guard; NaN is below
@@ -758,8 +755,9 @@ def sugeno_integral(
     and certified pieces on A, else the exact sup-min of a ``grid``-cell
     sample) or "supmin" (the oracle sweep of ``grid`` thresholds).  Every
     integrand takes the route its hint and ``method`` select, a zero one
-    included.  ``tol`` is the final crossing cell width of the monotone form
-    and the final level bracket of the piecewise form.  A must lie in f.domain.
+    included; a crossing form that gives up (``_GiveUp``) hands over to the grid
+    form.  ``tol`` is the final crossing cell width of the monotone form and the
+    final level bracket of the piecewise form.  A must lie in f.domain.
     """
     if method not in ("auto", "supmin"):
         raise ValueError(f"unknown method {method!r}")
@@ -776,13 +774,11 @@ def sugeno_integral(
     _require_non_negative(float(ys.min()), A)
     if method == "supmin":
         return sugeno_supmin(f, A, grid)
-    if f.monotonicity is not Monotonicity.UNKNOWN:
-        res = _monotone_crossing(f, A, xs, ys, tol, f.monotonicity, f.hint)
-        if res is not None:
-            return res
-    elif f.extension is not None and A.length() > 0.0:
-        try:
+    try:
+        if f.monotonicity is not Monotonicity.UNKNOWN:
+            return _monotone_crossing(f, A, xs, ys, tol, f.monotonicity, f.hint)
+        if f.extension is not None and A.length() > 0.0:
             return _piecewise(f, A, xs, ys, tol)
-        except _GiveUp:
-            pass
+    except _GiveUp:
+        pass
     return sugeno_supmin_exact(f, A, grid)

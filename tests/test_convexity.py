@@ -102,7 +102,7 @@ class TestConditionC:
         assert (w.u, w.v, w.t) == (y[first], x[first], t[first])
 
     def test_restricted_eta_domain_raises(self):
-        tight = EtaMap(apply=lambda v, u: 3.0 * (v - u), name="wild", domain=UNIT)
+        tight = EtaMap(apply=lambda v, u: 3.0 * (v - u), domain=UNIT)
         with pytest.raises(DomainEscape):
             check_condition_c(UNIT, tight, samples=10_000, seed=SEED)
 

@@ -349,6 +349,20 @@ class TestMonotonicityDetection:
         assert f.monotonicity is Monotonicity.UNKNOWN
 
 
+def test_building_a_function_never_prints_its_tree(monkeypatch):
+    """A DSL build parses and compiles its source; nothing reads a printed
+    form of it, so ``to_source`` is never called."""
+    from fuzzyhh import expressions
+
+    def refuse(node):
+        raise AssertionError("to_source called")
+
+    monkeypatch.setattr(expressions, "to_source", refuse)
+    for src, domain in (("x^2/2", (0.0, 1.0)), ("1/(x - 0.51)^2", (0.0, 1.0)), ("0.3", (2.0, 2.0))):
+        f = function_from_expression(src, RealInterval(*domain))
+        assert not hasattr(f, "name")
+
+
 # -- the interval extension ------------------------------------------------------
 
 from fractions import Fraction

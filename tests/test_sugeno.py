@@ -185,9 +185,7 @@ class TestDispatcher:
             assert res.value == pytest.approx(min(k, 1.0), abs=1e-9)
 
     def test_step_function_falls_back_to_supmin(self):
-        f = from_callable(
-            lambda x: np.where(np.asarray(x) <= 0.8, 0.3, 0.0), UNIT, name="step"
-        )
+        f = from_callable(lambda x: np.where(np.asarray(x) <= 0.8, 0.3, 0.0), UNIT)
         res = sugeno_integral(f, UNIT)
         assert res.method is IntegralMethod.SUPMIN_GRID
         assert res.value == pytest.approx(0.3, abs=1e-9)
@@ -440,7 +438,7 @@ def test_crossing_kernel_on_a_jump_at_the_crossing(lo, width, at, below, above, 
         return np.where(x >= x0, high, low) if increasing else np.where(x <= x0, high, low)
 
     mono = Monotonicity.INCREASING if increasing else Monotonicity.DECREASING
-    f = from_callable(step, A, mono, name="step")
+    f = from_callable(step, A, mono)
     res = sugeno_integral(f, A)
     assert res.method is IntegralMethod.FIXED_POINT
     assert res.value == pytest.approx(side, abs=1e-9)
