@@ -8,8 +8,8 @@ but sweep returns its result, provenance, verdict and exit code, and
 ``main`` alone times it, builds the report and delivers it.
 
 Exit codes: 0 when every requested verdict passes, 1 on usage or expression
-errors, 2 when a hypothesis check or a bound verification fails, 3 when no
-bound exists for the inputs (reserved: valid inputs always have one).
+errors or a closed stdout, 2 when a hypothesis check or a bound verification
+fails, 3 when no bound exists for the inputs (reserved: valid inputs always have one).
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ def _run_sweep(ns: argparse.Namespace) -> int:
     if ns.out:
         _write_out(ns.out, payload, newline="")
     else:
-        sys.stdout.write(payload)
+        print(payload, end="")
     return EXIT_OK
 
 
@@ -445,12 +445,19 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         if ns.cmd == "sweep":
-            return _run_sweep(ns)
-        result, provenance, verdict, code = _HANDLERS[ns.cmd](ns)
-        _deliver({"command": ns.cmd, "inputs": _inputs_dict(ns), "result": result,
-                  "provenance": provenance, "verdict": verdict,
-                  "elapsed_s": time.monotonic() - t0}, ns)
+            code = _run_sweep(ns)
+        else:
+            result, provenance, verdict, code = _HANDLERS[ns.cmd](ns)
+            _deliver({"command": ns.cmd, "inputs": _inputs_dict(ns), "result": result,
+                      "provenance": provenance, "verdict": verdict,
+                      "elapsed_s": time.monotonic() - t0}, ns)
+        print(end="", flush=True)  # a reader that closed stdout fails here, not at exit
         return code
+    except BrokenPipeError:
+        # nothing more reaches the reader: with no stdout, print writes
+        # nothing and the interpreter's final flush skips the unwritten rest
+        sys.stdout = None
+        return EXIT_USAGE
     except ExprSyntaxError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -725,6 +725,36 @@ class TestUsage:
         assert err == "fuzzyhh: cannot write /dev/full: No space left on device\n"
 
     @pytest.mark.parametrize("argv", [
+        ("reproduce", "all", "--format", "json"),
+        ("integrate", "-f", "x", "-a", "0", "-b", "1"),
+        ("sweep", "-f", "x^2", "-a", "0", "-b", "1", "--param", "r", "--values", "0.5,1"),
+    ])
+    def test_reader_that_closed_stdout_exits_one(self, argv):
+        """The read end of the pipe is closed before the CLI starts, so every
+        write to stdout fails: no traceback, no failed final flush, exit 1."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fuzzyhh.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+                text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_reader_that_closed_stdout_in_process_returns_one(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["integrate", "-f", "x", "-a", "0", "-b", "1"]) == 1
+        assert sys.stdout is None and capsys.readouterr().err == ""
+        # stdout is gone, so a later call writes nothing and still returns its code
+        assert main(["sweep", "-f", "x^2", "-a", "0", "-b", "1", "--param", "r", "--values", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
         ("check", "-f", "1", "-a=-1e308", "-b", "1e308", "--samples", "10"),
         ("integrate", "-f", "x", "-a=-1e308", "-b", "1e308"),
         ("integrate", "-f", "x", "-a", "0", "-b", "1", "--fdomain=-1e308:1e308"),
