@@ -143,6 +143,47 @@ class TestSupmin:
             sugeno_supmin(function_from_expression("0.3", UNIT), UNIT, 1)
 
 
+def _whole_array_sweep(f, A, n):
+    """``sugeno_supmin`` as the threshold sweep over whole arrays: every one of
+    the n + 1 thresholds against the sorted midpoint sample."""
+    mu = A.length()
+    values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
+    top = max(float(values[-1]), mu)
+    betas = np.linspace(0.0, top, n + 1)
+    counts = n - np.searchsorted(values, betas, side="left")
+    return float(np.max(np.minimum(betas, mu * (counts / n)))), top / n
+
+
+@pytest.mark.parametrize("n", [2, 7, 1000, 4097, 1_000_000])
+def test_sweep_oracle_equals_the_whole_array_sweep(n):
+    """Bit for bit the value and residual of the whole-array sweep, on seeded
+    DSL functions, lookup callables of every sample kind, and a width whose
+    threshold step underflows to 0."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for seed in range(6):
+        A = RealInterval(0.0, 1.0) if seed % 2 else RealInterval(0.3, 2.1)
+        cases.append((_compiled(f"abs({_random_source(np.random.default_rng(seed), 3)})", A), A))
+    for kind in KINDS:
+        A = RealInterval(0.2, 0.2 + float(rng.choice([1e-3, 1.0, 2.7])))
+        v = _samples(rng, kind, n, A.length())
+        cells = A.midpoints(n)
+        cases.append((from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A), A))
+    tiny = RealInterval(0.0, 5e-320)
+    cases += [(from_callable(lambda x, c=c: c * np.asarray(x, dtype=float), tiny), tiny)
+              for c in (1.0, 3.0)]
+    swept = 0
+    for f, A in cases:
+        try:
+            want = _whole_array_sweep(f, A, n)
+        except EvalError:
+            continue
+        res = sugeno_supmin(f, A, n)
+        assert (res.value.hex(), res.residual.hex()) == tuple(w.hex() for w in want), (A, n)
+        swept += 1
+    assert swept >= len(KINDS) + 4
+
+
 class TestDispatcher:
     def test_cubic_third_matches_its_own_equation_root(self):
         # derived by bisection of b = (1 - b)^3 / 3 (the distribution crossing)
@@ -575,14 +616,23 @@ KINDS = ("uniform", "constant", "level-grid", "few-valued", "all-below", "all-ab
          "aliasing", "smooth")
 
 
+def _supmin_formula(v, mu):
+    """The definitional sup-min of a sample: the largest of min(v_j, j * mu / n)
+    over the descending sample v_1 >= ... >= v_n."""
+    n = v.size
+    return float(np.max(np.minimum(np.sort(v)[::-1], (np.arange(1, n + 1) / n) * mu)))
+
+
 def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
     """The grid form selects the crossing where it can prove a bracket and
     sorts the whole sample otherwise; either way it returns the floats the
-    sorted sample gives, bit for bit."""
-    sorted_calls = []
-    reference = sugeno._sorted_supmin
-    monkeypatch.setattr(sugeno, "_sorted_supmin",
-                        lambda v, mu: sorted_calls.append(v.size) or reference(v, mu))
+    definitional sup-min of the sample gives, bit for bit.  The path shows in
+    the size of the last window ``_prefix_end`` searches: the whole sample
+    when it was sorted."""
+    windows = []
+    prefix_end = sugeno._prefix_end
+    monkeypatch.setattr(sugeno, "_prefix_end",
+                        lambda desc, *args: windows.append(desc.size) or prefix_end(desc, *args))
     rng = np.random.default_rng(4)
     paths = {kind: [0, 0] for kind in KINDS}  # [selected, sorted]
     tiny = [0, 0]
@@ -592,17 +642,16 @@ def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
             lo = rng.uniform(0.0, 1.0)
             A = RealInterval(lo, lo + float(rng.choice([1e-3, 0.5, 1.0, 2.7, 40.0])))
             v = _samples(rng, kind, n, A.length())
-            want = max(reference(np.sort(v), A.length()), 0.0)
-            before = len(sorted_calls)
+            want = max(_supmin_formula(v, A.length()), 0.0)
             # pointwise: each midpoint looks up its own cell's value
             cells = A.midpoints(n)
             lookup = from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A)
             res = sugeno_supmin_exact(lookup, A, n)
             assert res.value == want, (kind, n)
-            fell_back = len(sorted_calls) > before
-            paths[kind][fell_back] += 1
+            whole = windows[-1] == n
+            paths[kind][whole] += 1
             if n < sugeno.SUBSAMPLE_STRIDE:
-                tiny[fell_back] += 1
+                tiny[whole] += 1
     assert sum(s for s, _ in paths.values()) > 0 and sum(f for _, f in paths.values()) > 0
     assert paths["smooth"][0] > 0 and paths["level-grid"][0] > 0
     assert paths["constant"][0] == 0  # one tie block holds the whole sample
