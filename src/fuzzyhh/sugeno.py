@@ -51,19 +51,18 @@ it, "unknown" when the value rests on none.
   gap to bisect, and reports the bracket's lower end as ``FIXED_POINT`` with
   its width as ``residual``; ``pieces`` counts the certified pieces.  A guard
   sample that turns ``MAX_PIECES`` times or more is refused before any
-  interval evaluation; more pieces, ``INTERVAL_BUDGET`` interval evaluations
-  spent, an enclosure or a midpoint value that cannot be had, or a gap at
-  float resolution hand the call over to the grid form.
+  interval evaluation; ``INTERVAL_BUDGET`` interval evaluations spent, an
+  enclosure or a midpoint value that cannot be had, or a gap at float
+  resolution hand the call over to the grid form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
   midpoint-sampled function, ``sugeno_supmin_exact``.  The n-point sample
   is made, evaluated and reduced to its minimum ``SAMPLE_BLOCK`` points at a
   time in reused buffers (the same floats as one whole-array call).  Its
-  crossing, in descending order, with the levels j * mu / n is selected: a
-  sorted subsample brackets it, and only the samples inside the bracket are
-  sorted and binary-searched.  Where the bracket cannot be proved (ties,
-  plateaus, aliasing, tiny n) the whole sample is sorted.  Either way the
-  result is the same float.  ``residual`` is the cell measure mu / n.
+  crossing, in descending order, with the levels j * mu / n is
+  binary-searched in one sorted window: the samples inside the bracket a
+  sorted subsample gives, where comparisons prove it, else the whole sample.
+  ``residual`` is the cell measure mu / n.  A NaN sample raises ``EvalError``.
 
 Two more routes stay as oracles:
 
@@ -128,7 +127,7 @@ CROSSING_POINTS = 4097
 
 #: Every SUBSAMPLE_STRIDE-th sample of the grid form estimates the crossing
 #: rank, and the subsample values SUBSAMPLE_MARGIN ranks to either side of the
-#: estimate bracket it (``_selected_supmin``).
+#: estimate bracket it (``_grid_supmin``).
 SUBSAMPLE_STRIDE = 256
 SUBSAMPLE_MARGIN = 8
 
@@ -137,9 +136,8 @@ SUBSAMPLE_MARGIN = 8
 #: (``_grid_sample``).
 SAMPLE_BLOCK = 1 << 16
 
-#: The piecewise form integrates at most MAX_PIECES certified pieces: an
-#: integrand whose guard sample turns more often, or that certifies into more
-#: pieces, takes the grid form.
+#: A guard sample that turns MAX_PIECES times or more takes the grid form
+#: before any interval evaluation (``_proposals``).
 MAX_PIECES = 64
 
 #: Interval evaluations one call may spend on certifying pieces, clearing the
@@ -209,7 +207,9 @@ def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     Thresholds cover [0, max(sup_A f, mu(A))] (the sup estimated from the
     same midpoint sample the distribution uses), and the distribution is the
     grid count.  Accuracy is O(1/n); the point of this routine is to be an
-    independent, assumption-free oracle, not to be sharp.
+    independent, assumption-free oracle, not to be sharp.  The thresholds
+    rise and the distribution does not, so a binary search finds the sup-min.
+    Raises ``EvalError`` for a NaN sample.
     """
     if n < 2:
         raise ValueError("need at least 2 thresholds")
@@ -217,13 +217,27 @@ def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
+    if math.isnan(values[-1]):  # NaN sorts last
+        raise EvalError("integrand is NaN on the sample")
     top = max(float(values[-1]), mu)
     if top <= 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    betas = np.linspace(0.0, top, n + 1)
-    counts = n - np.searchsorted(values, betas, side="left")
-    distribution = mu * (counts / n)
-    value = float(np.max(np.minimum(betas, distribution)))
+    step = top / n
+
+    def level(j: int) -> tuple[float, float]:
+        """Threshold j, the float of np.linspace(0, top, n + 1), and the distribution there."""
+        beta = top if j == n else (j / n) * top + 0.0 if step == 0.0 else j * step + 0.0
+        return beta, mu * ((n - int(values.searchsorted(beta))) / n)
+
+    j, past = 0, n + 1  # the last j whose threshold is at most its distribution
+    while past - j > 1:
+        mid = (j + past) // 2
+        beta, share = level(mid)
+        if beta <= share:
+            j = mid
+        else:
+            past = mid
+    value = top if j == n else max(level(j)[0], level(j + 1)[1])
     return SugenoResult(value, IntegralMethod.SUPMIN_GRID, top / n)
 
 
@@ -237,11 +251,9 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRI
 
     so no threshold sweep (and no sweep resolution loss) is involved.  The
     grid form of ``sugeno_integral``; e.g. constants come out exactly
-    min(k, mu).  The sample is taken in cache-sized blocks (``_grid_sample``).
-    The crossing is selected without sorting the whole sample
-    (``_selected_supmin``) where a bracket can be proved, else found in the
-    sample sorted in place.  Raises ``NegativeFunction`` when the smallest
-    sample is below -1e-12.
+    min(k, mu).  The sample is taken in cache-sized blocks (``_grid_sample``)
+    and its crossing found by ``_grid_supmin``.  Raises ``NegativeFunction``
+    when the smallest sample is below -1e-12, ``EvalError`` when it is NaN.
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
@@ -249,15 +261,8 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRI
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     values, low = _grid_sample(f, A, n)
-    best = None
-    if not math.isnan(low):  # with a NaN sample, np.min returns it; the sort puts it last
-        _require_non_negative(low, A)
-        best = _selected_supmin(values, mu)
-    if best is None:
-        values.sort()
-        _require_non_negative(float(values[0]), A)
-        best = _sorted_supmin(values, mu)
-    return SugenoResult(max(best, 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+    _require_non_negative(low, A)
+    return SugenoResult(max(_grid_supmin(values, mu), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
 
 
 def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray, float]:
@@ -268,7 +273,7 @@ def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray
     order (cell indices k + 0.5 are exact below 2**52), and each block's
     values are copied out (``f`` may return a view of the buffer) and
     reduced to their minimum.  ``evaluate`` must act elementwise.  A NaN
-    sample makes the minimum NaN, as ``np.min`` of the whole sample would.
+    sample makes the minimum NaN (the sign guard rejects it), as in ``np.min``.
     When a block raises ``EvalError`` the whole sample is evaluated at once,
     so the error is the one the unblocked call raises, in tree order.  The
     returned array is new, so callers may sort it in place.
@@ -295,29 +300,6 @@ def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray
     return values, float(np.min(lows))
 
 
-def _sorted_supmin(values: np.ndarray, mu: float) -> float:
-    """max over j of min(v_j, j * mu / n) for v the descending ``values``.
-
-    v_j does not grow and the level j * mu / n does not shrink with j, so
-    the j with v_j >= level form a prefix 1..k.  The max is then the larger
-    of the last level inside the prefix and the first sample past it, which
-    are the same floats the full elementwise minimum would pick.
-    """
-    return _window_supmin(values[::-1], 0, mu, values.size)
-
-
-def _window_supmin(desc: np.ndarray, first: int, mu: float, n: int) -> float:
-    """``_sorted_supmin`` from the descending sample's ranks first .. first + desc.size - 1.
-
-    The prefix of ranks with v_j >= level must end inside the window, or at n.
-    """
-    k = _prefix_end(desc, first, mu, n)
-    best = (k / n) * mu if k else -np.inf
-    if k < n:
-        best = max(best, float(desc[k - first]))
-    return float(best)
-
-
 def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
     """Binary search for k, the end of the prefix of (0-based) ranks j with
     v_j >= (j + 1) * mu / n, where ``desc`` holds v_first, v_first+1, ..."""
@@ -331,16 +313,16 @@ def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
     return k
 
 
-def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
-    """``_sorted_supmin(np.sort(values), mu)`` without the full sort, or None.
+def _grid_supmin(values: np.ndarray, mu: float) -> float:
+    """max over j of min(v_j, j * mu / n) for v the descending ``values``.
 
-    A sampling select (Floyd & Rivest, CACM 1975): the sorted subsample
-    ``values[::SUBSAMPLE_STRIDE]`` estimates the crossing rank, its values
-    ``SUBSAMPLE_MARGIN`` ranks to either side bracket the crossing, and only
-    the samples inside the bracket are sorted.  The bracket is used only when
-    the comparisons prove that the prefix of ``_sorted_supmin`` ends inside
-    it and it holds at most half the sample; ties, plateaus, aliasing on the
-    stride and tiny samples can fail that, and then None asks for the sort.
+    The j with v_j >= level form a prefix 1..k, and the max is the larger of
+    the last level in it and the first sample past it.  A sampling select
+    (Floyd & Rivest, CACM 1975): the sorted subsample ``values[::SUBSAMPLE_STRIDE]``
+    estimates k, and its values ``SUBSAMPLE_MARGIN`` ranks to either side
+    bracket it.  Where the comparisons prove the bracket, only the window of
+    samples inside it is sorted; otherwise (ties, plateaus, aliasing on the
+    stride, tiny samples) the window is the whole sample, sorted in place.
     """
     n = values.size
     sub = np.sort(values[::SUBSAMPLE_STRIDE])[::-1]
@@ -352,12 +334,17 @@ def _selected_supmin(values: np.ndarray, mu: float) -> float | None:
     inside = values >= bottom
     b = int(np.count_nonzero(inside))  # ... and ends before rank b
     # v_(a-1) > top >= its level, and v_(b-1) = bottom (a sample) < its level
-    reached = a == 0 or top >= (a / n) * mu
-    stopped = b == n or bottom < (b / n) * mu
-    if not (reached and stopped and 2 * (b - a) <= n):
-        return None
-    inside ^= above
-    return _window_supmin(np.sort(values[inside])[::-1], a, mu, n)
+    if (a == 0 or top >= (a / n) * mu) and (b == n or bottom < (b / n) * mu):
+        inside ^= above
+        desc = np.sort(values[inside])[::-1]
+    else:
+        values.sort()
+        a, desc = 0, values[::-1]
+    k = _prefix_end(desc, a, mu, n)
+    best = (k / n) * mu if k else -np.inf
+    if k < n:
+        best = max(best, float(desc[k - a]))
+    return float(best)
 
 
 class _GiveUp(Exception):
@@ -696,8 +683,6 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
     if len(pieces) == 1 and not gaps:
         direction = Monotonicity.INCREASING if pieces[0][2] else Monotonicity.DECREASING
         return _monotone_crossing(f, A, xs, ys, tol, direction, "certified")
-    if len(pieces) > MAX_PIECES:
-        raise _GiveUp("too many pieces")
     while below := [g for g in gaps if not g[4] >= NEGATIVE_BELOW]:  # the sign guard; NaN is below
         gaps = [g for g in gaps if g[4] >= NEGATIVE_BELOW] + cert.bisect(below)
     # The first round reads each piece's guard samples in ascending order, a run
@@ -737,6 +722,8 @@ def _piecewise(f: ScalarFunction, A: RealInterval, xs: np.ndarray, ys: np.ndarra
 
 
 def _require_non_negative(low: float, A: RealInterval) -> None:
+    if math.isnan(low):
+        raise EvalError(f"integrand is NaN on [{A.lo:g}, {A.hi:g}]")
     if low < NEGATIVE_BELOW:
         raise NegativeFunction(f"integrand reaches {low:g} on [{A.lo:g}, {A.hi:g}]")
 
@@ -757,7 +744,8 @@ def sugeno_integral(
     integrand takes the route its hint and ``method`` select, a zero one
     included; a crossing form that gives up (``_GiveUp``) hands over to the grid
     form.  ``tol`` is the final crossing cell width of the monotone form and the
-    final level bracket of the piecewise form.  A must lie in f.domain.
+    final level bracket of the piecewise form.  A must lie in f.domain.  A NaN
+    sample raises ``EvalError``.
     """
     if method not in ("auto", "supmin"):
         raise ValueError(f"unknown method {method!r}")

@@ -623,19 +623,15 @@ def _supmin_formula(v, mu):
     return float(np.max(np.minimum(np.sort(v)[::-1], (np.arange(1, n + 1) / n) * mu)))
 
 
-def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
-    """The grid form selects the crossing where it can prove a bracket and
-    sorts the whole sample otherwise; either way it returns the floats the
-    definitional sup-min of the sample gives, bit for bit.  The path shows in
-    the size of the last window ``_prefix_end`` searches: the whole sample
-    when it was sorted."""
-    windows = []
+def _grid_windows(monkeypatch):
+    """(kind, n, size of the last window ``_prefix_end`` searches) of 200 seeded
+    lookup integrands on the grid form, each checked bit for bit against the
+    definitional sup-min of its sample."""
+    windows, out = [], []
     prefix_end = sugeno._prefix_end
     monkeypatch.setattr(sugeno, "_prefix_end",
                         lambda desc, *args: windows.append(desc.size) or prefix_end(desc, *args))
     rng = np.random.default_rng(4)
-    paths = {kind: [0, 0] for kind in KINDS}  # [selected, sorted]
-    tiny = [0, 0]
     for kind in KINDS:
         for _ in range(25):
             n = int(rng.choice([1, 7, sugeno.SUBSAMPLE_STRIDE - 1, 1000, 4097, 30_000, 200_000]))
@@ -648,14 +644,34 @@ def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
             lookup = from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A)
             res = sugeno_supmin_exact(lookup, A, n)
             assert res.value == want, (kind, n)
-            whole = windows[-1] == n
-            paths[kind][whole] += 1
-            if n < sugeno.SUBSAMPLE_STRIDE:
-                tiny[whole] += 1
+            out.append((kind, n, windows[-1]))
+    return out
+
+
+def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
+    """The grid form selects the crossing where it can prove a bracket and
+    sorts the whole sample otherwise; either way it returns the floats the
+    definitional sup-min of the sample gives, bit for bit.  The path shows in
+    the size of the last window ``_prefix_end`` searches: the whole sample
+    when it was sorted."""
+    paths = {kind: [0, 0] for kind in KINDS}  # [selected, sorted]
+    tiny = [0, 0]
+    for kind, n, window in _grid_windows(monkeypatch):
+        whole = window == n
+        paths[kind][whole] += 1
+        if n < sugeno.SUBSAMPLE_STRIDE:
+            tiny[whole] += 1
     assert sum(s for s, _ in paths.values()) > 0 and sum(f for _, f in paths.values()) > 0
     assert paths["smooth"][0] > 0 and paths["level-grid"][0] > 0
     assert paths["constant"][0] == 0  # one tie block holds the whole sample
     assert tiny[0] == 0 and tiny[1] > 0
+
+
+def test_proven_window_over_half_the_sample_is_sorted_as_a_window(monkeypatch):
+    """A proven bracket is searched as a window whatever its size: no whole
+    sort for a window that holds more than half the sample."""
+    wide = [kind for kind, n, window in _grid_windows(monkeypatch) if n < 2 * window < 2 * n]
+    assert len(wide) >= 10 and {"level-grid", "smooth"} <= set(wide)
 
 
 def test_grid_route_evaluates_once_per_grid():
@@ -739,24 +755,21 @@ def test_blocked_sample_raises_the_unblocked_error():
         sugeno_supmin_exact(f, UNIT)
 
 
-def test_nan_sample_takes_the_full_sort(monkeypatch):
-    """A NaN in any block makes the minimum NaN, so the whole sample is
-    sorted (NaN last), as for the unblocked sample."""
-    sorted_calls = []
-    reference = sugeno._sorted_supmin
-    monkeypatch.setattr(sugeno, "_sorted_supmin",
-                        lambda v, mu: sorted_calls.append(v.size) or reference(v, mu))
-    monkeypatch.setattr(sugeno, "_selected_supmin", lambda v, mu: pytest.fail("selected"))
+def _holed(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x > 0.3) & (x < 0.31), np.nan, 0.9 - (x - 0.4) ** 2)
 
-    def holed(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x > 0.3) & (x < 0.31), np.nan, 0.9 - (x - 0.4) ** 2)
 
-    f = from_callable(holed, UNIT)
-    want = max(reference(np.sort(holed(UNIT.midpoints(1_000_000))), 1.0), 0.0)
-    res = sugeno_supmin_exact(f, UNIT)
-    assert sorted_calls == [1_000_000]
-    assert res.value == want
+@pytest.mark.parametrize("integrate", [
+    lambda f: sugeno_integral(f, UNIT),
+    lambda f: sugeno_integral(f, UNIT, method="supmin"),
+    lambda f: sugeno_supmin_exact(f, UNIT),
+    lambda f: sugeno_supmin(f, UNIT, 1_000_000),
+], ids=["auto", "supmin-method", "supmin-exact", "supmin"])
+def test_nan_sample_raises(integrate):
+    """A NaN integrand value is an error, not the largest sample."""
+    with pytest.raises(EvalError, match="NaN"):
+        integrate(from_callable(_holed, UNIT))
 
 
 # -- the piecewise form on certified pieces ------------------------------------------
