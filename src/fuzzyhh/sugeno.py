@@ -316,8 +316,9 @@ def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
 def _grid_supmin(values: np.ndarray, mu: float) -> float:
     """max over j of min(v_j, j * mu / n) for v the descending ``values``.
 
-    The j with v_j >= level form a prefix 1..k, and the max is the larger of
-    the last level in it and the first sample past it.  A sampling select
+    v_j does not grow and the level j * mu / n does not shrink with j, so the
+    j with v_j >= level form a prefix 1..k, and the max is the larger of the
+    last level in it and the first sample past it.  A sampling select
     (Floyd & Rivest, CACM 1975): the sorted subsample ``values[::SUBSAMPLE_STRIDE]``
     estimates k, and its values ``SUBSAMPLE_MARGIN`` ranks to either side
     bracket it.  Where the comparisons prove the bracket, only the window of
@@ -334,7 +335,9 @@ def _grid_supmin(values: np.ndarray, mu: float) -> float:
     inside = values >= bottom
     b = int(np.count_nonzero(inside))  # ... and ends before rank b
     # v_(a-1) > top >= its level, and v_(b-1) = bottom (a sample) < its level
-    if (a == 0 or top >= (a / n) * mu) and (b == n or bottom < (b / n) * mu):
+    reached = a == 0 or top >= (a / n) * mu
+    stopped = b == n or bottom < (b / n) * mu
+    if reached and stopped:
         inside ^= above
         desc = np.sort(values[inside])[::-1]
     else:
