@@ -753,6 +753,8 @@ def test_blocked_sample_raises_the_unblocked_error():
         f.evaluate(UNIT.midpoints(1_000_000))
     with pytest.raises(EvalError, match="sqrt of a negative value"):
         sugeno_supmin_exact(f, UNIT)
+    with pytest.raises(EvalError, match="sqrt of a negative value"):
+        sugeno_supmin(f, UNIT, 1_000_000)
 
 
 def _holed(x):
