@@ -77,9 +77,8 @@ Two more routes stay as oracles:
   test oracle: ``sugeno_integral`` never calls it.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
-  sweep against a midpoint-grid distribution.  It is deliberately plain: it
-  serves as an independent, assumption-free oracle, and ``method="supmin"``
-  selects it.
+  sweep against the grid form's sample and sign check, but with its own search
+  of the thresholds, so it checks the grid form's; ``method="supmin"`` selects it.
 
 Everything here is pure and re-entrant; results are deterministic.
 """
@@ -204,24 +203,22 @@ def sugeno_fixed_point(profile: DistributionProfile) -> SugenoResult:
 def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     """Definitional sup-min on an even sweep of n+1 thresholds.
 
-    Thresholds cover [0, max(sup_A f, mu(A))] (the sup estimated from the
-    same midpoint sample the distribution uses), and the distribution is the
-    grid count.  Accuracy is O(1/n); the point of this routine is to be an
-    independent, assumption-free oracle, not to be sharp.  The thresholds
-    rise and the distribution does not, so a binary search finds the sup-min.
-    Raises ``EvalError`` for a NaN sample.
+    Thresholds cover [0, max(sup_A f, mu(A))], the sup estimated from the grid
+    form's midpoint sample (``_grid_sample``), whose count is the distribution
+    and whose sign check raises ``NegativeFunction`` below -1e-12 and
+    ``EvalError`` for NaN.  Accuracy is O(1/n): an independent, assumption-free
+    oracle, not a sharp one.  The thresholds rise and the distribution does
+    not, so its own binary search finds the sup-min.
     """
     if n < 2:
         raise ValueError("need at least 2 thresholds")
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values = np.sort(np.asarray(f.evaluate(A.midpoints(n)), dtype=float))
-    if math.isnan(values[-1]):  # NaN sorts last
-        raise EvalError("integrand is NaN on the sample")
+    values, low = _grid_sample(f, A, n)
+    _require_non_negative(low, A)
+    values.sort()
     top = max(float(values[-1]), mu)
-    if top <= 0.0:
-        return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
     step = top / n
 
     def level(j: int) -> tuple[float, float]:

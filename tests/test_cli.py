@@ -130,12 +130,13 @@ class TestIntegrate:
         assert code == 1
         assert "integrand" in err
 
-    def test_negative_between_the_guard_points_exits_one(self, capsys):
+    @pytest.mark.parametrize("method", [(), ("--method", "supmin")], ids=["auto", "supmin"])
+    def test_negative_between_the_guard_points_exits_one(self, capsys, method):
         # every point of the 4097-point guard grid is a zero of the sine; the
-        # 1e6-point sample of the grid form reaches -0.1998
+        # 1e6-point sample of the grid form and of the sweep reaches -0.1998
         code, _, err = run(
             capsys, "integrate", "-f", "x/2 + 0.2*sin(3.141592653589793*4096*x)",
-            "-a", "0", "-b", "1",
+            "-a", "0", "-b", "1", *method,
         )
         assert code == 1
         assert "integrand reaches -0.19" in err

@@ -137,6 +137,11 @@ class TestSupmin:
             sugeno_supmin_exact(f, UNIT)
         with pytest.raises(NegativeFunction):
             sugeno_integral(f, UNIT)
+        # the sweep oracle takes the same sample, and the same sign check
+        with pytest.raises(NegativeFunction, match="-0.19"):
+            sugeno_supmin(f, UNIT, 10**6)
+        with pytest.raises(NegativeFunction, match="-0.19"):
+            sugeno_integral(f, UNIT, method="supmin")
 
     def test_rejects_tiny_threshold_count(self):
         with pytest.raises(ValueError):
@@ -674,19 +679,23 @@ def test_proven_window_over_half_the_sample_is_sorted_as_a_window(monkeypatch):
     assert len(wide) >= 10 and {"level-grid", "smooth"} <= set(wide)
 
 
-def test_grid_route_evaluates_once_per_grid():
+@pytest.mark.parametrize("method, oracle", [
+    ("auto", lambda f: sugeno_supmin_exact(f, UNIT)),
+    ("supmin", lambda f: sugeno_supmin(f, UNIT, 1_000_000)),
+], ids=["auto", "supmin"])
+def test_grid_route_evaluates_once_per_grid(method, oracle):
     """An UNKNOWN-hinted integrand costs one 4097-point guard sample (the sign
-    checks) and one 1e6-point sample (the grid form) taken in blocks of at
-    most SAMPLE_BLOCK points, nothing else."""
+    checks) and one 1e6-point sample (the grid form, or the sweep of the
+    "supmin" method) taken in blocks of at most SAMPLE_BLOCK points, nothing else."""
     calls = []
     f = from_callable(lambda x: 0.9 - 1.3 * (np.asarray(x) - 0.45) ** 2, UNIT)
     assert f.monotonicity is Monotonicity.UNKNOWN and f.extension is None
     ev = f.evaluate
     counted = dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x))
-    res = sugeno_integral(counted, UNIT)
+    res = sugeno_integral(counted, UNIT, method=method)
     assert calls[0] == 4097
     assert max(calls[1:]) <= sugeno.SAMPLE_BLOCK and sum(calls[1:]) == 1_000_000
-    assert res == sugeno_supmin_exact(f, UNIT)
+    assert res == oracle(f)
 
 
 # -- the blocked sample of the grid form against one whole-array evaluation --------
