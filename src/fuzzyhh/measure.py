@@ -86,8 +86,8 @@ class RealInterval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = SET_SLACK) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: float) -> bool:
+        return self.lo - SET_SLACK <= x <= self.hi + SET_SLACK
 
     def clip(self, x):
         return np.clip(x, self.lo, self.hi)
@@ -224,16 +224,14 @@ class DistributionProfile:
         f_lo = float(ev(lo))
         f_hi = float(ev(hi))
         if mono is Monotonicity.INCREASING:
-            if beta <= f_lo:
-                return L
-            if beta > f_hi:
-                return 0.0
-            return solve_beta(lambda d: L if float(ev(max(hi - d, lo))) >= beta else 0.0, L)[0]
-        if beta <= f_hi:
+            least, most, point = f_lo, f_hi, lambda d: max(hi - d, lo)
+        else:
+            least, most, point = f_hi, f_lo, lambda d: min(lo + d, hi)
+        if beta <= least:
             return L
-        if beta > f_lo:
+        if beta > most:
             return 0.0
-        return solve_beta(lambda d: L if float(ev(min(lo + d, hi))) >= beta else 0.0, L)[0]
+        return solve_beta(lambda d: L if float(ev(point(d))) >= beta else 0.0, L)[0]
 
 
 def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tuple[float, float]]:
