@@ -375,19 +375,19 @@ def _sweep_integral(ns: argparse.Namespace, iv: InvexInterval) -> tuple[Any, flo
     return f, sugeno_integral(f, iv.domain, grid=ns.grid).value
 
 
-def _sweep_row(ns: argparse.Namespace, param: str, value: float, fixed: tuple[Any, float] | None,
+def _sweep_row(ns: argparse.Namespace, value: float, fixed: tuple[Any, float] | None,
                last: BoundInputs | None) -> tuple[dict[str, Any], BoundInputs]:
     """One CSV row and its bound inputs.  ``fixed`` is (f, integral) when the
     sweep leaves eta_len alone; then ``last``, the previous row's inputs if
     any, lends f(a) and f(a + L), and fscaled too unless m moves."""
-    eta_len = value if param == "eta-len" else _eta_len(ns)
+    eta_len = value if ns.param == "eta-len" else _eta_len(ns)
     iv = InvexInterval(ns.a, eta_len)
-    r = value if param == "r" else ns.r
-    alpha = value if param == "alpha" else ns.alpha
-    m = value if param == "m" else ns.m
+    r = value if ns.param == "r" else ns.r
+    alpha = value if ns.param == "alpha" else ns.alpha
+    m = value if ns.param == "m" else ns.m
     f, integral = fixed or _sweep_integral(ns, iv)
     if fixed and last is not None:
-        fscaled = scaled_value(f, iv, alpha, m) if param == "m" else last.fscaled
+        fscaled = scaled_value(f, iv, alpha, m) if ns.param == "m" else last.fscaled
         inputs = dataclasses.replace(last, r=r, alpha=alpha, m=m, fscaled=fscaled)
     else:
         inputs = endpoint_inputs(f, iv, r=r, alpha=alpha, m=m)
@@ -419,7 +419,7 @@ def _run_sweep(ns: argparse.Namespace) -> int:
     writer.writeheader()
     inputs = None
     for value in values:
-        row, inputs = _sweep_row(ns, ns.param, value, fixed, inputs)
+        row, inputs = _sweep_row(ns, value, fixed, inputs)
         writer.writerow(row)
     payload = buf.getvalue()
     if ns.out:
