@@ -77,8 +77,8 @@ Two more routes stay as oracles:
   test oracle: ``sugeno_integral`` never calls it.
 
 * ``sugeno_supmin`` evaluates the definitional sup-min on an even threshold
-  sweep against the grid form's sample and sign check, but with its own search
-  of the thresholds, so it checks the grid form's; ``method="supmin"`` selects it.
+  sweep against the grid form's sample and sign check, with a threshold search
+  of its own that checks the grid form's search; ``method="supmin"`` selects it.
 
 Everything here is pure and re-entrant; results are deterministic.
 """
