@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 
 import numpy as np
@@ -115,13 +116,19 @@ def sup_level(F, L):
 
 def majorant_integral(fa, fend, L, r):
     """Sugeno integral of ((1-t)*fa^r + t*fend^r)^(1/r) (fa^(1-t)*fend^t at
-    r = 0) on [0, L], t = x/L.
+    r = 0) on [0, L], t = x/L."""
+    if fa == fend:
+        return min(fa, L)
+    return sup_level(majorant_share(fa, fend, L, r), L)
+
+
+def majorant_share(fa, fend, L, r):
+    """b -> mu{x in [0, L] : M(x/L) >= b} for the power-mean majorant M of
+    ``majorant_integral``, fa != fend.
 
     M^r (log M) is affine in t, so M is monotone towards the larger endpoint
     and {M >= b} is an end segment of [0, L] whose share is read off M^r.
     """
-    if fa == fend:
-        return min(fa, L)
 
     def F(b):
         if b <= min(fa, fend):
@@ -134,7 +141,7 @@ def majorant_integral(fa, fend, L, r):
             t = (b**r - fa**r) / (fend**r - fa**r)
         return L * (1.0 - t if fend > fa else t)
 
-    return sup_level(F, L)
+    return F
 
 
 def scaled_majorant_integral(fa, fscaled, L, alpha, m):
@@ -143,6 +150,11 @@ def scaled_majorant_integral(fa, fscaled, L, alpha, m):
     top = m * fscaled
     if top == fa:
         return min(fa, L)
+    return sup_level(scaled_majorant_share(fa, top, L, alpha), L)
+
+
+def scaled_majorant_share(fa, top, L, alpha):
+    """b -> mu{x in [0, L] : fa + (x/L)^alpha*(top - fa) >= b}, top != fa."""
 
     def F(b):
         if b <= min(fa, top):
@@ -152,7 +164,7 @@ def scaled_majorant_integral(fa, fscaled, L, alpha, m):
         t = ((b - fa) / (top - fa)) ** (1.0 / alpha)  # t where M(t) = b
         return L * (1.0 - t if top > fa else t)
 
-    return sup_level(F, L)
+    return F
 
 
 # -- the case equations of the former dispatch, kept as oracles ----------------
@@ -214,6 +226,24 @@ def scaled_draw(rng):
     elif u < 0.15:
         top = fa
     return BoundInputs(fa=fa, fend=fend, eta_len=L, alpha=alpha, m=m, fscaled=top / m)
+
+
+def seeded_majorant_shares(seed=30, draws=250):
+    """(kind, F, L) of seeded majorant shares of both routes: power means with
+    r < 0, r = 0 and r > 0, and scaled arguments with alpha in (0.1, 1), each
+    rising or falling; endpoints up to 1.5 L, so some saturate."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        L = rng.uniform(0.2, 3.0)
+        fa, fend = rng.uniform(0.01, 1.5) * L, rng.uniform(0.01, 1.5) * L
+        r = rng.choice((-1.0, 0.0, 1.0)) * rng.uniform(0.1, 4.0)
+        sign = "r < 0" if r < 0 else "r = 0" if r == 0 else "r > 0"
+        rising = "rising" if fend > fa else "falling"
+        yield f"power mean, {sign}, {rising}", majorant_share(fa, fend, L, r), L
+        fa, top = rng.uniform(0.0, 1.5) * L, rng.uniform(0.0, 1.5) * L
+        rising = "rising" if top > fa else "falling"
+        alpha = rng.uniform(0.1, 1.0)
+        yield f"scaled argument, {rising}", scaled_majorant_share(fa, top, L, alpha), L
 
 
 class TestSolveBeta:
@@ -314,6 +344,22 @@ class TestSolveBeta:
             assert solve_beta(G, 1.0) == bisect_beta(lambda b, c=c: c * (1.0 - b) ** 2, 1.0)
             counts.append(len(calls))
         assert max(counts) <= 16
+
+    def test_seeded_majorants_end_where_bisection_ends(self):
+        kinds = set()
+        for kind, F, L in seeded_majorant_shares():
+            assert solve_beta(F, L) == bisect_beta(F, L), kind
+            kinds.add(kind)
+        assert len(kinds) == 8, kinds
+
+    @pytest.mark.parametrize("F, L, most", [
+        # a crossing 150 binades below L, reached by bisection from the first probe on
+        (lambda b: 1e-300 / b if b > 0 else math.inf, 1.0, 21),
+    ], ids=["root 1e-150"])
+    def test_evaluation_counts(self, F, L, most):
+        G, calls = counted(F)
+        assert solve_beta(G, L) == bisect_beta(F, L)
+        assert len(calls) <= most
 
 
 class TestPowerMeanRoute:

@@ -154,6 +154,17 @@ class TestClosedFormDistribution:
         with pytest.raises(InvalidThreshold):
             profile.at(-0.1)
 
+    @pytest.mark.parametrize("mono, beta, error", [
+        (Monotonicity.UNKNOWN, 0.5, StrategyMismatch),
+        (Monotonicity.INCREASING, -0.1, InvalidThreshold),
+    ], ids=["unknown hint", "negative threshold"])
+    def test_rejections_evaluate_nothing(self, mono, beta, error):
+        points = []
+        profile = DistributionProfile(from_callable(lambda x: points.append(x) or x, UNIT, mono), UNIT)
+        with pytest.raises(error):
+            profile.at(beta)
+        assert points == []
+
 
 @settings(max_examples=60, deadline=None)
 @given(
