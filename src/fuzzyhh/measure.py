@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,17 +42,19 @@ SET_SLACK = 1e-12
 
 #: The constants of ``solve_beta``'s ITP search, counted in float64 bit
 #: patterns.  A solve takes at most ITP_N0 evaluations more than bisection's
-#: worst case.  For a bracket of w patterns the truncation moves the regula
-#: falsi point (w >> ITP_SCALE)**2 patterns, at least one (k1 = 2**-60,
-#: k2 = 2): 2**-8 of the bracket when it is one binade (2**52 patterns)
-#: wide, superlinearly less as it narrows.  The first step probes
-#: FIRST_PROBE patterns (10 binades, a factor of 1024) below L.
+#: worst case.  For a bracket of w >= BINADE patterns (2**52, one binade)
+#: the truncation moves the regula falsi point (w >> ITP_SCALE)**2 patterns,
+#: at least one (k1 = 2**-60, k2 = 2): 2**-8 of the bracket at one binade,
+#: more across many, where the point can be far off in bits.  Inside one
+#: binade it moves (w >> FINE_SCALE)**2 patterns (k1 = 2**-84), possibly
+#: none, so the reweighted point converges at nearly its own rate.  The
+#: first step probes FIRST_PROBE patterns (10 binades, a factor of 1024)
+#: below L.
 ITP_N0 = 1
 ITP_SCALE = 30
+FINE_SCALE = 42
+BINADE = 1 << 52
 FIRST_PROBE = 10 << 52
-
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
 
 
 class MeasureError(Exception):
@@ -245,28 +246,40 @@ def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tup
     F(L) >= L is tested first and gives beta = L.  Otherwise the bracket of
     patterns [0, L] shrinks by the ITP method (interpolate, truncate,
     project; Oliveira & Takahashi, ACM TOMS 47(1), 2021).  Each step takes
-    the regula falsi point of g(b) = F(b) - b in value space, moves it
-    towards the bracket's bit midpoint by (w >> ``ITP_SCALE``)**2 of its w
-    patterns (at least one), and projects it into the window around that
-    midpoint that leaves the solve at most ``ITP_N0`` evaluations above
-    bisection's worst case.  A smooth F takes about a dozen evaluations.
-    F(0) is never evaluated, so the first step probes ``FIRST_PROBE``
-    patterns below L (or the bit midpoint, if that is higher), and a step
-    whose interpolation is not a number in the bracket (F not yet known at
-    the lower end, or not finite) takes the bit midpoint.  Jumps and
-    plateaus of F cost steps, never more than that bound.
+    the regula falsi point of g(b) = F(b) - b in value space, with the
+    Anderson-Bjorck weight (BIT 13, 1973): when the same end moves twice in
+    a row, the other end's g is scaled by 1 - g_new/g_previous (1/2 if that
+    is not positive), so the search does not creep in from one side.  It
+    moves the point towards the bracket's bit midpoint by the truncation of
+    ``ITP_SCALE`` (``FINE_SCALE`` inside one binade), keeps it off the ends
+    already evaluated, and projects it into the window around the midpoint
+    that leaves the solve at most ``ITP_N0`` evaluations above bisection's
+    worst case.  A smooth F takes about ten evaluations.  F(0) is never
+    evaluated, so the first step probes ``FIRST_PROBE`` patterns below L (or
+    the bit midpoint, if that is higher), or F(L) itself if that is higher
+    and positive: F(F(L)) >= F(L) for a non-increasing F, so that probe
+    lands on the lower end.  A step whose interpolation is not a number in
+    the bracket (F not yet known at the lower end, or not finite) takes the
+    bit midpoint.  Jumps and plateaus of F cost steps, never more than that
+    bound.
     """
     fb = F(L)
     if fb >= L:
         return L, 0.0, (L, L)
-    to_bits, to_float, pack_f, pack_u = _U64.unpack, _F64.unpack, _F64.pack, _U64.pack
-    lo, hi = 0, to_bits(pack_f(L))[0]  # F(0) >= 0 always holds
+    word = memoryview(bytearray(8))  # per call: concurrent solves share nothing
+    value, bits = word.cast("d"), word.cast("Q")
+    value[0] = L
+    lo, hi = 0, bits[0]  # F(0) >= 0 always holds
     blo, glo = 0.0, math.nan  # F(0) is never evaluated: nan interpolates to nothing
     bhi, ghi = L, fb - L
+    low_moved = False  # the saturation test set the upper end
     # bisection needs ceil(log2(hi)) steps; with ITP_N0 spare ones, the
     # first step may leave up to reach patterns on either side
     reach = 1 << ((hi - 1).bit_length() + ITP_N0 - 1)
     x = max((lo + hi) >> 1, hi - FIRST_PROBE)
+    if fb > 0.0:
+        value[0] = fb
+        x = max(x, bits[0])
     while hi - lo > 1:
         # project x, which lies inside (lo, hi), into the window that
         # leaves at most reach patterns on either side; reach halves per step
@@ -274,26 +287,48 @@ def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tup
             x = hi - reach
         elif x > lo + reach:
             x = lo + reach
-        b = to_float(pack_u(x))[0]
+        bits[0] = x
+        b = value[0]
         fb = F(b)
+        g = fb - b
         if fb >= b:
-            lo, blo, glo = x, b, fb - b
+            if low_moved:
+                ghi *= _weight(g, glo)
+            lo, blo, glo, low_moved = x, b, g, True
         else:
-            hi, bhi, ghi = x, b, fb - b
+            if not low_moved:
+                glo *= _weight(g, ghi)
+            hi, bhi, ghi, low_moved = x, b, g, False
         reach >>= 1
         x = (lo + hi) >> 1
-        bf = blo + (bhi - blo) * (glo / (glo - ghi))
+        # glo >= 0 >= ghi, and both are 0 only if a weight underflowed
+        bf = blo + (bhi - blo) * (glo / (glo - ghi)) if glo > ghi else math.nan
         if blo <= bf <= bhi:  # else the bit midpoint: F was not finite or not yet known
-            xf = to_bits(pack_f(bf))[0]
-            delta = (hi - lo) >> ITP_SCALE  # truncation k1 * w**k2, w patterns
-            delta = delta * delta or 1
+            value[0] = bf
+            xf = bits[0]
+            w = hi - lo
+            if w >= BINADE:  # truncation k1 * w**k2, w patterns
+                delta = (w >> ITP_SCALE) ** 2 or 1
+            else:
+                delta = (w >> FINE_SCALE) ** 2
             if xf < x:
                 xf += delta
                 if xf < x:
-                    x = xf
+                    x = max(xf, lo + 1)
             else:
                 xf -= delta
                 if xf > x:
-                    x = xf
-    beta, past = to_float(pack_u(lo))[0], to_float(pack_u(hi))[0]
+                    x = min(xf, hi - 1)
+    bits[0] = lo
+    beta = value[0]
+    bits[0] = hi
+    past = value[0]
     return beta, past - beta, (beta, past)
+
+
+def _weight(g: float, g_previous: float) -> float:
+    """The Anderson-Bjorck factor for the end that stayed while the other
+    moved from g_previous to g: 1 - g/g_previous, or 1/2 if that is not
+    positive (or not a number)."""
+    k = 1.0 - g / g_previous if g_previous else 0.0
+    return k if k > 0.0 else 0.5
