@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -209,6 +210,11 @@ class DistributionProfile:
     f: ScalarFunction
     A: RealInterval
 
+    @cached_property
+    def _ends(self) -> tuple[float, float]:
+        """(f(lo), f(hi)), evaluated once per profile, on its first query."""
+        return float(self.f.evaluate(self.A.lo)), float(self.f.evaluate(self.A.hi))
+
     def at(self, beta: float) -> float:
         """Measure of the level set {x in A : f(x) >= beta}."""
         if beta < 0:
@@ -222,8 +228,7 @@ class DistributionProfile:
         ev, lo, hi, L = self.f.evaluate, self.A.lo, self.A.hi, self.A.length()
         if lo == hi:
             return 0.0
-        f_lo = float(ev(lo))
-        f_hi = float(ev(hi))
+        f_lo, f_hi = self._ends
         if mono is Monotonicity.INCREASING:
             least, most, point = f_lo, f_hi, lambda d: max(hi - d, lo)
         else:

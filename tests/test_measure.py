@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,11 @@ from fuzzyhh.measure import (
     StrategyMismatch,
     follows,
     from_callable,
+    solve_beta,
 )
+from fuzzyhh import measure
 from fuzzyhh.expressions import function_from_expression
+from fuzzyhh.sugeno import sugeno_fixed_point
 
 UNIT = RealInterval(0.0, 1.0)
 
@@ -164,6 +168,21 @@ class TestClosedFormDistribution:
         with pytest.raises(error):
             profile.at(beta)
         assert points == []
+
+    def test_fixed_point_reads_the_ends_once(self, monkeypatch):
+        # every evaluation of f but the two end values is a step of a level-set solve
+        f = function_from_expression("x^2/2", UNIT)
+        points, steps = [], []
+        counted = dataclasses.replace(f, evaluate=lambda x: points.append(x) or f.evaluate(x))
+
+        def counted_solve(F, L):
+            return solve_beta(lambda d: steps.append(d) or F(d), L)
+
+        monkeypatch.setattr(measure, "solve_beta", counted_solve)
+        result = sugeno_fixed_point(DistributionProfile(counted, UNIT))
+        assert result.value == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-12)  # 1 - sqrt(2b) = b
+        assert len(steps) > 0
+        assert len(points) == 2 + len(steps)
 
 
 @settings(max_examples=60, deadline=None)
