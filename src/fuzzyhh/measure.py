@@ -296,44 +296,45 @@ def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tup
         b = value[0]
         fb = F(b)
         g = fb - b
+        # Anderson-Bjorck: when the same end moves twice, scale the other
+        # end's g by k = 1 - g/g_previous, or by 1/2 if k is not positive
         if fb >= b:
             if low_moved:
-                ghi *= _weight(g, glo)
+                k = 1.0 - g / glo if glo else 0.0
+                ghi *= k if k > 0.0 else 0.5
             lo, blo, glo, low_moved = x, b, g, True
         else:
             if not low_moved:
-                glo *= _weight(g, ghi)
+                k = 1.0 - g / ghi if ghi else 0.0
+                glo *= k if k > 0.0 else 0.5
             hi, bhi, ghi, low_moved = x, b, g, False
         reach >>= 1
         x = (lo + hi) >> 1
-        # glo >= 0 >= ghi, and both are 0 only if a weight underflowed
-        bf = blo + (bhi - blo) * (glo / (glo - ghi)) if glo > ghi else math.nan
-        if blo <= bf <= bhi:  # else the bit midpoint: F was not finite or not yet known
-            value[0] = bf
-            xf = bits[0]
-            w = hi - lo
-            if w >= BINADE:  # truncation k1 * w**k2, w patterns
-                delta = (w >> ITP_SCALE) ** 2 or 1
-            else:
-                delta = (w >> FINE_SCALE) ** 2
-            if xf < x:
-                xf += delta
-                if xf < x:
-                    x = max(xf, lo + 1)
-            else:
-                xf -= delta
-                if xf > x:
-                    x = min(xf, hi - 1)
+        # glo >= 0 >= ghi; else F is not yet known at lo (glo is nan), or
+        # both are 0 because a weight underflowed: the bit midpoint
+        if glo > ghi:
+            bf = blo + (bhi - blo) * (glo / (glo - ghi))
+            if blo <= bf <= bhi:  # else F was not finite: the bit midpoint
+                value[0] = bf
+                xf = bits[0]
+                w = hi - lo
+                if w >= BINADE:  # truncation k1 * w**k2, w patterns
+                    d = w >> ITP_SCALE
+                    delta = d * d or 1
+                else:
+                    d = w >> FINE_SCALE
+                    delta = d * d
+                if xf < x:  # delta may be 0: a point on an end moves one pattern in
+                    xf += delta
+                    if xf < x:
+                        x = xf if xf > lo else lo + 1
+                else:
+                    xf -= delta
+                    if xf > x:
+                        x = xf if xf < hi else hi - 1
     bits[0] = lo
     beta = value[0]
     bits[0] = hi
     past = value[0]
     return beta, past - beta, (beta, past)
 
-
-def _weight(g: float, g_previous: float) -> float:
-    """The Anderson-Bjorck factor for the end that stayed while the other
-    moved from g_previous to g: 1 - g/g_previous, or 1/2 if that is not
-    positive (or not a number)."""
-    k = 1.0 - g / g_previous if g_previous else 0.0
-    return k if k > 0.0 else 0.5
