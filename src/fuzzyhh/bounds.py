@@ -9,10 +9,11 @@ share of [0, 1] where M >= b has a closed form, and the integral is
 
 found by ``solve_beta`` (defined in ``measure``, whose level sets and the
 ``sugeno_fixed_point`` oracle use it too), one ITP search over the bit
-patterns of non-negative floats that ends on adjacent floats (a regula falsi
-step with the Anderson-Bjorck weight: about ten evaluations of the share,
-never more than one above bisection's worst case).  beta never exceeds L, so a saturated majorant (one that stays at or
-above L) gives beta = L.  The solvers consume only the scalars
+patterns of non-negative floats that ends on adjacent floats (regula falsi
+steps with the Anderson-Bjorck weight: about ten evaluations of the share,
+never more than one above bisection's worst case).  beta never exceeds L,
+so a saturated majorant (one that stays at or above L) gives beta = L.  The
+solvers consume only the scalars
 
     fa      = f(a)
     fend    = f(a + L)
