@@ -337,4 +337,3 @@ def solve_beta(F: Callable[[float], float], L: float) -> tuple[float, float, tup
     bits[0] = hi
     past = value[0]
     return beta, past - beta, (beta, past)
-
