@@ -56,12 +56,14 @@ it, "unknown" when the value rests on none.
   resolution hand the call over to the grid form.
 
 * **Grid form**, for every other f.  The sup over *all* thresholds of the
-  midpoint-sampled function, ``sugeno_supmin_exact``.  The n-point sample
-  is made, evaluated and reduced to its minimum ``SAMPLE_BLOCK`` points at a
-  time in reused buffers (the same floats as one whole-array call).  Its
-  crossing, in descending order, with the levels j * mu / n is
-  binary-searched in one sorted window: the samples inside the bracket a
-  sorted subsample gives, where comparisons prove it, else the whole sample.
+  midpoint-sampled function, ``sugeno_supmin_exact``.  A sorted subsample
+  brackets its crossing, in descending order, with the levels j * mu / n.
+  The n-point sample is then taken ``SAMPLE_BLOCK`` points at a time (the
+  same floats as one whole-array call), but a block whose interval enclosure
+  clears the bracket by its width (at least 1e-11 * max(1, |top|), far beyond
+  the ulp by which numpy's exp, log and pow may differ from ``math``'s) is
+  counted unevaluated.  The crossing is binary-searched in the sorted samples
+  inside the bracket where the counts prove it, else in the whole sample.
   ``residual`` is the cell measure mu / n.  A NaN sample raises ``EvalError``.
 
 Two more routes stay as oracles:
@@ -124,15 +126,16 @@ DEFAULT_GRID = 1_000_000
 #: of every route's sign checks, and of the monotone form's uniform re-grids.
 CROSSING_POINTS = 4097
 
-#: Every SUBSAMPLE_STRIDE-th sample of the grid form estimates the crossing
-#: rank, and the subsample values SUBSAMPLE_MARGIN ranks to either side of the
-#: estimate bracket it (``_grid_supmin``).
+#: Every SUBSAMPLE_STRIDE-th sample of the grid form, evaluated first,
+#: estimates the crossing rank, and the subsample values SUBSAMPLE_MARGIN ranks
+#: to either side of the estimate bracket it (``_grid_supmin``).
 SUBSAMPLE_STRIDE = 256
 SUBSAMPLE_MARGIN = 8
 
 #: The grid form evaluates its midpoints SAMPLE_BLOCK at a time (512 KiB per
-#: float64 temporary), so every intermediate stays in cache
-#: (``_grid_sample``).
+#: float64 temporary), so every intermediate stays in cache; a block whose
+#: enclosure clears the bracket by its width (at least 1e-11 * max(1, |top|),
+#: beyond numpy's libm differences) is counted unevaluated (``_grid_supmin``).
 SAMPLE_BLOCK = 1 << 16
 
 #: A guard sample that turns MAX_PIECES times or more takes the grid form
@@ -248,52 +251,53 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRI
 
     so no threshold sweep (and no sweep resolution loss) is involved.  The
     grid form of ``sugeno_integral``; e.g. constants come out exactly
-    min(k, mu).  The sample is taken in cache-sized blocks (``_grid_sample``)
-    and its crossing found by ``_grid_supmin``.  Raises ``NegativeFunction``
-    when the smallest sample is below -1e-12, ``EvalError`` when it is NaN.
+    min(k, mu).  One blocked pass (``_grid_supmin``) brackets the crossing
+    from a subsample and leaves out the blocks whose interval enclosure clears
+    the bracket by its width (at least 1e-11 * max(1, |top|)), which gives
+    the whole sample's value while numpy's functions stay that close to the
+    ``math`` ones the enclosure uses.  Raises ``NegativeFunction`` when the
+    smallest sample is below -1e-12, ``EvalError`` when it is NaN.
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values, low = _grid_sample(f, A, n)
-    _require_non_negative(low, A)
-    return SugenoResult(max(_grid_supmin(values, mu), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+    return SugenoResult(max(_grid_supmin(f, A, n), 0.0), IntegralMethod.SUPMIN_GRID, mu / n)
+
+
+def _grid_values(f: ScalarFunction, A: RealInterval, n: int, x: np.ndarray) -> np.ndarray:
+    """f at the midpoints of A's n cells numbered by the floats ``x``, written
+    over x: the floats of ``f.evaluate(A.midpoints(n))`` there, by the
+    operations ``midpoints`` does in its order (cell indices k + 0.5 are exact
+    below 2**52), so ``evaluate`` must act elementwise.  An ``EvalError`` is
+    the one the whole sample raises, in tree order."""
+    x += 0.5
+    x *= A.length() / n
+    x += A.lo
+    try:
+        x[...] = f.evaluate(x)
+    except EvalError:
+        f.evaluate(A.midpoints(n))  # raises the unblocked call's error, in tree order
+        raise
+    return x
+
+
+def _grid_blocks(f: ScalarFunction, A: RealInterval, n: int, values: np.ndarray, starts: Iterable):
+    """Evaluates the ``SAMPLE_BLOCK`` cells from each of ``starts`` into their
+    slot of ``values`` and yields the slot."""
+    cells = np.arange(min(n, SAMPLE_BLOCK), dtype=float)
+    for start in starts:
+        x = values[start : start + SAMPLE_BLOCK]
+        yield _grid_values(f, A, n, np.add(cells[: x.size], start, out=x))
 
 
 def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray, float]:
-    """``f.evaluate(A.midpoints(n))`` as a float array, and its smallest value.
-
-    Loop tiling: the midpoints are made and evaluated ``SAMPLE_BLOCK`` at a
-    time in one reused buffer, by the operations ``midpoints`` does in its
-    order (cell indices k + 0.5 are exact below 2**52), and each block's
-    values are copied out (``f`` may return a view of the buffer) and
-    reduced to their minimum.  ``evaluate`` must act elementwise.  A NaN
-    sample makes the minimum NaN (the sign guard rejects it), as in ``np.min``.
-    When a block raises ``EvalError`` the whole sample is evaluated at once,
-    so the error is the one the unblocked call raises, in tree order.  The
-    returned array is new, so callers may sort it in place.
-    """
+    """``f.evaluate(A.midpoints(n))`` as a new float array, taken in blocks
+    (``_grid_blocks``), and its smallest value.  A NaN sample makes the
+    minimum NaN (the sign guard rejects it), as in ``np.min``."""
     values = np.empty(n)
-    h = A.length() / n
-    cells = np.arange(min(n, SAMPLE_BLOCK), dtype=float)
-    xs = np.empty_like(cells)
-    lows = np.empty(-(-n // SAMPLE_BLOCK))
-    for i, start in enumerate(range(0, n, SAMPLE_BLOCK)):
-        x = xs[: min(SAMPLE_BLOCK, n - start)]
-        np.add(cells[: x.size], start, out=x)
-        x += 0.5
-        x *= h
-        x += A.lo
-        try:
-            y = f.evaluate(x)
-        except EvalError:
-            f.evaluate(A.midpoints(n))  # raises the unblocked call's error, in tree order
-            raise
-        block = values[start : start + x.size]
-        block[...] = y
-        lows[i] = np.min(block)
+    lows = [np.min(y) for y in _grid_blocks(f, A, n, values, range(0, n, SAMPLE_BLOCK))]
     return values, float(np.min(lows))
 
 
@@ -310,34 +314,57 @@ def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
     return k
 
 
-def _grid_supmin(values: np.ndarray, mu: float) -> float:
-    """max over j of min(v_j, j * mu / n) for v the descending ``values``.
+def _grid_supmin(f: ScalarFunction, A: RealInterval, n: int) -> float:
+    """max over j of min(v_j, j * mu / n) for v the descending midpoint
+    sample ``f.evaluate(A.midpoints(n))``, after its sign check.
 
     v_j does not grow and the level j * mu / n does not shrink with j, so the
     j with v_j >= level form a prefix 1..k, and the max is the larger of the
-    last level in it and the first sample past it.  A sampling select
-    (Floyd & Rivest, CACM 1975): the sorted subsample ``values[::SUBSAMPLE_STRIDE]``
-    estimates k, and its values ``SUBSAMPLE_MARGIN`` ranks to either side
-    bracket it.  Where the comparisons prove the bracket, only the window of
-    samples inside it is sorted; otherwise (ties, plateaus, aliasing on the
-    stride, tiny samples) the window is the whole sample, sorted in place.
+    last level in it and the first sample past it.  A sampling select (Floyd
+    & Rivest, CACM 1975): the sorted subsample of every SUBSAMPLE_STRIDE-th
+    midpoint, evaluated first, estimates k, and its values SUBSAMPLE_MARGIN
+    ranks to either side, top and bottom, bracket it.  Each SAMPLE_BLOCK block
+    then counts its samples above top and at or above bottom, and keeps those
+    in between.  A block whose enclosure lies above top + d, or below
+    bottom - d and not below the sign threshold, is counted unevaluated, d the
+    bracket's width but at least ``step_slack``'s 1e-11 * max(1, |top|): the
+    extension bounds the real function, and numpy's exp, log and pow are
+    assumed within an ulp of ``math``'s (so they were over 2e5 draws on
+    x86_64, and sin, cos and sqrt agreed exactly), far inside d.  Where the
+    counts prove the bracket, only the kept window is sorted; otherwise (ties,
+    plateaus, aliasing on the stride, tiny samples) and when the sign check
+    fails, so that its message gives the whole sample's minimum, the skipped
+    blocks are evaluated and the whole sample is sorted in place.
     """
-    n = values.size
-    sub = np.sort(values[::SUBSAMPLE_STRIDE])[::-1]
+    mu, h = A.length(), A.length() / n
+    sub = np.sort(_grid_values(f, A, n, np.arange(0, n, SUBSAMPLE_STRIDE, dtype=float)))[::-1]
     i = _prefix_end(sub, 0, mu, sub.size)
-    top = sub[i - SUBSAMPLE_MARGIN] if i >= SUBSAMPLE_MARGIN else np.inf
-    bottom = sub[i + SUBSAMPLE_MARGIN] if i + SUBSAMPLE_MARGIN < sub.size else -np.inf
-    above = values > top
-    a = int(np.count_nonzero(above))  # the window starts at rank a ...
-    inside = values >= bottom
-    b = int(np.count_nonzero(inside))  # ... and ends before rank b
+    top = float(sub[i - SUBSAMPLE_MARGIN]) if i >= SUBSAMPLE_MARGIN else np.inf
+    bottom = float(sub[i + SUBSAMPLE_MARGIN]) if i + SUBSAMPLE_MARGIN < sub.size else -np.inf
+    d = max(top - bottom, 1e-11 * max(1.0, abs(top)))
+    ext = f.extension if 0.0 < top - bottom < np.inf else None
+    kept, skipped, a = [], [], 0  # the window starts at rank a ...
+    for start in range(0, n, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n)
+        e = ext and ext((start + 0.5) * h + A.lo, (stop - 0.5) * h + A.lo)
+        above = e is not None and e.lo > top + d
+        a += above * (stop - start)
+        (skipped if above or e and e.hi < bottom - d and e.lo >= NEGATIVE_BELOW else kept).append(start)
+    values, lows, window, b = np.empty(n), [], [], a  # ... and ends before rank b
+    for y in _grid_blocks(f, A, n, values, kept):
+        lows.append(np.min(y))
+        a += int(np.count_nonzero(y > top))
+        y = y[y >= bottom]
+        b += y.size
+        window.append(y[y <= top])
     # v_(a-1) > top >= its level, and v_(b-1) = bottom (a sample) < its level
     reached = a == 0 or top >= (a / n) * mu
     stopped = b == n or bottom < (b / n) * mu
-    if reached and stopped:
-        inside ^= above
-        desc = np.sort(values[inside])[::-1]
+    if np.min(lows) >= NEGATIVE_BELOW and reached and stopped:
+        desc = np.sort(np.concatenate(window))[::-1]
     else:
+        lows += [np.min(y) for y in _grid_blocks(f, A, n, values, skipped)]
+        _require_non_negative(float(np.min(lows)), A)
         values.sort()
         a, desc = 0, values[::-1]
     k = _prefix_end(desc, a, mu, n)

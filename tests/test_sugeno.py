@@ -17,6 +17,7 @@ from fuzzyhh.golden import CUBIC_THIRD_ROOT, QUARTIC_HALVED_ROOT
 from fuzzyhh.expressions import (
     EvalError,
     compile_expression,
+    extend_expression,
     function_from_expression,
     parse_expression,
 )
@@ -133,8 +134,13 @@ class TestSupmin:
         # zero at every point of the 4097-point guard grid, -0.1998 between them
         f = function_from_expression("x/2 + 0.2*sin(3.141592653589793*4096*x)", UNIT)
         assert np.min(f.evaluate(UNIT.grid(4097))) >= -1e-12
-        with pytest.raises(NegativeFunction, match="-0.19"):
-            sugeno_supmin_exact(f, UNIT)
+        # the subsample meets the dip before any block; with the extension or
+        # without, the message gives the minimum of the whole sample
+        assert np.min(f.evaluate(UNIT.midpoints(10**6)[::sugeno.SUBSAMPLE_STRIDE])) < -1e-12
+        for g in (f, from_callable(f.evaluate, UNIT)):
+            with pytest.raises(NegativeFunction) as info:
+                sugeno_supmin_exact(g, UNIT)
+            assert str(info.value) == "integrand reaches -0.199815 on [0, 1]"
         with pytest.raises(NegativeFunction):
             sugeno_integral(f, UNIT)
         # the sweep oracle takes the same sample, and the same sign check
@@ -628,55 +634,119 @@ def _supmin_formula(v, mu):
     return float(np.max(np.minimum(np.sort(v)[::-1], (np.arange(1, n + 1) / n) * mu)))
 
 
-def _grid_windows(monkeypatch):
-    """(kind, n, size of the last window ``_prefix_end`` searches) of 200 seeded
+def _oscillating(rng):
+    """(family, source, A, n): a seeded DSL integrand that oscillates 40 to 4096
+    times faster than its trend, on a random interval."""
+    u = rng.uniform
+    lo = u(-0.5, 1.0)
+    A = RealInterval(lo, lo + float(rng.choice([0.5, 1.0, 2.5])))
+    k, d = float(np.exp(u(math.log(40.0), math.log(4096.0)))), u(0.01, 0.25)
+    a = float(u(0.3, 1.5) * rng.choice([-1.0, 1.0]))
+    c = u(0.0, 0.5) + max(0.0, -a * A.hi, -a * A.lo)
+    family, source = [
+        ("abs-sin", f"{c!r} + {a!r}*x + {d!r}*abs(sin({k!r}*{PI}*x))"),
+        ("sin", f"{c + d!r} + {a!r}*x + {d!r}*sin({k!r}*x)"),
+        ("cos-squared", f"{d!r}*cos({k!r}*x)^2 + {u(0.0, 1.0)!r}"),
+        ("exp", f"exp({a!r}*x)*(1 + {d!r}*abs(sin({k!r}*x)))"),
+        ("log", f"log(2 + x + {d!r}*sin({k!r}*x))"),
+    ][rng.integers(5)]
+    return family, source, A, int(rng.choice([131_073, 200_000, 400_000]))
+
+
+def _settled(fn):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def grid_windows():
+    """(kind, n, size of the last window ``_prefix_end`` searches or None
+    where the call raised, whether a block went unevaluated) of 200 seeded
     lookup integrands on the grid form, each checked bit for bit against the
-    definitional sup-min of its sample."""
+    definitional sup-min of its sample, and of 240 oscillating DSL integrands
+    and four edge cases, each checked against the same function without its
+    interval extension (the same result, or the same error)."""
     windows, out = [], []
     prefix_end = sugeno._prefix_end
-    monkeypatch.setattr(sugeno, "_prefix_end",
-                        lambda desc, *args: windows.append(desc.size) or prefix_end(desc, *args))
-    rng = np.random.default_rng(4)
-    for kind in KINDS:
-        for _ in range(25):
-            n = int(rng.choice([1, 7, sugeno.SUBSAMPLE_STRIDE - 1, 1000, 4097, 30_000, 200_000]))
-            lo = rng.uniform(0.0, 1.0)
-            A = RealInterval(lo, lo + float(rng.choice([1e-3, 0.5, 1.0, 2.7, 40.0])))
-            v = _samples(rng, kind, n, A.length())
-            want = max(_supmin_formula(v, A.length()), 0.0)
-            # pointwise: each midpoint looks up its own cell's value
-            cells = A.midpoints(n)
-            lookup = from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A)
-            res = sugeno_supmin_exact(lookup, A, n)
-            assert res.value == want, (kind, n)
-            out.append((kind, n, windows[-1]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sugeno, "_prefix_end",
+                            lambda desc, *args: windows.append(desc.size) or prefix_end(desc, *args))
+        rng = np.random.default_rng(4)
+        for kind in KINDS:
+            for _ in range(25):
+                n = int(rng.choice([1, 7, sugeno.SUBSAMPLE_STRIDE - 1, 1000, 4097, 30_000, 200_000]))
+                lo = rng.uniform(0.0, 1.0)
+                A = RealInterval(lo, lo + float(rng.choice([1e-3, 0.5, 1.0, 2.7, 40.0])))
+                v = _samples(rng, kind, n, A.length())
+                want = max(_supmin_formula(v, A.length()), 0.0)
+                # pointwise: each midpoint looks up its own cell's value
+                cells = A.midpoints(n)
+                lookup = from_callable(lambda x, v=v, cells=cells: v[np.searchsorted(cells, x)], A)
+                res = sugeno_supmin_exact(lookup, A, n)
+                assert res.value == want, (kind, n)
+                out.append((kind, n, windows[-1], False))
+        rng = np.random.default_rng(31)
+        cases = [_oscillating(rng) for _ in range(240)] + [
+            # -0.2 between guard points, in the first block only; the blocks
+            # above it clear the sign threshold and fall below the bracket
+            ("dip", f"4*x + 0.2*sin({PI}*4096*x)", UNIT, 1_000_000),
+            ("saturated", f"2 + 0.5*sin(300*{PI}*x)", RealInterval(0.2, 1.4), 400_000),  # mu
+            ("plateau", "0.3 + 0*sin(900*x)", UNIT, 200_000),  # top == bottom
+            ("tiny", "0.5 + x/3 + 0.1*abs(sin(700*x))", UNIT, sugeno.SUBSAMPLE_STRIDE - 1),
+        ]
+        for kind, source, A, n in cases:
+            f, points = function_from_expression(source, A), []
+            counted = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or f.evaluate(x))
+            windows.append(None)
+            got = _settled(lambda: sugeno_supmin_exact(counted, A, n))
+            window = windows[-1] if isinstance(got, sugeno.SugenoResult) else None
+            want = _settled(lambda: sugeno_supmin_exact(from_callable(f.evaluate, A), A, n))
+            assert got == want, (source, A, n)
+            subsample = -(-n // sugeno.SUBSAMPLE_STRIDE)
+            out.append((kind, n, window, sum(points) < n + subsample))
     return out
 
 
-def test_selected_crossing_equals_the_sorted_sample(monkeypatch):
+def test_selected_crossing_equals_the_sorted_sample(grid_windows):
     """The grid form selects the crossing where it can prove a bracket and
     sorts the whole sample otherwise; either way it returns the floats the
     definitional sup-min of the sample gives, bit for bit.  The path shows in
     the size of the last window ``_prefix_end`` searches: the whole sample
     when it was sorted."""
-    paths = {kind: [0, 0] for kind in KINDS}  # [selected, sorted]
+    paths = {}  # kind: [selected, sorted]
     tiny = [0, 0]
-    for kind, n, window in _grid_windows(monkeypatch):
+    for kind, n, window, _ in grid_windows:
         whole = window == n
-        paths[kind][whole] += 1
+        paths.setdefault(kind, [0, 0])[whole] += window is not None
         if n < sugeno.SUBSAMPLE_STRIDE:
             tiny[whole] += 1
     assert sum(s for s, _ in paths.values()) > 0 and sum(f for _, f in paths.values()) > 0
     assert paths["smooth"][0] > 0 and paths["level-grid"][0] > 0
     assert paths["constant"][0] == 0  # one tie block holds the whole sample
+    assert paths["plateau"] == [0, 1] and paths["dip"] == [0, 0]
     assert tiny[0] == 0 and tiny[1] > 0
 
 
-def test_proven_window_over_half_the_sample_is_sorted_as_a_window(monkeypatch):
+def test_proven_window_over_half_the_sample_is_sorted_as_a_window(grid_windows):
     """A proven bracket is searched as a window whatever its size: no whole
     sort for a window that holds more than half the sample."""
-    wide = [kind for kind, n, window in _grid_windows(monkeypatch) if n < 2 * window < 2 * n]
+    wide = [kind for kind, n, window, _ in grid_windows if window and n < 2 * window < 2 * n]
     assert len(wide) >= 10 and {"level-grid", "smooth"} <= set(wide)
+
+
+def test_skipped_blocks_leave_the_grid_form_unchanged(grid_windows):
+    """Blocks whose enclosure clears the crossing bracket go unevaluated in at
+    least half the oscillating cases, which give the floats (or the error) of
+    the whole sample all the same; the edge cases skip nothing."""
+    skipped = [skip for kind, *_, skip in grid_windows if kind in ("abs-sin", "sin", "cos-squared",
+                                                                     "exp", "log")]
+    assert len(skipped) == 240 and sum(skipped) >= 120
+    edges = {kind: skip for kind, *_, skip in grid_windows
+             if kind in ("dip", "saturated", "plateau", "tiny")}
+    assert edges == dict.fromkeys(edges, False) and len(edges) == 4
 
 
 @pytest.mark.parametrize("method, oracle", [
@@ -685,8 +755,9 @@ def test_proven_window_over_half_the_sample_is_sorted_as_a_window(monkeypatch):
 ], ids=["auto", "supmin"])
 def test_grid_route_evaluates_once_per_grid(method, oracle):
     """An UNKNOWN-hinted integrand costs one 4097-point guard sample (the sign
-    checks) and one 1e6-point sample (the grid form, or the sweep of the
-    "supmin" method) taken in blocks of at most SAMPLE_BLOCK points, nothing else."""
+    checks) and one 1e6-point sample (the grid form, after its subsample, or
+    the sweep of the "supmin" method) taken in blocks of at most SAMPLE_BLOCK
+    points, nothing else."""
     calls = []
     f = from_callable(lambda x: 0.9 - 1.3 * (np.asarray(x) - 0.45) ** 2, UNIT)
     assert f.monotonicity is Monotonicity.UNKNOWN and f.extension is None
@@ -694,7 +765,11 @@ def test_grid_route_evaluates_once_per_grid(method, oracle):
     counted = dataclasses.replace(f, evaluate=lambda x: calls.append(np.size(x)) or ev(x))
     res = sugeno_integral(counted, UNIT, method=method)
     assert calls[0] == 4097
-    assert max(calls[1:]) <= sugeno.SAMPLE_BLOCK and sum(calls[1:]) == 1_000_000
+    # the grid form evaluates its 3907-point subsample first; without an
+    # extension it skips no block
+    subsample = -(-1_000_000 // sugeno.SUBSAMPLE_STRIDE) if method == "auto" else 0
+    assert calls[1:2] == ([subsample] if subsample else [sugeno.SAMPLE_BLOCK])
+    assert max(calls[1:]) <= sugeno.SAMPLE_BLOCK and sum(calls[1:]) == 1_000_000 + subsample
     assert res == oracle(f)
 
 
@@ -754,16 +829,19 @@ def test_blocked_sample_equals_the_whole_sample(n, A):
 
 def test_blocked_sample_raises_the_unblocked_error():
     # the first block ends below x = 0.5, so alone it fails the log check;
-    # the whole sample fails the sqrt check first, in tree order
-    f = _compiled("sqrt(0.5 - x) + log(x - 0.3)", UNIT)
+    # the whole sample fails the sqrt check first, in tree order, with the
+    # interval extension that lets the grid form skip blocks or without it
+    src = "sqrt(0.5 - x) + log(x - 0.3)"
+    f = _compiled(src, UNIT)
     with pytest.raises(EvalError, match="log of a non-positive value"):
         f.evaluate(UNIT.midpoints(1_000_000)[:B])
     with pytest.raises(EvalError, match="sqrt of a negative value"):
         f.evaluate(UNIT.midpoints(1_000_000))
-    with pytest.raises(EvalError, match="sqrt of a negative value"):
-        sugeno_supmin_exact(f, UNIT)
-    with pytest.raises(EvalError, match="sqrt of a negative value"):
-        sugeno_supmin(f, UNIT, 1_000_000)
+    for g in (f, dataclasses.replace(f, extension=extend_expression(parse_expression(src)))):
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
+            sugeno_supmin_exact(g, UNIT)
+        with pytest.raises(EvalError, match="sqrt of a negative value"):
+            sugeno_supmin(g, UNIT, 1_000_000)
 
 
 def _holed(x):
@@ -807,6 +885,19 @@ def _families(rng):
 def _counting(f, calls):
     ext = f.extension
     return dataclasses.replace(f, extension=lambda a, b: calls.append((a, b)) or ext(a, b))
+
+
+def _split_at_the_grid_form(monkeypatch, calls):
+    """The list the crossing forms' entries of ``calls`` move to when the grid
+    form starts, leaving ``calls`` to the grid form's own."""
+    crossing, exact = [], sugeno.sugeno_supmin_exact
+
+    def split(*args):
+        crossing[:], calls[:] = calls, []
+        return exact(*args)
+
+    monkeypatch.setattr(sugeno, "sugeno_supmin_exact", split)
+    return crossing
 
 
 class TestPiecewiseForm:
@@ -910,13 +1001,21 @@ class TestPiecewiseForm:
         assert 0 < points[1] <= sugeno.LADDER.size * live[0]
         assert res.value == pytest.approx(0.727833825, abs=1e-8)
 
-    def test_alias_is_refused_before_any_interval_evaluation(self):
-        calls = []
+    def test_alias_is_refused_before_any_interval_evaluation(self, monkeypatch):
+        calls, points = [], []
         f = function_from_expression(f"x/2 + 0.2*abs(sin({PI}*2048*x))", UNIT)
         assert f.monotonicity is Monotonicity.UNKNOWN
-        res = sugeno_integral(_counting(f, calls), UNIT)
-        assert calls == []
+        crossing = _split_at_the_grid_form(monkeypatch, calls)
+        counted = dataclasses.replace(_counting(f, calls),
+                                      evaluate=lambda x: points.append(np.size(x)) or f.evaluate(x))
+        res = sugeno_integral(counted, UNIT)
+        assert crossing == []
+        # the grid form takes one enclosure per block and evaluates the guard
+        # sample, the subsample and the 7 blocks that can reach the crossing
+        assert len(calls) == 16 == -(-1_000_000 // sugeno.SAMPLE_BLOCK)
+        assert sum(points) == 466_756 == 4097 + 3907 + 7 * sugeno.SAMPLE_BLOCK
         assert res == sugeno_supmin_exact(f, UNIT)
+        assert (res.value, res.residual, res.method) == (0.418209, 1e-6, IntegralMethod.SUPMIN_GRID)
 
     def test_spent_budget_takes_the_grid_form(self, monkeypatch):
         box = "0.05 + 10*(abs(x - 0.2) - abs(x - 0.21) - abs(x - 0.7) + abs(x - 0.71))"
@@ -924,8 +1023,10 @@ class TestPiecewiseForm:
         assert sugeno_integral(f, UNIT).method is IntegralMethod.FIXED_POINT
         calls = []
         monkeypatch.setattr(sugeno, "INTERVAL_BUDGET", 4)
+        crossing = _split_at_the_grid_form(monkeypatch, calls)
         res = sugeno_integral(_counting(f, calls), UNIT)
-        assert len(calls) == 4
+        assert len(crossing) == 4
+        assert len(calls) <= -(-1_000_000 // sugeno.SAMPLE_BLOCK)  # one per block at most
         assert res == sugeno_supmin_exact(f, UNIT)
 
     def test_too_many_pieces_take_the_grid_form(self, monkeypatch):
