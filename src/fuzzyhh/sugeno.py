@@ -354,9 +354,10 @@ def _grid_supmin(f: ScalarFunction, A: RealInterval, n: int) -> float:
     for y in _grid_blocks(f, A, n, values, kept):
         lows.append(np.min(y))
         a += int(np.count_nonzero(y > top))
-        y = y[y >= bottom]
-        b += y.size
-        window.append(y[y <= top])
+        inside = y >= bottom
+        b += int(np.count_nonzero(inside))
+        inside &= y <= top
+        window.append(y[inside])
     # v_(a-1) > top >= its level, and v_(b-1) = bottom (a sample) < its level
     reached = a == 0 or top >= (a / n) * mu
     stopped = b == n or bottom < (b / n) * mu
