@@ -690,8 +690,8 @@ def grid_windows():
                 out.append((kind, n, windows[-1], False))
         rng = np.random.default_rng(31)
         cases = [_oscillating(rng) for _ in range(240)] + [
-            # -0.2 between guard points, in the first block only; the blocks
-            # above it clear the sign threshold and fall below the bracket
+            # -0.2 between guard points, in the first block only; blocks past
+            # it go unevaluated until the sign check fails
             ("dip", f"4*x + 0.2*sin({PI}*4096*x)", UNIT, 1_000_000),
             ("saturated", f"2 + 0.5*sin(300*{PI}*x)", RealInterval(0.2, 1.4), 400_000),  # mu
             ("plateau", "0.3 + 0*sin(900*x)", UNIT, 200_000),  # top == bottom
@@ -699,8 +699,8 @@ def grid_windows():
         ]
         for kind, source, A, n in cases:
             f, points = function_from_expression(source, A), []
-            counted = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or f.evaluate(x))
-            windows.append(None)
+            ev = f.evaluate
+            counted = dataclasses.replace(f, evaluate=lambda x: points.append(np.size(x)) or ev(x))
             got = _settled(lambda: sugeno_supmin_exact(counted, A, n))
             window = windows[-1] if isinstance(got, sugeno.SugenoResult) else None
             want = _settled(lambda: sugeno_supmin_exact(from_callable(f.evaluate, A), A, n))
@@ -740,9 +740,10 @@ def test_proven_window_over_half_the_sample_is_sorted_as_a_window(grid_windows):
 def test_skipped_blocks_leave_the_grid_form_unchanged(grid_windows):
     """Blocks whose enclosure clears the crossing bracket go unevaluated in at
     least half the oscillating cases, which give the floats (or the error) of
-    the whole sample all the same; the edge cases skip nothing."""
-    skipped = [skip for kind, *_, skip in grid_windows if kind in ("abs-sin", "sin", "cos-squared",
-                                                                     "exp", "log")]
+    the whole sample all the same; every edge case ends with every block
+    evaluated (the dip's skipped blocks before its sign check raises)."""
+    families = ("abs-sin", "sin", "cos-squared", "exp", "log")
+    skipped = [skip for kind, *_, skip in grid_windows if kind in families]
     assert len(skipped) == 240 and sum(skipped) >= 120
     edges = {kind: skip for kind, *_, skip in grid_windows
              if kind in ("dip", "saturated", "plateau", "tiny")}
