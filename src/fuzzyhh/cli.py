@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from typing import Any
@@ -67,6 +68,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     # no prefix spellings: "bound --eta x" must not be read as --eta-len
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # "-<digit>" and "-.<digit>" tokens are values ("--r -1e-3", "--values -1,-0.5"),
+        # not flags; Python 3.11's argparse reads only the shapes -12 and -1.5 so
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]

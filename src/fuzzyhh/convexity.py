@@ -281,17 +281,11 @@ def check_condition_c(
         (eta.apply(x, base), (1.0 - t) * e),
         (eta.apply(p2, p1), (t2 - t1) * e),
     )
-    worst = -np.inf
-    where = (0, 0)
-    for k, (lhs, rhs) in enumerate(identities):
-        dev = np.abs(lhs - rhs)
-        i = int(np.argmax(dev))  # a NaN first, and it stays the worst
-        if not math.isnan(worst) and not float(dev[i]) <= worst:
-            worst = float(dev[i])
-            where = (k, i)
+    dev = np.abs(np.stack([lhs - rhs for lhs, rhs in identities]))
+    k, i = divmod(int(np.argmax(dev)), samples)  # a NaN first, else the earliest maximum
+    worst = float(dev[k, i])
     if worst <= INEQ_SLACK:
         return HypothesisReport(True, samples, None, worst)
-    k, i = where
     lhs, rhs = identities[k]
     witness = Witness(
         u=float(y[i]), v=float(x[i]),

@@ -94,14 +94,16 @@ class RealInterval:
     def clip(self, x):
         return np.clip(x, self.lo, self.hi)
 
-    def midpoints(self, n: int) -> np.ndarray:
+    def midpoints(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
         """Midpoints of ``n`` equal cells: the sample of the grid form and of
-        ``sugeno_supmin``."""
+        ``sugeno_supmin``.  Given ``cells``, float cell numbers (exact below
+        2**52), only those cells' midpoints, written over ``cells``: the same
+        floats as the whole array's at those cells."""
         if n < 1:
             raise ValueError("cell count must be positive")
         h = self.length() / n
         # lo + (arange(n) + 0.5) * h, operation for operation, in one buffer
-        xs = np.arange(n, dtype=float)
+        xs = np.arange(n, dtype=float) if cells is None else cells
         xs += 0.5
         xs *= h
         xs += self.lo
@@ -133,7 +135,7 @@ class Monotonicity(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def step_slack(ys: np.ndarray) -> float:
+def step_slack(ys: np.ndarray | float) -> float:
     """The size ``1e-11 * max(1, max |y|)`` up to which a step of ``ys`` is rounding noise."""
     return 1e-11 * max(1.0, float(np.abs(ys).max()))
 

@@ -60,10 +60,9 @@ it, "unknown" when the value rests on none.
   brackets its crossing, in descending order, with the levels j * mu / n.
   The n-point sample is then taken ``SAMPLE_BLOCK`` points at a time (the
   same floats as one whole-array call), but a block whose interval enclosure
-  clears the bracket by its width (at least 1e-11 * max(1, |top|), far beyond
-  the ulp by which numpy's exp, log and pow may differ from ``math``'s) is
-  counted unevaluated.  The crossing is binary-searched in the sorted samples
-  inside the bracket where the counts prove it, else in the whole sample.
+  clears the bracket is counted unevaluated (``_grid_supmin`` says by how
+  much).  The crossing is binary-searched in the sorted samples inside the
+  bracket where the counts prove it, else in the whole sample.
   ``residual`` is the cell measure mu / n.  A NaN sample raises ``EvalError``.
 
 Two more routes stay as oracles:
@@ -134,8 +133,7 @@ SUBSAMPLE_MARGIN = 8
 
 #: The grid form evaluates its midpoints SAMPLE_BLOCK at a time (512 KiB per
 #: float64 temporary), so every intermediate stays in cache; a block whose
-#: enclosure clears the bracket by its width (at least 1e-11 * max(1, |top|),
-#: beyond numpy's libm differences) is counted unevaluated (``_grid_supmin``).
+#: enclosure clears the bracket is counted unevaluated (``_grid_supmin``).
 SAMPLE_BLOCK = 1 << 16
 
 #: A guard sample that turns MAX_PIECES times or more takes the grid form
@@ -207,7 +205,7 @@ def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     """Definitional sup-min on an even sweep of n+1 thresholds.
 
     Thresholds cover [0, max(sup_A f, mu(A))], the sup estimated from the grid
-    form's midpoint sample (``_grid_sample``), whose count is the distribution
+    form's midpoint sample (``_sorted_sample``), whose count is the distribution
     and whose sign check raises ``NegativeFunction`` below -1e-12 and
     ``EvalError`` for NaN.  Accuracy is O(1/n): an independent, assumption-free
     oracle, not a sharp one.  The thresholds rise and the distribution does
@@ -218,9 +216,7 @@ def sugeno_supmin(f: ScalarFunction, A: RealInterval, n: int) -> SugenoResult:
     mu = A.length()
     if mu == 0.0:
         return SugenoResult(0.0, IntegralMethod.SUPMIN_GRID, 0.0)
-    values, low = _grid_sample(f, A, n)
-    _require_non_negative(low, A)
-    values.sort()
+    values = _sorted_sample(f, A, n, np.empty(n), range(0, n, SAMPLE_BLOCK))
     top = max(float(values[-1]), mu)
     step = top / n
 
@@ -253,10 +249,9 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRI
     grid form of ``sugeno_integral``; e.g. constants come out exactly
     min(k, mu).  One blocked pass (``_grid_supmin``) brackets the crossing
     from a subsample and leaves out the blocks whose interval enclosure clears
-    the bracket by its width (at least 1e-11 * max(1, |top|)), which gives
-    the whole sample's value while numpy's functions stay that close to the
-    ``math`` ones the enclosure uses.  Raises ``NegativeFunction`` when the
-    smallest sample is below -1e-12, ``EvalError`` when it is NaN.
+    the bracket, which gives the whole sample's value.  Raises
+    ``NegativeFunction`` when the smallest sample is below -1e-12,
+    ``EvalError`` when it is NaN.
     """
     if n < 1:
         raise ValueError("need at least 1 sample")
@@ -267,16 +262,13 @@ def sugeno_supmin_exact(f: ScalarFunction, A: RealInterval, n: int = DEFAULT_GRI
 
 
 def _grid_values(f: ScalarFunction, A: RealInterval, n: int, x: np.ndarray) -> np.ndarray:
-    """f at the midpoints of A's n cells numbered by the floats ``x``, written
-    over x: the floats of ``f.evaluate(A.midpoints(n))`` there, by the
-    operations ``midpoints`` does in its order (cell indices k + 0.5 are exact
-    below 2**52), so ``evaluate`` must act elementwise.  An ``EvalError`` is
-    the one the whole sample raises, in tree order."""
-    x += 0.5
-    x *= A.length() / n
-    x += A.lo
+    """f at the midpoints of A's n cells numbered by the floats ``x``
+    (``A.midpoints(n, x)``), written over x: the floats of
+    ``f.evaluate(A.midpoints(n))`` there, so ``evaluate`` must act
+    elementwise.  An ``EvalError`` is the one the whole sample raises, in
+    tree order."""
     try:
-        x[...] = f.evaluate(x)
+        x[...] = f.evaluate(A.midpoints(n, x))
     except EvalError:
         f.evaluate(A.midpoints(n))  # raises the unblocked call's error, in tree order
         raise
@@ -292,13 +284,15 @@ def _grid_blocks(f: ScalarFunction, A: RealInterval, n: int, values: np.ndarray,
         yield _grid_values(f, A, n, np.add(cells[: x.size], start, out=x))
 
 
-def _grid_sample(f: ScalarFunction, A: RealInterval, n: int) -> tuple[np.ndarray, float]:
-    """``f.evaluate(A.midpoints(n))`` as a new float array, taken in blocks
-    (``_grid_blocks``), and its smallest value.  A NaN sample makes the
-    minimum NaN (the sign guard rejects it), as in ``np.min``."""
-    values = np.empty(n)
-    lows = [np.min(y) for y in _grid_blocks(f, A, n, values, range(0, n, SAMPLE_BLOCK))]
-    return values, float(np.min(lows))
+def _sorted_sample(f: ScalarFunction, A: RealInterval, n: int, values: np.ndarray,
+                   starts: Iterable, lows: Iterable = ()) -> np.ndarray:
+    """``values`` sorted in place, once the blocks from ``starts`` complete it
+    to ``f.evaluate(A.midpoints(n))``, after the sign check of its minimum:
+    the least of ``lows`` (the other blocks' minima) and theirs, NaN if any is."""
+    lows = [*lows, *(np.min(y) for y in _grid_blocks(f, A, n, values, starts))]
+    _require_non_negative(float(np.min(lows)), A)
+    values.sort()
+    return values
 
 
 def _prefix_end(desc: np.ndarray, first: int, mu: float, n: int) -> int:
@@ -327,21 +321,21 @@ def _grid_supmin(f: ScalarFunction, A: RealInterval, n: int) -> float:
     then counts its samples above top and at or above bottom, and keeps those
     in between.  A block whose enclosure lies above top + d, or below
     bottom - d and not below the sign threshold, is counted unevaluated, d the
-    bracket's width but at least ``step_slack``'s 1e-11 * max(1, |top|): the
-    extension bounds the real function, and numpy's exp, log and pow are
-    assumed within an ulp of ``math``'s (so they were over 2e5 draws on
-    x86_64, and sin, cos and sqrt agreed exactly), far inside d.  Where the
-    counts prove the bracket, only the kept window is sorted; otherwise (ties,
-    plateaus, aliasing on the stride, tiny samples) and when the sign check
-    fails, so that its message gives the whole sample's minimum, the skipped
-    blocks are evaluated and the whole sample is sorted in place.
+    bracket's width but at least ``step_slack(top)``: the extension bounds the
+    real function, and numpy's exp, log and pow are assumed within an ulp of
+    ``math``'s (so they were over 2e5 draws on x86_64, and sin, cos and sqrt
+    agreed exactly), far inside d.  Where the counts prove the bracket, only
+    the kept window is sorted; otherwise (ties, plateaus, aliasing on the
+    stride, tiny samples) and when the sign check fails, so that its message
+    gives the whole sample's minimum, the skipped blocks are evaluated and the
+    whole sample is sorted (``_sorted_sample``).
     """
     mu, h = A.length(), A.length() / n
     sub = np.sort(_grid_values(f, A, n, np.arange(0, n, SUBSAMPLE_STRIDE, dtype=float)))[::-1]
     i = _prefix_end(sub, 0, mu, sub.size)
     top = float(sub[i - SUBSAMPLE_MARGIN]) if i >= SUBSAMPLE_MARGIN else np.inf
     bottom = float(sub[i + SUBSAMPLE_MARGIN]) if i + SUBSAMPLE_MARGIN < sub.size else -np.inf
-    d = max(top - bottom, 1e-11 * max(1.0, abs(top)))
+    d = max(top - bottom, step_slack(top))
     ext = f.extension if 0.0 < top - bottom < np.inf else None
     kept, skipped, a = [], [], 0  # the window starts at rank a ...
     for start in range(0, n, SAMPLE_BLOCK):
@@ -364,10 +358,7 @@ def _grid_supmin(f: ScalarFunction, A: RealInterval, n: int) -> float:
     if np.min(lows) >= NEGATIVE_BELOW and reached and stopped:
         desc = np.sort(np.concatenate(window))[::-1]
     else:
-        lows += [np.min(y) for y in _grid_blocks(f, A, n, values, skipped)]
-        _require_non_negative(float(np.min(lows)), A)
-        values.sort()
-        a, desc = 0, values[::-1]
+        a, desc = 0, _sorted_sample(f, A, n, values, skipped, lows)[::-1]
     k = _prefix_end(desc, a, mu, n)
     best = (k / n) * mu if k else -np.inf
     if k < n:
@@ -422,7 +413,7 @@ def _monotone_crossing(
                 break
             ys = np.concatenate(([f_l], np.asarray(f.evaluate(xs[1:-1]), dtype=float), [f_r]))
         else:
-            xs = np.linspace(x_l, x_r, CROSSING_POINTS)
+            xs = RealInterval(x_l, x_r).grid(CROSSING_POINTS)
             ys = np.asarray(f.evaluate(xs), dtype=float)
     value = max(hi - x_r, f_l) if increasing else max(x_l - lo, f_r)
     return SugenoResult(min(max(value, 0.0), hi - lo), IntegralMethod.FIXED_POINT, x_r - x_l,

@@ -616,6 +616,14 @@ class TestScaledArgumentRoute:
                 BoundInputs(fa=0.0, fend=0.5, eta_len=1.0, alpha=0.5, m=1.5, fscaled=1.0)
             )
 
+    def test_each_solver_refuses_the_other_routes_inputs(self):
+        r_route = BoundInputs(fa=0.2, fend=0.5, eta_len=1.0, r=0.5)
+        am_route = BoundInputs(fa=0.2, fend=0.5, eta_len=1.0, alpha=0.5, m=0.5, fscaled=1.0)
+        with pytest.raises(ValueError, match="r_preinvex_bound needs the r route"):
+            r_preinvex_bound(am_route)
+        with pytest.raises(ValueError, match="alpha_m_bound needs the alpha/m route"):
+            alpha_m_bound(r_route)
+
     def test_route_selection_validated(self):
         with pytest.raises(ValueError):
             BoundInputs(fa=0.0, fend=0.5, eta_len=1.0)  # no route

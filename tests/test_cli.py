@@ -673,6 +673,34 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err == "fuzzyhh: m must lie in (0, 1]\n"
 
+    @pytest.mark.parametrize("argv, value", [
+        (("bound", "-f", "x^2+1", "-a", "0", "-b", "1", "--r", "-1e-3"), "-1e-3"),
+        (("integrate", "-f", "x+3", "-a", "-2e-1", "-b", "1"), "-2e-1"),
+        (("integrate", "-f", "x+3", "-a", "-.5e-1", "-b", "1"), "-.5e-1"),
+        (("sweep", "-f", "x^2+1", "-a", "0", "-b", "1", "--param", "r", "--values", "-1,-0.5"),
+         "-1,-0.5"),
+    ])
+    def test_negative_values_need_no_equals_sign(self, capsys, argv, value):
+        # argparse alone reads only the shapes -12 and -1.5 as values, and
+        # rejects these with "expected one argument" unless written --flag=value
+        i = argv.index(value)
+        joined = (*argv[: i - 1], f"{argv[i - 1]}={value}", *argv[i + 1 :])
+        parser = cli.build_parser()
+        assert parser.parse_args(argv) == parser.parse_args(joined)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("integrate", "--fdomain", "0:1:2"), "--fdomain expects lo:hi, got '0:1:2'"),
+        (("integrate", "--fdomain", "a:b"), "--fdomain expects lo:hi, got 'a:b'"),
+        (("check", "--eta", "foo"), "unknown eta map 'foo'; use 'affine' or 'scaled:<factor>'"),
+        (("check", "--alpha", "0.5"), "--alpha needs --m"),
+        (("bound", "--r", "1", "--eta-len=-1"), "eta_len must be positive"),
+    ])
+    def test_malformed_inputs_exit_one_with_their_message(self, capsys, argv, message):
+        code, out, err = run(capsys, argv[0], "-f", "x^2", "-a", "0", "-b", "1", *argv[1:])
+        assert (code, out, err) == (1, "", f"fuzzyhh: {message}\n")
+
     def test_fixedpoint_is_not_a_method(self, capsys):
         code, out, err = run(capsys, "integrate", "-f", "x", "-a", "0", "-b", "1",
                              "--method", "fixedpoint")

@@ -57,6 +57,14 @@ class TestRealInterval:
         expected = A.lo + (np.arange(n) + 0.5) * (A.length() / n)
         assert A.midpoints(n).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 7, 4097, 1_000_000])
+    def test_midpoints_of_chosen_cells_are_the_whole_arrays_floats(self, n):
+        A = RealInterval(-0.7, 0.4)
+        cells = np.unique(np.random.default_rng(n).integers(0, n, 50)).astype(float)
+        want = A.midpoints(n)[cells.astype(int)]
+        got = A.midpoints(n, cells)
+        assert got is cells and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 1.0), (0.3, 0.3), (-0.0, 0.0), (0.0, -0.0), (-7.5, -2.25), (-3.0, 11.0),
         (-8e307, 8e307), (1e300, 1.7e308), (1e-300, 3e-300), (1.0, 1.0 + 2.0**-52),
@@ -151,6 +159,13 @@ class TestClosedFormDistribution:
         profile = DistributionProfile(f, UNIT)
         with pytest.raises(StrategyMismatch):
             profile.at(0.5)
+
+    def test_zero_width_interval_has_no_measure(self):
+        A = RealInterval(0.3, 0.3)
+        profile = DistributionProfile(function_from_expression("x + 1", A), A)
+        assert profile.at(0.0) == profile.at(0.5) == 0.0
+        res = sugeno_fixed_point(profile)
+        assert (res.value, res.residual) == (0.0, 0.0)
 
     def test_negative_threshold_rejected(self):
         f = function_from_expression("x", UNIT)

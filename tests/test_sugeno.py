@@ -153,6 +153,12 @@ class TestSupmin:
         with pytest.raises(ValueError):
             sugeno_supmin(function_from_expression("0.3", UNIT), UNIT, 1)
 
+    @pytest.mark.parametrize("route", [sugeno_supmin, sugeno_supmin_exact])
+    def test_zero_width_interval_integrates_to_zero(self, route):
+        A = RealInterval(0.3, 0.3)
+        res = route(function_from_expression("x + 1", A), A, 1000)
+        assert (res.value, res.method, res.residual) == (0.0, IntegralMethod.SUPMIN_GRID, 0.0)
+
 
 def _whole_array_sweep(f, A, n):
     """``sugeno_supmin`` as the threshold sweep over whole arrays: every one of
@@ -196,6 +202,13 @@ def test_sweep_oracle_equals_the_whole_array_sweep(n):
 
 
 class TestDispatcher:
+    def test_monotone_form_stops_at_float_resolution_within_its_residual(self):
+        # x^2/2 crosses 1 - x at sqrt(3) - 1: the integral is 2 - sqrt(3)
+        res = sugeno_integral(function_from_expression("x^2/2", UNIT), UNIT, tol=1e-300)
+        assert (res.method, res.hint) == (IntegralMethod.FIXED_POINT, "certified")
+        assert 0.0 < res.residual <= 1e-15
+        assert abs(res.value - (2.0 - math.sqrt(3.0))) <= res.residual
+
     def test_cubic_third_matches_its_own_equation_root(self):
         # derived by bisection of b = (1 - b)^3 / 3 (the distribution crossing)
         root = bisect_root(lambda b: (1.0 - b) ** 3 / 3.0 - b, 0.0, 1.0)
@@ -815,14 +828,20 @@ _SAMPLE_SOURCES = ["x", "0.35"] + [_random_source(np.random.default_rng(seed)) f
 def test_blocked_sample_equals_the_whole_sample(n, A):
     """Bit for bit the floats of f.evaluate(A.midpoints(n)), and its minimum;
     an error is the one the whole-array evaluation raises."""
+
+    def blocked(f):
+        values = np.empty(n)
+        lows = [np.min(y) for y in sugeno._grid_blocks(f, A, n, values, range(0, n, B))]
+        return values, np.min(lows)
+
     sampled = 0
     for src in _SAMPLE_SOURCES:
         f = _compiled(src, A)
         whole = _outcome(lambda: f.evaluate(A.midpoints(n)))
-        assert _outcome(lambda: sugeno._grid_sample(f, A, n)[0]) == whole, src
+        assert _outcome(lambda: blocked(f)[0]) == whole, src
         if whole[0] == "values":
             sampled += 1
-            values, low = sugeno._grid_sample(f, A, n)
+            values, low = blocked(f)
             assert values.flags.writeable and values.shape == (n,)
             assert low == np.min(f.evaluate(A.midpoints(n)))
     assert sampled >= 4
@@ -915,6 +934,15 @@ class TestPiecewiseForm:
             assert 2 <= res.pieces <= pieces and res.residual <= tol, src
             grid = sugeno_supmin_exact(f, UNIT, n).value
             assert abs(res.value - grid) <= pieces / n + tol, src
+
+    def test_stops_at_float_resolution_within_its_residual(self):
+        """With a tol no bracket reaches, the search stops when a round can
+        place no new point and has no gap to bisect; the value still lies
+        within its residual of the closed form 13/33."""
+        res = sugeno_integral(function_from_expression("1.3*abs(x - 0.37)", UNIT), UNIT, tol=1e-300)
+        assert (res.method, res.hint, res.pieces) == (IntegralMethod.FIXED_POINT, "certified", 2)
+        assert 0.0 < res.residual <= 1e-15
+        assert abs(res.value - 13 / 33) <= res.residual
 
     def test_tent_against_its_closed_form(self):
         for c, s in ((1.3, 0.37), (0.7, 0.5), (2.0, 0.8)):
